@@ -347,11 +347,7 @@ def switching_loads(mesh, u1, u2):
     u2 = np.asarray(u2, dtype=float)
     if u1.shape != (n,) or u2.shape != (n,):
         raise ValueError(f"switching controls must have one value per strip ({n})")
-    layout = SwitchingLayout.build(mesh)
-    c = layout.cell_values(u1, u2)
-    load = np.zeros(mesh.num_nodes)
-    np.add.at(load, mesh.triangles.ravel(), np.repeat(c * (mesh.triangle_area / 3.0), 3))
-    return load
+    return _load_map(mesh) @ SwitchingLayout.build(mesh).cell_values(u1, u2)
 
 
 def switching_gradients(mesh, p: StateField, layout=None):

@@ -11,7 +11,6 @@ costs 2 and every line-search trial costs 1.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -106,11 +105,10 @@ class ProblemSpec:
 
 
 class EvaluationBudget:
-    """Thread-safe PDE-solve counter (one increment per state or adjoint solve)."""
+    """PDE-solve counter (one increment per state or adjoint solve)."""
 
     def __init__(self):
         self._count = 0
-        self._lock = threading.Lock()
         self._pause_depth = 0
 
     @property
@@ -118,20 +116,17 @@ class EvaluationBudget:
         return self._count
 
     def add(self, n=1):
-        with self._lock:
-            if self._pause_depth == 0:
-                self._count += n
+        if self._pause_depth == 0:
+            self._count += n
 
     @contextmanager
     def paused(self):
-        """Suspend counting, e.g. for post-run diagnostics."""
-        with self._lock:
-            self._pause_depth += 1
+        """Suspend counting, e.g. for post-run diagnostics; pauses nest."""
+        self._pause_depth += 1
         try:
             yield
         finally:
-            with self._lock:
-                self._pause_depth -= 1
+            self._pause_depth -= 1
 
 
 class ControlProblem:
@@ -175,11 +170,6 @@ class ControlProblem:
         """Tracking value 0.5*||y_u - y_d||^2 (one PDE solve)."""
         f, _, _ = self._tracking(self._state(u))
         return f
-
-    def eval_f_state(self, u):
-        y = self._state(u)
-        f, _, _ = self._tracking(y)
-        return f, y
 
     def value_and_grad(self, u):
         """f and its gradient on the control space (two PDE solves).
@@ -286,11 +276,7 @@ class SwitchingProblem:
         return SwitchingControl(self.layout, np.zeros((2, self.mesh.n)))
 
     def _state(self, u: SwitchingControl):
-        load = np.zeros(self.mesh.num_nodes)
-        c = self.layout.cell_values(u.u1, u.u2)
-        np.add.at(
-            load, self.mesh.triangles.ravel(), np.repeat(c * (self.mesh.triangle_area / 3.0), 3)
-        )
+        load = self.pde.load_map @ self.layout.cell_values(u.u1, u.u2)
         y = fem.StateField(self.mesh, self.pde.solve(load))
         self.budget.add(1)
         return y

@@ -1,4 +1,4 @@
-"""Closed-form scalar proximal operators for support-penalized objectives.
+"""Closed-form proximal operators for support-penalized objectives.
 
 All operators here minimize one-dimensional (or, for the switching variant,
 two-dimensional) model problems of the form
@@ -9,6 +9,16 @@ where |u|_0 is 0 at u = 0 and 1 otherwise.  Because the penalty is
 discontinuous at the origin, the solution maps are set-valued at tie points;
 the sets always have one or two elements and contain 0 whenever they are
 multi-valued.  The canonical (measurable) selection takes 0 at ties.
+
+Each map has one implementation, a private core that works elementwise on
+arrays (or numpy scalars): `_l0_sets` for the hard-thresholding family,
+`_prox_l1` for soft thresholding and `_prox_switch` for the paired switching
+prox.  The solver runs them over whole control fields through the array
+maps (`prox_l0_array`, `prox_l0_set_arrays`, `prox_l1_array`,
+`prox_switch_arrays`); the scalar API (`hard_threshold`,
+`box_hard_threshold`, `prox_l0`, `prox_l1`, `prox_switch`) validates its
+arguments, calls the same core and packages the result as a
+`ScalarSolutionSet`, a float or a `SwitchingPoint`.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -49,6 +59,13 @@ __all__ = [
 def _require_finite(name, x):
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _weight(L, alpha):
+    w = L + alpha
+    if w <= 0:
+        raise ValueError("L + alpha must be positive")
+    return w
 
 
 @dataclass(frozen=True)
@@ -106,10 +123,7 @@ class ProxParams:
             raise ValueError(f"bound must be positive (or +inf), got {self.bound}")
 
     def _weight(self):
-        w = self.L + self.alpha
-        if w <= 0:
-            raise ValueError("L + alpha must be positive")
-        return w
+        return _weight(self.L, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -124,6 +138,89 @@ class SwitchingPoint:
         _require_finite("u2", self.u2)
 
 
+# ---------------------------------------------------------------------------
+# the cores: one elementwise implementation per map
+# ---------------------------------------------------------------------------
+
+
+def _zero_threshold(s, b):
+    """The |q| up to which 0 competes with clip(q) in  -q*u + u^2/2 + s*|u|_0, |u| <= b.
+
+    sqrt(2s) when sqrt(2s) <= b (or b = +inf), b/2 + s/b otherwise.
+    """
+    root = math.sqrt(2.0 * s)
+    if math.isinf(b) or root <= b:
+        return root
+    return 0.5 * b + s / b
+
+
+def _l0_sets(q, zero_threshold, b):
+    """Minimizer sets of  -q*u + u^2/2 + s*|u|_0  over |u| <= b, elementwise in q.
+
+    zero_threshold is _zero_threshold(s, b) (or any positive hard threshold
+    when b = +inf).  Returns (zero_ok, v, v_ok): 0 belongs to the set where
+    zero_ok, and the nonzero candidate v = clip(q, -b, b) belongs where v_ok.
+    At least one of the two holds everywhere.
+    """
+    aq = np.abs(q)
+    v = q if math.isinf(b) else np.clip(q, -b, b)
+    zero_ok = aq <= zero_threshold + TIE_TOL
+    v_ok = (aq >= zero_threshold - TIE_TOL) & (v != 0.0)
+    return zero_ok, v, v_ok
+
+
+def _prox_l1(g, u, L, alpha, gamma, bound):
+    """Soft thresholding of L*u - g at gamma, scaled by 1/(L+alpha), clipped to the box."""
+    w = _weight(L, alpha)
+    z = L * np.asarray(u, dtype=float) - np.asarray(g, dtype=float)
+    out = np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0) / w
+    if not math.isinf(bound):
+        out = np.clip(out, -bound, bound)
+    return out
+
+
+def _prox_switch(g1, g2, u1, u2, L, alpha, beta):
+    """Paired switching prox: cheapest of the vertex and its two one-sided restrictions."""
+    w = _weight(L, alpha)
+    g1 = np.asarray(g1, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    m1 = (L * u1 - g1) / w
+    m2 = (L * u2 - g2) / w
+
+    def quad(a1, a2):
+        return (
+            g1 * a1
+            + g2 * a2
+            + 0.5 * L * ((a1 - u1) ** 2 + (a2 - u2) ** 2)
+            + 0.5 * alpha * (a1 * a1 + a2 * a2)
+        )
+
+    obj_full = quad(m1, m2) + np.where((m1 != 0.0) & (m2 != 0.0), beta, 0.0)
+    obj_first_off = quad(np.zeros_like(m1), m2)
+    obj_second_off = quad(m1, np.zeros_like(m2))
+
+    best = np.minimum(obj_full, np.minimum(obj_first_off, obj_second_off))
+    take_first_off = obj_first_off <= best + TIE_TOL
+    take_second_off = ~take_first_off & (obj_second_off <= best + TIE_TOL)
+
+    out1 = np.where(take_first_off, 0.0, m1)
+    out2 = np.where(take_second_off, 0.0, m2)
+    return out1, out2
+
+
+def _solution_set(zero_ok, v, v_ok):
+    """One scalar _l0_sets result as a ScalarSolutionSet."""
+    values = ((0.0,) if zero_ok else ()) + ((v,) if v_ok else ())
+    return ScalarSolutionSet(values)
+
+
+# ---------------------------------------------------------------------------
+# scalar API
+# ---------------------------------------------------------------------------
+
+
 def hard_threshold(q, t):
     """Solution set of  min_u  -q*u + u^2/2 + (t^2/2)*|u|_0  over the reals.
 
@@ -133,12 +230,7 @@ def hard_threshold(q, t):
     _require_finite("q", q)
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"threshold t must be a finite positive real, got {t}")
-    gap = abs(q) - t
-    if gap > TIE_TOL:
-        return ScalarSolutionSet((q,))
-    if gap >= -TIE_TOL:
-        return ScalarSolutionSet((0.0, q))
-    return ScalarSolutionSet((0.0,))
+    return _solution_set(*_l0_sets(q, t, math.inf))
 
 
 def box_hard_threshold(q, s, b):
@@ -147,7 +239,7 @@ def box_hard_threshold(q, s, b):
     The set is {clip(q)} well inside the active region, {0} well inside the
     dead zone, and the two-element tie set on the (tolerance-widened)
     boundary between them.  b may be +inf, in which case the map reduces to
-    hard_threshold(q, sqrt(2s)).
+    hard_threshold(q, sqrt(2s)), and to {q} when s = 0 as well.
 
     As a set-valued map of q this is monotone with closed graph but not
     maximal: filling each jump at a tie point with the whole segment between
@@ -160,25 +252,9 @@ def box_hard_threshold(q, s, b):
         raise ValueError(f"s must be a finite nonnegative real, got {s}")
     if not (b > 0):
         raise ValueError(f"b must be positive (or +inf), got {b}")
-
-    root = math.sqrt(2.0 * s)
-    if math.isinf(b):
-        if s == 0.0:
-            return ScalarSolutionSet((q,))
-        return hard_threshold(q, root)
-
-    # Thresholds of the case analysis: the nonzero candidate is q clipped to
-    # the box; zero competes against it up to |q| = root when root <= b and
-    # up to |q| = b/2 + s/b otherwise.
-    zero_threshold = root if root <= b else 0.5 * b + s / b
-    v = min(max(q, -b), b)
-
-    sols = []
-    if abs(q) >= zero_threshold - TIE_TOL and v != 0.0:
-        sols.append(v)
-    if abs(q) <= zero_threshold + TIE_TOL or v == 0.0:
-        sols.append(0.0)
-    return ScalarSolutionSet(tuple(sols))
+    if s == 0.0 and math.isinf(b):
+        return ScalarSolutionSet((q,))
+    return _solution_set(*_l0_sets(q, _zero_threshold(s, b), b))
 
 
 def separation_threshold(p: ProxParams):
@@ -198,7 +274,7 @@ def prox_l0(g_k, u_k, p: ProxParams):
     _require_finite("u_k", u_k)
     w = p._weight()
     q = (p.L * u_k - g_k) / w
-    return box_hard_threshold(q, p.beta / w, p.bound)
+    return _solution_set(*_l0_sets(q, _zero_threshold(p.beta / w, p.bound), p.bound))
 
 
 def prox_l1(g_k, u_k, L, alpha, gamma, b=math.inf):
@@ -213,21 +289,7 @@ def prox_l1(g_k, u_k, L, alpha, gamma, b=math.inf):
         raise ValueError(f"gamma must be a finite nonnegative real, got {gamma}")
     if not (b > 0):
         raise ValueError(f"b must be positive (or +inf), got {b}")
-    w = L + alpha
-    if w <= 0:
-        raise ValueError("L + alpha must be positive")
-    z = L * u_k - g_k
-    u = math.copysign(max(abs(z) - gamma, 0.0), z) / w
-    return min(max(u, -b), b)
-
-
-def _switch_quadratic(u1, u2, g: SwitchingPoint, u_k: SwitchingPoint, L, alpha):
-    return (
-        g.u1 * u1
-        + g.u2 * u2
-        + 0.5 * L * ((u1 - u_k.u1) ** 2 + (u2 - u_k.u2) ** 2)
-        + 0.5 * alpha * (u1 * u1 + u2 * u2)
-    )
+    return float(_prox_l1(g_k, u_k, L, alpha, gamma, b))
 
 
 def prox_switch(g: SwitchingPoint, u_k: SwitchingPoint, L, alpha, beta):
@@ -239,22 +301,8 @@ def prox_switch(g: SwitchingPoint, u_k: SwitchingPoint, L, alpha, beta):
     """
     if not (beta > 0) or not math.isfinite(beta):
         raise ValueError(f"beta must be a finite positive real, got {beta}")
-    w = L + alpha
-    if w <= 0:
-        raise ValueError("L + alpha must be positive")
-    m1 = (L * u_k.u1 - g.u1) / w
-    m2 = (L * u_k.u2 - g.u2) / w
-
-    obj_full = _switch_quadratic(m1, m2, g, u_k, L, alpha) + (beta if m1 != 0.0 and m2 != 0.0 else 0.0)
-    obj_first_off = _switch_quadratic(0.0, m2, g, u_k, L, alpha)
-    obj_second_off = _switch_quadratic(m1, 0.0, g, u_k, L, alpha)
-
-    best = min(obj_full, obj_first_off, obj_second_off)
-    if obj_first_off <= best + TIE_TOL:
-        return SwitchingPoint(0.0, m2)
-    if obj_second_off <= best + TIE_TOL:
-        return SwitchingPoint(m1, 0.0)
-    return SwitchingPoint(m1, m2)
+    u1, u2 = _prox_switch(g.u1, g.u2, u_k.u1, u_k.u2, L, alpha, beta)
+    return SwitchingPoint(float(u1), float(u2))
 
 
 def fp_membership(u, g, p: ProxParams):
@@ -354,19 +402,8 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants used by the solver on whole control fields
+# array maps used by the solver on whole control fields
 # ---------------------------------------------------------------------------
-
-
-def _l0_thresholds(L, alpha, beta, bound):
-    w = L + alpha
-    if w <= 0:
-        raise ValueError("L + alpha must be positive")
-    s = beta / w
-    root = math.sqrt(2.0 * s)
-    if math.isinf(bound) or root <= bound:
-        return w, root
-    return w, 0.5 * bound + s / bound
 
 
 def prox_l0_set_arrays(g, u, L, alpha, beta, bound):
@@ -375,15 +412,9 @@ def prox_l0_set_arrays(g, u, L, alpha, beta, bound):
     Returns (zero_ok, v, v_ok): 0 belongs to the set where zero_ok, and the
     nonzero candidate v (the clipped shifted argument) belongs where v_ok.
     """
-    g = np.asarray(g, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w, zero_threshold = _l0_thresholds(L, alpha, beta, bound)
-    q = (L * u - g) / w
-    aq = np.abs(q)
-    v = q if math.isinf(bound) else np.clip(q, -bound, bound)
-    zero_ok = aq <= zero_threshold + TIE_TOL
-    v_ok = (aq >= zero_threshold - TIE_TOL) & (v != 0.0)
-    return zero_ok, v, v_ok
+    w = _weight(L, alpha)
+    q = (L * np.asarray(u, dtype=float) - np.asarray(g, dtype=float)) / w
+    return _l0_sets(q, _zero_threshold(beta / w, bound), bound)
 
 
 def prox_l0_array(g, u, L, alpha, beta, bound):
@@ -394,44 +425,9 @@ def prox_l0_array(g, u, L, alpha, beta, bound):
 
 def prox_l1_array(g, u, L, alpha, gamma, bound):
     """Soft-thresholding prox, vectorized over cells."""
-    w = L + alpha
-    if w <= 0:
-        raise ValueError("L + alpha must be positive")
-    z = L * np.asarray(u, dtype=float) - np.asarray(g, dtype=float)
-    out = np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0) / w
-    if not math.isinf(bound):
-        np.clip(out, -bound, bound, out=out)
-    return out
+    return _prox_l1(g, u, L, alpha, gamma, bound)
 
 
 def prox_switch_arrays(g1, g2, u1, u2, L, alpha, beta):
     """Vectorized prox_switch over paired 1-D control arrays."""
-    w = L + alpha
-    if w <= 0:
-        raise ValueError("L + alpha must be positive")
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    m1 = (L * u1 - g1) / w
-    m2 = (L * u2 - g2) / w
-
-    def quad(a1, a2):
-        return (
-            g1 * a1
-            + g2 * a2
-            + 0.5 * L * ((a1 - u1) ** 2 + (a2 - u2) ** 2)
-            + 0.5 * alpha * (a1 * a1 + a2 * a2)
-        )
-
-    obj_full = quad(m1, m2) + np.where((m1 != 0.0) & (m2 != 0.0), beta, 0.0)
-    obj_first_off = quad(np.zeros_like(m1), m2)
-    obj_second_off = quad(m1, np.zeros_like(m2))
-
-    best = np.minimum(obj_full, np.minimum(obj_first_off, obj_second_off))
-    take_first_off = obj_first_off <= best + TIE_TOL
-    take_second_off = ~take_first_off & (obj_second_off <= best + TIE_TOL)
-
-    out1 = np.where(take_first_off, 0.0, m1)
-    out2 = np.where(take_second_off, 0.0, m2)
-    return out1, out2
+    return _prox_switch(g1, g2, u1, u2, L, alpha, beta)

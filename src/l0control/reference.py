@@ -139,11 +139,12 @@ def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-
 # ---------------------------------------------------------------------------
 
 
-def _rowwise_grid_min(c2, c1, cabs, n_points, chunk=64):
+def _rowwise_grid_min(c2, c1, cabs, n_points):
     """Row-wise min of  c2*t^2 + c1*t + cabs*|t|  over t in [-1, 1] \\ {0}.
 
     n_points is forced even so the grid never contains t = 0 and constant
-    support penalties can be added by the caller.
+    support penalties can be added by the caller.  One row is evaluated at
+    a time so the working set stays one grid long.
     """
     if n_points % 2:
         n_points += 1
@@ -154,19 +155,13 @@ def _rowwise_grid_min(c2, c1, cabs, n_points, chunk=64):
     c1 = np.asarray(c1, dtype=float)
     cabs = np.asarray(cabs, dtype=float)
     out = np.empty(c2.shape[0])
-    buf = np.empty((chunk, n_points))
-    tmp = np.empty((chunk, n_points))
     use_abs = bool(np.any(cabs != 0.0))
-    for start in range(0, c2.shape[0], chunk):
-        stop = min(start + chunk, c2.shape[0])
-        m = stop - start
-        np.multiply(c2[start:stop, None], t2[None, :], out=buf[:m])
-        np.multiply(c1[start:stop, None], t[None, :], out=tmp[:m])
-        buf[:m] += tmp[:m]
+    for i in range(c2.shape[0]):
+        row = c2[i] * t2
+        row += c1[i] * t
         if use_abs:
-            np.multiply(cabs[start:stop, None], at[None, :], out=tmp[:m])
-            buf[:m] += tmp[:m]
-        out[start:stop] = buf[:m].min(axis=1)
+            row += cabs[i] * at
+        out[i] = row.min()
     return out
 
 

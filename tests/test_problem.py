@@ -239,6 +239,9 @@ def test_budget_paused(rng):
     p = ControlProblem(benchmark_spec(mesh_n=6))
     with p.budget.paused():
         p.eval_f(p.zero_control())
+        with p.budget.paused():
+            p.eval_f(p.zero_control())
+        p.eval_f(p.zero_control())  # the outer pause still holds
     assert p.budget.count == 0
     p.eval_f(p.zero_control())
     assert p.budget.count == 1

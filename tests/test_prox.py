@@ -17,6 +17,7 @@ from l0control.prox import (
     hard_threshold,
     prox_l0,
     prox_l0_array,
+    prox_l0_set_arrays,
     prox_l1,
     prox_l1_array,
     prox_switch,
@@ -499,3 +500,22 @@ def test_array_prox_switch_matches_scalar(rng):
     for i in range(g1.size):
         p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]), 0.7, 0.1, 0.25)
         assert (o1[i], o2[i]) == (p.u1, p.u2)
+
+
+def test_array_maps_give_same_result_for_0d_and_1_element_input():
+    g, u, g2, u2 = -1.3, 0.4, 0.9, -0.2
+    for b in (0.7, math.inf):
+        calls = [
+            lambda x: prox_l0_array(x(g), x(u), 0.8, 0.2, 0.5, b),
+            lambda x: prox_l0_set_arrays(x(g), x(u), 0.8, 0.2, 0.5, b),
+            lambda x: prox_l1_array(x(g), x(u), 0.8, 0.2, 0.5, b),
+            lambda x: prox_switch_arrays(x(g), x(g2), x(u), x(u2), 0.8, 0.2, 0.5),
+        ]
+        for call in calls:
+            zero_d = call(np.asarray)
+            one = call(lambda v: np.array([v]))
+            if not isinstance(zero_d, tuple):
+                zero_d, one = (zero_d,), (one,)
+            for a, c in zip(zero_d, one):
+                assert np.ndim(a) == 0
+                assert a == c[0]
