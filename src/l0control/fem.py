@@ -9,9 +9,11 @@ the longest edge is h = sqrt(2)/n.
 States are P1 nodal fields, controls are piecewise constants on triangles.
 Two operators are assembled: the Dirichlet Laplacian (-lap y = u, y = 0 on
 the boundary, eliminated symmetrically) and the Neumann Helmholtz operator
-(-lap y + y = u with natural boundary conditions).  Both are symmetric
-positive definite and factorized once per mesh; a diagonally preconditioned
-CG fallback covers meshes too large to factorize comfortably.
+(-lap y + y = u with natural boundary conditions).  The interior Dirichlet
+stiffness is the 5-point stencil, so a type-I sine transform solves it exactly
+with no factorization (the fast Poisson solver of Buzbee, Golub and Nielson,
+1970).  The Neumann operator is factorized once per mesh, with a diagonally
+preconditioned CG fallback for meshes too large to factorize comfortably.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import scipy.sparse.linalg as spla
 DIRICHLET_POISSON = "dirichlet_poisson"
 NEUMANN_HELMHOLTZ = "neumann_helmholtz"
 
-# above this many unknowns, assemble() switches from a sparse LU to CG
+# above this many unknowns, the Neumann operator uses CG instead of a sparse LU
 # (n = 500 factors in ~5 s and ~0.8 GB; the limit covers n = 640 studies)
 DIRECT_SOLVER_LIMIT = 700_000
 
@@ -199,8 +201,6 @@ class AssembledPDE:
 
 
 def _make_solver(matrix, use_direct):
-    if matrix.shape[0] == 0:
-        return lambda rhs: rhs
     if use_direct:
         lu = spla.splu(matrix.tocsc())
         return lu.solve
@@ -217,11 +217,20 @@ def _make_solver(matrix, use_direct):
     return cg_solve
 
 
-def assemble(mesh, pde_kind, solver="auto"):
-    """Assemble the chosen operator and prepare a reusable linear solver.
+def _dirichlet_poisson_solver(n):
+    """Exact solve of the 5-point stencil on the (n-1)^2 interior nodes (row-major)."""
+    # imported here so that importing the package does not load scipy.fft
+    from scipy.fft import dstn, idstn
 
-    solver: "auto" (direct below DIRECT_SOLVER_LIMIT unknowns), "direct", or "cg".
-    """
+    m = n - 1
+    # eigenvalues 2 - 2cos(j pi/n) of tridiag(-1, 2, -1) as 4 sin^2(j pi/2n), free of cancellation
+    line = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    eigenvalues = line[:, None] + line[None, :]
+    return lambda rhs: idstn(dstn(rhs.reshape(m, m), type=1) / eigenvalues, type=1).ravel()
+
+
+def assemble(mesh, pde_kind):
+    """Assemble the chosen operator and prepare a reusable linear solver."""
     if pde_kind not in (DIRICHLET_POISSON, NEUMANN_HELMHOLTZ):
         raise ValueError(f"unknown pde kind {pde_kind!r}")
     stiffness, mass = _assemble_matrices(mesh)
@@ -230,20 +239,11 @@ def assemble(mesh, pde_kind, solver="auto"):
     if pde_kind == DIRICHLET_POISSON:
         free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
         system = stiffness
-        reduced = stiffness[free][:, free].tocsc()
+        solver = _dirichlet_poisson_solver(mesh.n)
     else:
         free = np.arange(mesh.num_nodes)
         system = (stiffness + mass).tocsr()
-        reduced = system.tocsc()
-
-    if solver == "auto":
-        use_direct = reduced.shape[0] <= DIRECT_SOLVER_LIMIT
-    elif solver == "direct":
-        use_direct = True
-    elif solver == "cg":
-        use_direct = False
-    else:
-        raise ValueError(f"unknown solver choice {solver!r}")
+        solver = _make_solver(system, system.shape[0] <= DIRECT_SOLVER_LIMIT)
 
     return AssembledPDE(
         mesh=mesh,
@@ -252,7 +252,7 @@ def assemble(mesh, pde_kind, solver="auto"):
         mass=mass,
         load_map=load_map,
         free_nodes=free,
-        _solver=_make_solver(reduced, use_direct),
+        _solver=solver,
     )
 
 

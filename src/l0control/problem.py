@@ -132,11 +132,11 @@ class EvaluationBudget:
 class ControlProblem:
     """Tracking problem with a per-triangle control and an l0 or l1 penalty.
 
-    A preassembled operator may be passed to share the factorization across
+    A preassembled operator may be passed to share its solver set-up across
     problem instances (penalty sweeps on one mesh).
     """
 
-    def __init__(self, spec: ProblemSpec, solver="auto", pde=None):
+    def __init__(self, spec: ProblemSpec, pde=None):
         if spec.penalty == SWITCHING:
             raise ValueError("use SwitchingProblem for the switching penalty")
         self.spec = spec
@@ -147,7 +147,7 @@ class ControlProblem:
             self.pde = pde
         else:
             self.mesh = fem.build_mesh(spec.mesh_n)
-            self.pde = fem.assemble(self.mesh, spec.pde, solver=solver)
+            self.pde = fem.assemble(self.mesh, spec.pde)
         self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
         self.budget = EvaluationBudget()
 
@@ -256,7 +256,7 @@ class SwitchingProblem:
     problems per strip.
     """
 
-    def __init__(self, spec: ProblemSpec, solver="auto", pde=None):
+    def __init__(self, spec: ProblemSpec, pde=None):
         if spec.penalty != SWITCHING:
             raise ValueError("SwitchingProblem needs penalty='switching'")
         self.spec = spec
@@ -267,7 +267,7 @@ class SwitchingProblem:
             self.pde = pde
         else:
             self.mesh = fem.build_mesh(spec.mesh_n)
-            self.pde = fem.assemble(self.mesh, fem.DIRICHLET_POISSON, solver=solver)
+            self.pde = fem.assemble(self.mesh, fem.DIRICHLET_POISSON)
         self.layout = fem.SwitchingLayout.build(self.mesh)
         self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
         self.budget = EvaluationBudget()
@@ -320,7 +320,7 @@ class SwitchingProblem:
         return float(np.count_nonzero(chi1 != chi2)) / self.mesh.n
 
 
-def make_problem(spec: ProblemSpec, solver="auto", pde=None):
+def make_problem(spec: ProblemSpec, pde=None):
     if spec.penalty == SWITCHING:
-        return SwitchingProblem(spec, solver=solver, pde=pde)
-    return ControlProblem(spec, solver=solver, pde=pde)
+        return SwitchingProblem(spec, pde=pde)
+    return ControlProblem(spec, pde=pde)

@@ -29,9 +29,9 @@ def test_table1_shares_one_factorization(tmp_path, monkeypatch):
     calls = []
     real_assemble = fem.assemble
 
-    def counting_assemble(mesh, kind, solver="auto"):
+    def counting_assemble(mesh, kind):
         calls.append(kind)
-        return real_assemble(mesh, kind, solver=solver)
+        return real_assemble(mesh, kind)
 
     monkeypatch.setattr(fem, "assemble", counting_assemble)
     ex.run_table1(RunConfig(mesh_n=6, out=str(tmp_path)))

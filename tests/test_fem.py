@@ -1,9 +1,14 @@
 """Mesh construction, assembly, solves and transfer operators."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from l0control import fem
 
@@ -80,8 +85,66 @@ def test_assemble_neumann_positive_definite(rng):
 def test_assemble_rejects_unknown_kind():
     with pytest.raises(ValueError):
         fem.assemble(fem.build_mesh(2), "biharmonic")
-    with pytest.raises(ValueError):
-        fem.assemble(fem.build_mesh(2), fem.DIRICHLET_POISSON, solver="magic")
+
+
+def five_point_stencil(n):
+    """kron(I, T) + kron(T, I) with T = tridiag(-1, 2, -1) of order n - 1."""
+    m = n - 1
+    t = sp.diags([-np.ones(m - 1), np.full(m, 2.0), -np.ones(m - 1)], [-1, 0, 1])
+    eye = sp.identity(m)
+    return (sp.kron(eye, t) + sp.kron(t, eye)).tocsr()
+
+
+def test_dirichlet_stiffness_is_five_point_stencil():
+    eps = np.finfo(float).eps
+    for n in range(2, 41):
+        pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
+        fr = pde.free_nodes
+        diff = abs(pde.system[fr][:, fr] - five_point_stencil(n)).max()
+        if n & (n - 1) == 0:
+            # dyadic node coordinates are exact, and so is every element entry
+            assert diff == 0.0, n
+        else:
+            # rounded coordinates (O(eps) each) give edge vectors with relative error O(n eps)
+            assert diff <= 4.0 * n * eps, n
+
+
+def test_dirichlet_spectral_solve_matches_lu(rng):
+    for n in (1, 2, 3, 8, 40, 160):
+        pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
+        rhs = rng.normal(size=pde.mesh.num_nodes)
+        y = pde.solve(rhs)
+        boundary = pde.mesh.boundary_nodes
+        assert np.all(y[boundary] == 0.0)
+        fr = pde.free_nodes
+        if fr.size == 0:
+            assert np.all(y == 0.0)
+            continue
+        oracle = spla.splu(pde.system[fr][:, fr].tocsc()).solve(rhs[fr])
+        assert np.abs(y[fr] - oracle).max() <= 1e-12 * np.abs(oracle).max(), n
+
+
+def test_dirichlet_spectral_solve_free_of_cancellation(rng):
+    # long-double transform of the same stencil as reference; a cosine-form
+    # eigenvalue grid misses this bound by two orders of magnitude at n = 500
+    from scipy.fft import dstn, idstn
+
+    n = 500
+    pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
+    rhs = rng.normal(size=pde.mesh.num_nodes)
+    fr = pde.free_nodes
+    line = 4 * np.sin(np.longdouble(np.pi) * np.arange(1, n, dtype=np.longdouble) / (2 * n)) ** 2
+    grid = rhs[fr].astype(np.longdouble).reshape(n - 1, n - 1)
+    ref = idstn(dstn(grid, type=1) / (line[:, None] + line[None, :]), type=1).ravel()
+    err = np.abs(pde.solve(rhs)[fr] - ref).max() / np.abs(ref).max()
+    assert err <= 1e-14
+
+
+def test_import_does_not_load_scipy_fft():
+    code = "import sys, l0control; sys.exit('scipy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_assembled_matrices_exactly_symmetric():
@@ -138,13 +201,11 @@ def test_solve_relative_residual(rng):
 
 
 def test_cg_solver_matches_direct(rng):
-    mesh = fem.build_mesh(16)
-    direct = fem.assemble(mesh, fem.DIRICHLET_POISSON, solver="direct")
-    cg = fem.assemble(mesh, fem.DIRICHLET_POISSON, solver="cg")
-    u = fem.ControlField(mesh, rng.normal(size=mesh.num_triangles))
-    yd = fem.solve_state(direct, u)
-    yc = fem.solve_state(cg, u)
-    assert np.abs(yd.values - yc.values).max() <= 1e-10 * max(np.abs(yd.values).max(), 1e-30)
+    pde = fem.assemble(fem.build_mesh(16), fem.NEUMANN_HELMHOLTZ)
+    rhs = pde.load_map @ rng.normal(size=pde.mesh.num_triangles)
+    direct = spla.splu(pde.system.tocsc()).solve(rhs)
+    cg = fem._make_solver(pde.system, use_direct=False)(rhs)
+    assert np.abs(direct - cg).max() <= 1e-10 * max(np.abs(direct).max(), 1e-30)
 
 
 def test_solve_adjoint_zero_and_constants():
