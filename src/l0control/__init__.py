@@ -21,7 +21,6 @@ from .fem import (
     l2_inner_control,
     l2_norm_control,
     l2_norm_state,
-    solve_adjoint,
     solve_state,
 )
 from .problem import (
@@ -32,7 +31,6 @@ from .problem import (
     EvaluationBudget,
     ProblemSpec,
     SwitchingControl,
-    SwitchingProblem,
     default_target,
     make_problem,
     switching_target,

@@ -69,36 +69,17 @@ class RunConfig:
     no_bound: bool = False
 
     def validate(self):
-        if self.mesh_n < 1:
-            raise ConfigError(f"mesh_n must be >= 1, got {self.mesh_n}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not self.bound > 0:
-            raise ConfigError(f"bound must be > 0 (or inf), got {self.bound}")
-        if self.penalty not in ("l0", "l1", "switching"):
-            raise ConfigError(f"penalty must be l0|l1|switching, got {self.penalty!r}")
+        """Reject bad values before any run starts.
+
+        Ranges are checked where the values are used (ProblemSpec,
+        StepStrategy, SolverOptions); this adds only what those never see.
+        """
         if self.pde not in PDE_NAMES:
             raise ConfigError(f"pde must be dirichlet|neumann, got {self.pde!r}")
-        if self.strategy not in solvermod.STRATEGY_KINDS:
-            raise ConfigError(f"strategy must be fixed|bt|btw|bt0, got {self.strategy!r}")
-        if not self.lhat0 > 0:
-            raise ConfigError(f"lhat0 must be > 0, got {self.lhat0}")
-        if not 0 < self.theta < 1:
-            raise ConfigError(f"theta must lie in (0,1), got {self.theta}")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
-        if self.imax < 1:
-            raise ConfigError(f"imax must be >= 1, got {self.imax}")
-        if self.lfixed < 0:
-            raise ConfigError(f"lfixed must be >= 0, got {self.lfixed}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        build_spec(self)
+        build_options(self)
         return self
 
 

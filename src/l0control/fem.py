@@ -43,14 +43,12 @@ __all__ = [
     "build_mesh",
     "assemble",
     "solve_state",
-    "solve_adjoint",
     "element_means",
     "interpolate_nodal",
     "l2_norm_state",
     "l2_norm_control",
     "l2_inner_control",
     "SwitchingLayout",
-    "switching_loads",
     "switching_gradients",
 ]
 
@@ -95,9 +93,6 @@ class StateField:
     mesh: Mesh
     values: np.ndarray
 
-    def copy(self):
-        return StateField(self.mesh, self.values.copy())
-
 
 @dataclass(eq=False)
 class ControlField:
@@ -106,15 +101,24 @@ class ControlField:
     mesh: Mesh
     values: np.ndarray
 
-    def copy(self):
-        return ControlField(self.mesh, self.values.copy())
-
-    def support_measure(self):
-        return float(np.count_nonzero(self.values)) * self.mesh.triangle_area
+    def norm_sq(self, scale):
+        """scale * ||u||^2 (exact L2 norm of the piecewise constant)."""
+        return scale * l2_norm_control(self) ** 2
 
     def diff_norm(self, other):
         d = self.values - other.values
         return math.sqrt(self.mesh.triangle_area * float(d @ d))
+
+    def measure(self, mask):
+        """Area of the union of the triangles where mask is set."""
+        return float(np.count_nonzero(mask)) * self.mesh.triangle_area
+
+    def support_measure(self):
+        return self.measure(self.values)
+
+    def indicator(self):
+        """Characteristic function of the support {u != 0}."""
+        return ControlField(self.mesh, (self.values != 0.0).astype(float))
 
 
 def build_mesh(n):
@@ -264,14 +268,6 @@ def solve_state(pde, u: ControlField):
     return StateField(pde.mesh, pde.solve(rhs))
 
 
-def solve_adjoint(pde, residual: StateField):
-    """Adjoint solve: system * p = mass * residual (the operator is self-adjoint)."""
-    if residual.mesh is not pde.mesh:
-        raise ValueError("residual lives on a different mesh")
-    rhs = pde.mass @ residual.values
-    return StateField(pde.mesh, pde.solve(rhs))
-
-
 def element_means(p: StateField):
     """Per-triangle averages of a nodal field (exact mean for P1)."""
     return ControlField(p.mesh, p.values[p.mesh.triangles].mean(axis=1))
@@ -340,24 +336,12 @@ class SwitchingLayout:
         return c
 
 
-def switching_loads(mesh, u1, u2):
-    """Nodal load of chi_band1 * u1(x1) + chi_band2 * u2(x1)."""
-    n = mesh.n
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if u1.shape != (n,) or u2.shape != (n,):
-        raise ValueError(f"switching controls must have one value per strip ({n})")
-    return _load_map(mesh) @ SwitchingLayout.build(mesh).cell_values(u1, u2)
-
-
-def switching_gradients(mesh, p: StateField, layout=None):
+def switching_gradients(mesh, p: StateField, layout):
     """Per-strip gradient entries n * integral of p over band_k intersect strip_j.
 
     The factor n turns the plain integral into the Riesz representative with
     respect to the L2 inner product on the 1-D strip grid (strip width 1/n).
     """
-    if layout is None:
-        layout = SwitchingLayout.build(mesh)
     cell_means = p.values[mesh.triangles].mean(axis=1)
     weights = cell_means * mesh.triangle_area
     g1 = np.zeros(mesh.n)

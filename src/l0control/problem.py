@@ -33,7 +33,6 @@ __all__ = [
     "EvaluationBudget",
     "ControlProblem",
     "SwitchingControl",
-    "SwitchingProblem",
     "make_problem",
     "default_target",
     "zero_target",
@@ -130,15 +129,19 @@ class EvaluationBudget:
 
 
 class ControlProblem:
-    """Tracking problem with a per-triangle control and an l0 or l1 penalty.
+    """Tracking problem 0.5*||y_u - y_d||^2 + g(u) for the l0, l1 and switching penalties.
+
+    The control space is the penalty's: a `fem.ControlField` (one value per
+    triangle) for l0 and l1, a `SwitchingControl` (two 1-D controls on the
+    strip grid, expanded into the two bands) for switching.  The control
+    types carry their own norm and measure, so only the load expansion, the
+    gradient restriction and the l1 penalty line depend on the penalty.
 
     A preassembled operator may be passed to share its solver set-up across
     problem instances (penalty sweeps on one mesh).
     """
 
     def __init__(self, spec: ProblemSpec, pde=None):
-        if spec.penalty == SWITCHING:
-            raise ValueError("use SwitchingProblem for the switching penalty")
         self.spec = spec
         if pde is not None:
             if pde.mesh.n != spec.mesh_n or pde.pde_kind != spec.pde:
@@ -148,65 +151,73 @@ class ControlProblem:
         else:
             self.mesh = fem.build_mesh(spec.mesh_n)
             self.pde = fem.assemble(self.mesh, spec.pde)
+        self.layout = fem.SwitchingLayout.build(self.mesh) if spec.penalty == SWITCHING else None
         self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
+        if not np.all(np.isfinite(self.target.values)):
+            raise ValueError("the target y_d has non-finite values on the mesh nodes")
         self.budget = EvaluationBudget()
 
     # -- evaluations ------------------------------------------------------
 
     def zero_control(self):
-        return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
+        if self.layout is None:
+            return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
+        return SwitchingControl(self.layout, np.zeros((2, self.mesh.n)))
 
     def _state(self, u):
-        y = fem.solve_state(self.pde, u)
+        cells = u.values if self.layout is None else self.layout.cell_values(u.u1, u.u2)
+        y = fem.StateField(self.mesh, self.pde.solve(self.pde.load_map @ cells))
         self.budget.add(1)
         return y
 
     def _tracking(self, y):
         r = y.values - self.target.values
         mr = self.pde.mass @ r
-        return 0.5 * float(r @ mr), r, mr
+        return 0.5 * float(r @ mr), mr
 
     def eval_f(self, u):
         """Tracking value 0.5*||y_u - y_d||^2 (one PDE solve)."""
-        f, _, _ = self._tracking(self._state(u))
-        return f
+        return self._tracking(self._state(u))[0]
 
     def value_and_grad(self, u):
         """f and its gradient on the control space (two PDE solves).
 
-        The gradient is the adjoint state averaged per triangle, i.e. the
-        Riesz representative of df in the piecewise-constant subspace.
+        The gradient is the Riesz representative of df in the control space:
+        the adjoint state averaged per triangle, or integrated over each
+        band-strip cell and scaled by n for the strip controls.
         """
-        y = self._state(u)
-        f, _, mr = self._tracking(y)
+        f, mr = self._tracking(self._state(u))
         p = fem.StateField(self.mesh, self.pde.solve(mr))
         self.budget.add(1)
-        return f, fem.element_means(p)
+        if self.layout is None:
+            return f, fem.element_means(p)
+        g1, g2 = fem.switching_gradients(self.mesh, p, self.layout)
+        return f, SwitchingControl(self.layout, np.stack([g1, g2]))
 
     def grad_f(self, u):
         return self.value_and_grad(u)[1]
 
     def eval_g(self, u):
         s = self.spec
-        quad = 0.5 * s.alpha * fem.l2_norm_control(u) ** 2
-        if s.penalty == L0:
-            return quad + s.beta * self.support_measure(u)
-        return quad + s.beta * self.mesh.triangle_area * float(np.abs(u.values).sum())
-
-    def objective(self, u):
-        return self.eval_f(u) + self.eval_g(u)
+        quad = u.norm_sq(0.5 * s.alpha)
+        if s.penalty == L1:
+            return quad + s.beta * self.mesh.triangle_area * float(np.abs(u.values).sum())
+        return quad + s.beta * self.support_measure(u)
 
     # -- support bookkeeping ----------------------------------------------
 
     def support_measure(self, u):
-        """Measure of {u != 0}; the zero test is exact since prox outputs exact zeros."""
+        """Measure of {u != 0}, or of the overlap {u1*u2 != 0} for switching.
+
+        The zero test is exact since prox outputs exact zeros.
+        """
         return u.support_measure()
 
     def chi(self, u):
-        return fem.ControlField(self.mesh, (u.values != 0.0).astype(float))
+        return u.indicator()
 
     def chi_distance(self, chi1, chi2):
-        return self.mesh.triangle_area * float(np.count_nonzero(chi1.values != chi2.values))
+        return chi1.measure(chi1.values != chi2.values)
 
     def separation_threshold(self, L):
         return proxmod.separation_threshold(
@@ -224,7 +235,12 @@ class ControlProblem:
 
 @dataclass(eq=False)
 class SwitchingControl:
-    """Two 1-D controls on the strip grid, stored as rows of a (2, n) array."""
+    """Two 1-D controls on the strip grid, stored as rows of a (2, n) array.
+
+    The strip grid is the 1-D interval (0, 1) cut into n strips of width 1/n,
+    so norms and measures are sums over strips divided by n.  An indicator
+    (`indicator()`) is a single row of n values on the same grid.
+    """
 
     layout: fem.SwitchingLayout
     values: np.ndarray
@@ -237,90 +253,34 @@ class SwitchingControl:
     def u2(self):
         return self.values[1]
 
-    def copy(self):
-        return SwitchingControl(self.layout, self.values.copy())
+    def norm_sq(self, scale):
+        """scale * (|u1|^2 + |u2|^2) on the strip grid.
+
+        The scale is multiplied in before the division by n, the rounding
+        order the penalty has always used.
+        """
+        return scale * float((self.values * self.values).sum()) / self.layout.mesh.n
 
     def diff_norm(self, other):
         d = self.values - other.values
         return math.sqrt(float((d * d).sum()) / self.layout.mesh.n)
 
-    def overlap_measure(self):
-        return float(np.count_nonzero(self.u1 * self.u2 != 0.0)) / self.layout.mesh.n
+    def measure(self, mask):
+        """Length of the union of the strips where mask is set."""
+        return float(np.count_nonzero(mask)) / self.layout.mesh.n
+
+    def support_measure(self):
+        """Length of the overlap set {u1*u2 != 0}, the set the switching penalty charges."""
+        return self.measure(self.u1 * self.u2 != 0.0)
+
+    def indicator(self):
+        """Characteristic function of the overlap set, one row on the strip grid."""
+        return SwitchingControl(self.layout, (self.u1 * self.u2 != 0.0).astype(float))
 
 
-class SwitchingProblem:
-    """Tracking problem driven by two 1-D controls acting on horizontal bands.
-
-    The support penalty charges the measure of the set where both controls
-    are active at the same x1; the prox decouples into independent 2-vector
-    problems per strip.
-    """
-
-    def __init__(self, spec: ProblemSpec, pde=None):
-        if spec.penalty != SWITCHING:
-            raise ValueError("SwitchingProblem needs penalty='switching'")
-        self.spec = spec
-        if pde is not None:
-            if pde.mesh.n != spec.mesh_n or pde.pde_kind != fem.DIRICHLET_POISSON:
-                raise ValueError("preassembled operator does not match the problem spec")
-            self.mesh = pde.mesh
-            self.pde = pde
-        else:
-            self.mesh = fem.build_mesh(spec.mesh_n)
-            self.pde = fem.assemble(self.mesh, fem.DIRICHLET_POISSON)
-        self.layout = fem.SwitchingLayout.build(self.mesh)
-        self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
-        self.budget = EvaluationBudget()
-
-    def zero_control(self):
-        return SwitchingControl(self.layout, np.zeros((2, self.mesh.n)))
-
-    def _state(self, u: SwitchingControl):
-        load = self.pde.load_map @ self.layout.cell_values(u.u1, u.u2)
-        y = fem.StateField(self.mesh, self.pde.solve(load))
-        self.budget.add(1)
-        return y
-
-    def _tracking(self, y):
-        r = y.values - self.target.values
-        mr = self.pde.mass @ r
-        return 0.5 * float(r @ mr), r, mr
-
-    def eval_f(self, u):
-        f, _, _ = self._tracking(self._state(u))
-        return f
-
-    def value_and_grad(self, u):
-        y = self._state(u)
-        f, _, mr = self._tracking(y)
-        p = fem.StateField(self.mesh, self.pde.solve(mr))
-        self.budget.add(1)
-        g1, g2 = fem.switching_gradients(self.mesh, p, self.layout)
-        return f, SwitchingControl(self.layout, np.stack([g1, g2]))
-
-    def grad_f(self, u):
-        return self.value_and_grad(u)[1]
-
-    def eval_g(self, u):
-        s = self.spec
-        quad = 0.5 * s.alpha * float((u.values * u.values).sum()) / self.mesh.n
-        return quad + s.beta * u.overlap_measure()
-
-    def objective(self, u):
-        return self.eval_f(u) + self.eval_g(u)
-
-    def support_measure(self, u):
-        """Measure of the overlap set {u1*u2 != 0} on the 1-D interval."""
-        return u.overlap_measure()
-
-    def chi(self, u):
-        return (u.u1 * u.u2 != 0.0).astype(float)
-
-    def chi_distance(self, chi1, chi2):
-        return float(np.count_nonzero(chi1 != chi2)) / self.mesh.n
+# kept only because perfbench/spans.py hooks methods through this name
+SwitchingProblem = ControlProblem
 
 
 def make_problem(spec: ProblemSpec, pde=None):
-    if spec.penalty == SWITCHING:
-        return SwitchingProblem(spec, pde=pde)
     return ControlProblem(spec, pde=pde)

@@ -81,14 +81,14 @@ class StepStrategy:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (0 < self.eta < math.inf):
+            raise ValueError(f"eta must be a finite positive real, got {self.eta}")
         if self.I_max < 1:
             raise ValueError(f"I_max must be a positive integer, got {self.I_max}")
-        if not (self.L_hat0 > 0):
-            raise ValueError(f"L_hat0 must be positive, got {self.L_hat0}")
-        if self.L_fixed < 0:
-            raise ValueError(f"L_fixed must be nonnegative, got {self.L_fixed}")
+        if not (0 < self.L_hat0 < math.inf):
+            raise ValueError(f"L_hat0 must be a finite positive real, got {self.L_hat0}")
+        if not (0 <= self.L_fixed < math.inf):
+            raise ValueError(f"L_fixed must be a finite nonnegative real, got {self.L_fixed}")
 
     @classmethod
     def fixed(cls, L, **kw):
@@ -117,8 +117,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
-        if not (self.stop_tol > 0):
-            raise ValueError("stop_tol must be positive")
+        if not (0 < self.stop_tol < math.inf):
+            raise ValueError(f"stop_tol must be a finite positive real, got {self.stop_tol}")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from l0control import fem, reference, solver
 from l0control.problem import (
     ControlProblem,
     ProblemSpec,
-    SwitchingProblem,
     default_target,
+    make_problem,
     switching_target,
     unsolvable_target,
 )
@@ -47,9 +47,7 @@ def benchmark_spec(**kw):
 
 
 def solve_logged(spec, strategy=None, **run_kw):
-    problem = spec if isinstance(spec, (ControlProblem, SwitchingProblem)) else (
-        SwitchingProblem(spec) if spec.penalty == "switching" else ControlProblem(spec)
-    )
+    problem = spec if isinstance(spec, ControlProblem) else make_problem(spec)
     options = SolverOptions(strategy=strategy or StepStrategy.zero_first(0.01), **run_kw.pop("options", {}))
     report = run(problem, options, **run_kw)
     RUN_LOG.append((report, options.strategy.eta))

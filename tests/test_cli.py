@@ -90,6 +90,29 @@ def test_invalid_values_exit_2(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def assert_rejected(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_infinite_lfixed_exits_2(tmp_path, capsys):
+    assert_rejected(["solve", "--mesh-n", "4", "--strategy", "fixed", "--lfixed", "inf",
+                     "--out", str(tmp_path)], capsys)
+
+
+def test_infinite_lhat0_exits_2(tmp_path, capsys):
+    assert_rejected(["solve", "--mesh-n", "4", "--lhat0", "inf", "--out", str(tmp_path)], capsys)
+
+
+def test_infinite_eta_exits_2(tmp_path, capsys):
+    assert_rejected(["solve", "--mesh-n", "4", "--eta", "inf", "--out", str(tmp_path)], capsys)
+
+
+def test_infinite_tol_exits_2(tmp_path, capsys):
+    assert_rejected(["solve", "--mesh-n", "4", "--tol", "inf", "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--frobnicate"])

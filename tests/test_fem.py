@@ -209,11 +209,12 @@ def test_cg_solver_matches_direct(rng):
 
 
 def test_solve_adjoint_zero_and_constants():
+    # the adjoint solve is system * p = mass * residual (self-adjoint operator)
     pde = fem.assemble(fem.build_mesh(8), fem.NEUMANN_HELMHOLTZ)
-    zero = fem.solve_adjoint(pde, fem.StateField(pde.mesh, np.zeros(pde.mesh.num_nodes)))
-    assert np.all(zero.values == 0.0)
-    const = fem.solve_adjoint(pde, fem.StateField(pde.mesh, np.full(pde.mesh.num_nodes, 2.5)))
-    assert np.abs(const.values - 2.5).max() <= 1e-10
+    zero = pde.solve(pde.mass @ np.zeros(pde.mesh.num_nodes))
+    assert np.all(zero == 0.0)
+    const = pde.solve(pde.mass @ np.full(pde.mesh.num_nodes, 2.5))
+    assert np.abs(const - 2.5).max() <= 1e-10
 
 
 def test_adjoint_consistency_identity(rng):
@@ -280,31 +281,31 @@ def test_support_measure_exact_zero_test():
 # switching geometry
 
 
+def switching_load(mesh, u1, u2):
+    """Nodal load of chi_band1 * u1(x1) + chi_band2 * u2(x1), as the problem builds it."""
+    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
+    return pde.load_map @ fem.SwitchingLayout.build(mesh).cell_values(u1, u2)
+
+
 def test_switching_loads_zero():
     mesh = fem.build_mesh(8)
-    load = fem.switching_loads(mesh, np.zeros(8), np.zeros(8))
+    load = switching_load(mesh, np.zeros(8), np.zeros(8))
     assert np.all(load == 0.0)
 
 
 def test_switching_loads_band_mass():
     mesh = fem.build_mesh(8)
-    load = fem.switching_loads(mesh, np.ones(8), np.zeros(8))
+    load = switching_load(mesh, np.ones(8), np.zeros(8))
     assert load.sum() == pytest.approx(0.25, abs=1e-14)
-    load2 = fem.switching_loads(mesh, np.zeros(8), np.ones(8))
+    load2 = switching_load(mesh, np.zeros(8), np.ones(8))
     assert load2.sum() == pytest.approx(0.25, abs=1e-14)
 
 
 def test_switching_requires_divisible_mesh():
     with pytest.raises(ValueError):
-        fem.switching_loads(fem.build_mesh(6), np.zeros(6), np.zeros(6))
+        fem.SwitchingLayout.build(fem.build_mesh(6))
     with pytest.raises(ValueError):
         fem.SwitchingLayout.build(fem.build_mesh(10))
-
-
-def test_switching_loads_shape_check():
-    mesh = fem.build_mesh(8)
-    with pytest.raises(ValueError):
-        fem.switching_loads(mesh, np.zeros(4), np.zeros(8))
 
 
 def test_switching_gradient_matches_load_pairing(rng):
@@ -316,5 +317,5 @@ def test_switching_gradient_matches_load_pairing(rng):
     du1 = rng.normal(size=8)
     du2 = rng.normal(size=8)
     lhs = (g1 @ du1 + g2 @ du2) / mesh.n
-    rhs = p.values @ fem.switching_loads(mesh, du1, du2)
+    rhs = p.values @ switching_load(mesh, du1, du2)
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -10,7 +10,6 @@ from l0control.problem import (
     ControlProblem,
     ProblemSpec,
     SwitchingControl,
-    SwitchingProblem,
     default_target,
     make_problem,
     switching_target,
@@ -57,11 +56,19 @@ def test_spec_switching_constraints():
     with pytest.raises(ValueError):
         benchmark_spec(penalty="switching", mesh_n=8, pde=fem.NEUMANN_HELMHOLTZ)
     spec = benchmark_spec(penalty="switching", mesh_n=8, alpha=1e-5, y_d=switching_target)
-    assert isinstance(make_problem(spec), SwitchingProblem)
-    with pytest.raises(ValueError):
-        ControlProblem(spec)
-    with pytest.raises(ValueError):
-        SwitchingProblem(benchmark_spec())
+    assert isinstance(make_problem(spec).zero_control(), SwitchingControl)
+    assert make_problem(benchmark_spec()).layout is None
+
+
+def test_non_finite_target_rejected():
+    def half_nan(x1, x2):
+        return np.where(x1 < 0.5, np.nan, x1 * x2)
+
+    for penalty in ("l0", "l1", "switching"):
+        with pytest.raises(ValueError, match="non-finite"):
+            ControlProblem(benchmark_spec(penalty=penalty, mesh_n=8, y_d=half_nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        ControlProblem(benchmark_spec(y_d=lambda x1, x2: np.full_like(x1, np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +242,24 @@ def test_preassembled_operator_is_shared():
         ControlProblem(benchmark_spec(mesh_n=6, pde=fem.NEUMANN_HELMHOLTZ), pde=base.pde)
 
 
+def test_shared_operator_budget_for_l0_and_switching(rng):
+    pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON)
+    l0 = ControlProblem(benchmark_spec(mesh_n=8), pde=pde)
+    sw = ControlProblem(switching_spec(), pde=pde)
+    assert l0.pde is sw.pde and l0.mesh is sw.mesh
+    assert l0.layout is None and sw.layout is not None
+    controls = {
+        "l0": (l0, random_control(l0, rng)),
+        "switching": (sw, SwitchingControl(sw.layout, rng.normal(size=(2, 8)))),
+    }
+    for penalty, (p, u) in controls.items():
+        p.eval_f(u)
+        assert p.budget.count == 1, penalty
+        _, grad = p.value_and_grad(u)
+        assert p.budget.count == 3, penalty
+        assert type(grad) is type(u) and grad.values.shape == u.values.shape
+
+
 def test_budget_paused(rng):
     p = ControlProblem(benchmark_spec(mesh_n=6))
     with p.budget.paused():
@@ -257,7 +282,7 @@ def switching_spec(beta=0.01, n=8):
 
 
 def test_switching_zero_control_and_overlap():
-    p = SwitchingProblem(switching_spec())
+    p = ControlProblem(switching_spec())
     z = p.zero_control()
     assert p.support_measure(z) == 0.0
     assert p.eval_g(z) == 0.0
@@ -271,7 +296,7 @@ def test_switching_zero_control_and_overlap():
 
 
 def test_switching_gradient_matches_finite_differences(rng):
-    p = SwitchingProblem(switching_spec())
+    p = ControlProblem(switching_spec())
     u = SwitchingControl(p.layout, rng.normal(size=(2, 8)))
     du = rng.normal(size=(2, 8))
     _, grad = p.value_and_grad(u)
@@ -284,10 +309,10 @@ def test_switching_gradient_matches_finite_differences(rng):
 
 
 def test_switching_chi_distance():
-    p = SwitchingProblem(switching_spec())
+    p = ControlProblem(switching_spec())
     a = np.zeros((2, 8)); a[0, :] = 1.0; a[1, :4] = 1.0
     b = np.zeros((2, 8)); b[0, :] = 1.0; b[1, 2:6] = 1.0
     ca = p.chi(SwitchingControl(p.layout, a))
     cb = p.chi(SwitchingControl(p.layout, b))
-    assert ca.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+    assert ca.values.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
     assert p.chi_distance(ca, cb) == pytest.approx(4 / 8)

@@ -10,7 +10,6 @@ from l0control.problem import (
     ControlProblem,
     EvaluationBudget,
     ProblemSpec,
-    SwitchingProblem,
     default_target,
     switching_target,
     unsolvable_target,
@@ -412,7 +411,7 @@ def test_run_large_initial_weight_collapses_to_zero():
 def test_run_switching_problem_smoke():
     spec = ProblemSpec(alpha=1e-5, beta=0.01, bound=math.inf, penalty="switching",
                        pde=fem.DIRICHLET_POISSON, y_d=switching_target, mesh_n=8)
-    problem = SwitchingProblem(spec)
+    problem = ControlProblem(spec)
     report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01), max_iterations=500))
     Fs = [report.initial_F] + report.column("F")
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
