@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import fields
 
@@ -41,6 +42,8 @@ def _add_common_flags(parser):
                         help="run the fine-mesh (n=500) variants; slow")
     parser.add_argument("--ydzero", action="store_true", default=None,
                         help="use the zero tracking target")
+    parser.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"],
+                        help="threshold of the log messages written to stderr (default warning)")
 
 
 def build_parser():
@@ -88,6 +91,7 @@ def make_config(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper())
     try:
         config = make_config(args)
     except (ex.ConfigError, OSError) as exc:

@@ -3,12 +3,12 @@
 Every command takes a RunConfig (flat key-value view of problem and solver
 parameters), runs the thresholding solver and writes CSV files plus a JSON
 summary into the output directory.  Output is deterministic: fixed column
-order, fixed float formatting ("%.12g"), rows in run order.
+order, fixed float formatting ("%.12g"), rows in run order, "\r\n" line ends
+and no quoting.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -175,14 +175,33 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
+# a field holding one of these would need csv quoting, which the writer never does
+_UNQUOTABLE = (",", '"', "\r", "\n")
+
+
+def _column(col):
+    """(printf spec, values) of one column; float and int arrays skip _fmt."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        return ("%.12g" if col.dtype.kind == "f" else "%d"), col.tolist()
+    values = [_fmt(v) for v in col]
+    for v in values:
+        if any(c in v for c in _UNQUOTABLE):
+            raise ValueError(f"CSV field {v!r} would need quoting")
+    return "%s", values
+
+
+def _write_csv(path, header, columns):
+    """Write the header and the columns as CSV rows, formatted in one %-pass."""
     path = Path(path)
+    formatted = [_column(col) for col in columns]
+    nrows = len(formatted[0][1]) if formatted else 0
+    flat = [None] * (nrows * len(formatted))
+    for j, (_, values) in enumerate(formatted):
+        flat[j :: len(formatted)] = values  # ValueError unless len(values) == nrows
+    row = ",".join(spec for spec, _ in formatted) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_column(header)[1]) + "\r\n" + (row * nrows) % tuple(flat))
     return path
 
 
@@ -197,25 +216,17 @@ def _write_json(path, payload):
 
 def write_report_csv(path, report):
     header = ["k", "L", "trials", "f", "g", "F", "support", "step_norm", "chi_dist", "pde_solves"]
-    rows = [
-        (r.k, r.L, r.trials, r.f, r.g, r.F, r.support, r.step_norm, r.chi_dist, r.pde_solves)
-        for r in report.records
-    ]
-    return _write_csv(path, header, rows)
+    return _write_csv(path, header, [report.column(name) for name in header])
 
 
 def write_control_csv(path, control):
     if isinstance(control, fem.ControlField):
         cent = control.mesh.centroids()
-        rows = [
-            (i, cent[i, 0], cent[i, 1], control.values[i])
-            for i in range(control.mesh.num_triangles)
-        ]
-        return _write_csv(path, ["triangle_index", "centroid_x", "centroid_y", "value"], rows)
+        columns = [np.arange(control.mesh.num_triangles), cent[:, 0], cent[:, 1], control.values]
+        return _write_csv(path, ["triangle_index", "centroid_x", "centroid_y", "value"], columns)
     n = control.layout.mesh.n
     centers = (np.arange(n) + 0.5) / n
-    rows = [(centers[j], control.u1[j], control.u2[j]) for j in range(n)]
-    return _write_csv(path, ["x1", "u1", "u2"], rows)
+    return _write_csv(path, ["x1", "u1", "u2"], [centers, control.u1, control.u2])
 
 
 def vertex_rule_objective(problem, u):
@@ -276,35 +287,27 @@ def _assemble_once(cache, mesh_n, pde_kind):
     return cache[key]
 
 
+def _sweep_run(cfg, pde_cache, y_d=None):
+    """One run of a sweep on the operator shared through pde_cache, without fp residual."""
+    spec = build_spec(cfg, y_d=y_d)
+    problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, cfg.mesh_n, spec.pde))
+    return problem, solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
+
+
 def run_table1(config: RunConfig, out=None):
     """Line-search strategy comparison: 8 BT weights plus BT-W and BT-0."""
     out = Path(out if out is not None else config.out)
     mesh_n = 500 if config.full else config.mesh_n
-    rows = []
-    reports = []
-    pde_cache = {}
+    rows, reports, pde_cache = [], [], {}
     cases = [("bt", w) for w in TABLE1_BT_WEIGHTS] + [("btw", 0.01), ("bt0", 0.01)]
     for kind, lhat0 in cases:
         cfg = replace(config, strategy=kind, lhat0=lhat0, mesh_n=mesh_n)
-        spec = build_spec(cfg)
-        problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, mesh_n, spec.pde))
-        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
-        rows.append(
-            (
-                report.final_F,
-                report.records[-1].support,
-                report.pde_solves,
-                lhat0,
-                kind,
-                vertex_rule_objective(problem, report.final_control),
-            )
-        )
+        problem, report = _sweep_run(cfg, pde_cache)
+        support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
+        rows.append((report.final_F, support, report.pde_solves, lhat0, kind, F_vertex))
         reports.append(report)
-    _write_csv(
-        out / "table1.csv",
-        ["F", "support", "pde_solves", "L_hat0", "strategy", "F_vertex"],
-        rows,
-    )
+    header = ["F", "support", "pde_solves", "L_hat0", "strategy", "F_vertex"]
+    _write_csv(out / "table1.csv", header, list(zip(*rows)))
     return reports
 
 
@@ -322,30 +325,18 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
         betas = tuple(betas) if betas else PARETO_BETAS
         all_reports = {}
         for kind in ("l0", "l1"):
-            rows = []
-            reports = []
-            for beta in betas:
-                cfg = replace(config, penalty=kind, beta=beta, gamma=None, mesh_n=mesh_n)
-                spec = build_spec(cfg)
-                problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, mesh_n, spec.pde))
-                report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
-                rows.append((beta, report.final_f, report.records[-1].support))
-                reports.append(report)
-            _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], rows)
+            cfgs = [replace(config, penalty=kind, beta=b, gamma=None, mesh_n=mesh_n) for b in betas]
+            reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
+            columns = [betas, [r.final_f for r in reports], [r.records[-1].support for r in reports]]
+            _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], columns)
             all_reports[kind] = reports
         return all_reports
 
     betas = tuple(betas) if betas else TABLE2_BETAS
-    rows = []
-    reports = []
-    for beta in betas:
-        cfg = replace(config, beta=beta, no_bound=True, mesh_n=mesh_n)
-        spec = build_spec(cfg)
-        problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, mesh_n, spec.pde))
-        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
-        rows.append((beta, report.records[-1].support))
-        reports.append(report)
-    _write_csv(out / "beta_sweep.csv", ["beta", "support"], rows)
+    cfgs = [replace(config, beta=b, no_bound=True, mesh_n=mesh_n) for b in betas]
+    reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
+    supports = [r.records[-1].support for r in reports]
+    _write_csv(out / "beta_sweep.csv", ["beta", "support"], [betas, supports])
     return reports
 
 
@@ -354,26 +345,15 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     out = Path(out if out is not None else config.out)
     if n_list is None:
         n_list = (10, 20, 40, 80, 160, 320, 640) if config.full else (10, 20, 40)
-    rows = []
-    reports = []
+    rows, reports, pde_cache = [], [], {}
     for n in n_list:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
-        cfg = replace(config, mesh_n=int(n))
-        spec = build_spec(cfg)
-        problem = problemmod.make_problem(spec)
-        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
-        rows.append(
-            (
-                problem.mesh.mesh_size,
-                report.final_F,
-                report.records[-1].support,
-                report.pde_solves,
-                vertex_rule_objective(problem, report.final_control),
-            )
-        )
+        problem, report = _sweep_run(replace(config, mesh_n=int(n)), pde_cache)
+        support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
+        rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)
-    _write_csv(out / "mesh_study.csv", ["h", "F", "support", "pde_solves", "F_vertex"], rows)
+    _write_csv(out / "mesh_study.csv", ["h", "F", "support", "pde_solves", "F_vertex"], list(zip(*rows)))
     return reports
 
 
@@ -397,7 +377,7 @@ def run_unsolvable(config: RunConfig, out=None):
         grad_bar = problem.grad_f(u_bar)
         grad_dev = float(np.abs(grad_bar.values + math.sqrt(2 * alpha * beta)).max())
         fp_rows = [(L, solvermod.fp_residual(problem, u_bar, L, grad=grad_bar)) for L in UNSOLVABLE_WEIGHTS]
-    _write_csv(out / "unsolvable_fp.csv", ["L", "fp_residual"], fp_rows)
+    _write_csv(out / "unsolvable_fp.csv", ["L", "fp_residual"], list(zip(*fp_rows)))
 
     report = solvermod.run(problem, build_options(cfg))
     smooth_min = spec.y_d(0.0, 0.0) / (1.0 + alpha)
@@ -425,20 +405,14 @@ def run_switching(config: RunConfig, betas=None, out=None):
     betas = tuple(betas) if betas else SWITCHING_BETAS
     if config.mesh_n % 4:
         raise ConfigError(f"switching runs need 4 | mesh_n, got {config.mesh_n}")
-    rows = []
-    reports = []
-    pde_cache = {}
+    rows, reports, pde_cache = [], [], {}
     for beta in betas:
         cfg = replace(config, penalty="switching", pde="dirichlet", beta=beta, no_bound=True)
-        spec = build_spec(cfg, y_d=problemmod.switching_target)
-        problem = problemmod.make_problem(
-            spec, pde=_assemble_once(pde_cache, config.mesh_n, fem.DIRICHLET_POISSON)
-        )
-        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
+        _, report = _sweep_run(cfg, pde_cache, y_d=problemmod.switching_target)
         rows.append((beta, report.final_F, report.records[-1].support))
         write_control_csv(out / f"switching_controls_beta{_fmt(beta)}.csv", report.final_control)
         reports.append(report)
-    _write_csv(out / "switching.csv", ["beta", "F", "overlap"], rows)
+    _write_csv(out / "switching.csv", ["beta", "F", "overlap"], list(zip(*rows)))
     return reports
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "IterationRecord",
     "SolveReport",
     "StepSearchError",
+    "NonFiniteError",
     "descent_ok",
     "iht_step",
     "select_step",
@@ -63,6 +64,10 @@ __all__ = [
 
 class StepSearchError(RuntimeError):
     """The descent condition failed for every tested prox weight."""
+
+
+class NonFiniteError(StepSearchError):
+    """The objective or its gradient came out NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,8 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     Every iteration is logged (accepted weight, trials, f, g, F, support
     measure, step norm, indicator distance, cumulative PDE solves).  The
     reported solve count covers gradients and trials; the final stationarity
-    residual is computed with the counter paused.
+    residual is computed with the counter paused.  A NaN or infinite
+    objective or gradient raises NonFiniteError.
     """
     options = options or SolverOptions()
     strategy = options.strategy
@@ -320,11 +326,15 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     for k in range(1, options.max_iterations + 1):
         if grad is None:
             _, grad = problem.value_and_grad(u)
+        if not (math.isfinite(F_k) and np.isfinite(grad.values).all()):
+            raise NonFiniteError(f"objective F={F_k:g} or its gradient is not finite at iteration {k}")
         L_k, u_next, f_next, trials = select_step(
             problem, strategy, u, grad, F_k, flat_tol=options.stop_tol
         )
         g_next = problem.eval_g(u_next)
         F_next = f_next + g_next
+        if not math.isfinite(F_next):
+            raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
         chi_next = problem.chi(u_next)
         records.append(
             IterationRecord(

@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from l0control import cli, experiments, solver
+import l0control
+from l0control import cli, experiments, problem, solver
 
 
 def read_csv(path):
@@ -125,6 +130,35 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "run_solve", boom)
     assert cli.main(["solve", "--out", str(tmp_path)]) == 3
+
+
+def test_non_finite_objective_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(problem.ControlProblem, "eval_f", lambda self, u: math.nan)
+    rc = cli.main(["solve", "--mesh-n", "4", "--strategy", "fixed", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("solver failure: objective F=nan")
+
+
+# a fixed weight of 0 on the Neumann operator overshoots: the objective
+# rises in iterations 1, 2 and 4, and each rise is logged as a warning
+FIXED_WEIGHT_WARNS = ["solve", "--mesh-n", "8", "--pde", "neumann", "--strategy", "fixed",
+                      "--lfixed", "0", "--max-iter", "4"]
+
+
+def run_cli_process(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(l0control.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "l0control", *args],
+                          capture_output=True, text=True, env=env, check=True)
+
+
+def test_log_level_filters_the_monotonicity_warning(tmp_path):
+    default = run_cli_process(*FIXED_WEIGHT_WARNS, "--out", str(tmp_path / "a"))
+    assert default.stderr.count("WARNING:l0control.solver:objective increased") == 3
+    quiet = run_cli_process(*FIXED_WEIGHT_WARNS, "--log-level", "error", "--out", str(tmp_path / "b"))
+    assert quiet.stderr == ""
+    assert quiet.stdout == default.stdout
+    for name in ("report.csv", "final_control.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_beta_sweep_table_mode(tmp_path):

@@ -1,5 +1,6 @@
 """Experiment-harness behavior beyond the CLI surface."""
 
+import csv
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from l0control import experiments as ex
 from l0control import fem
 from l0control.experiments import RunConfig
+from l0control.problem import SwitchingControl
 
 
 def test_table1_rows_monotone_and_large_weight_collapses(tmp_path):
@@ -115,3 +117,91 @@ def test_config_coercion_errors():
     assert ex._coerce("bound", "inf") == math.inf
     assert ex._coerce("full", "yes") is True
     assert ex._coerce("penalty", "l1") == "l1"
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: byte identity with the csv.writer row loop it replaced
+
+
+def csv_writer_oracle(path, header, rows):
+    """The former writer: csv.writer, format(x, ".12g") for floats, str otherwise."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else str(v) for v in row])
+
+
+def assert_same_bytes(tmp_path, header, columns):
+    rows = list(zip(*columns))
+    csv_writer_oracle(tmp_path / "oracle.csv", header, rows)
+    ex._write_csv(tmp_path / "new.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 5e-324, -5e-324, 1e16, 0.1 + 0.2,
+    123456789012345.0, 0.123456789012345, 1.2345678901234567, 2.0**0.5, 1 / 3,
+    1e12, 999999999999.5, 123456789012.0, -7.25,
+]
+BIG_INTS = [0, -1, 7, 10**12 - 1, 10**12 + 1, 12345678901234, -(10**13) - 7, 2**62]
+
+
+def test_writer_float_and_int_arrays_match_csv_writer(tmp_path):
+    n = len(EDGE_FLOATS)
+    floats = np.array(EDGE_FLOATS)
+    ints = np.array((BIG_INTS * 3)[:n], dtype=np.int64)
+    assert_same_bytes(tmp_path, ["i", "x", "neg_x"], [ints, floats, -floats])
+
+
+def test_writer_list_columns_match_csv_writer(tmp_path):
+    n = len(BIG_INTS)
+    labels = ["bt", "btw", "bt0", "l0", "l1", "x y", "", "1e5"][:n]
+    py_floats = EDGE_FLOATS[:n]
+    np_floats = [np.float64(x) for x in EDGE_FLOATS[-n:]]
+    np_ints = [np.int64(k) for k in BIG_INTS]
+    assert_same_bytes(
+        tmp_path,
+        ["int", "np_int", "float", "np_float", "label"],
+        [BIG_INTS, np_ints, py_floats, np_floats, labels],
+    )
+
+
+def test_writer_header_only_file(tmp_path):
+    assert_same_bytes(tmp_path, ["beta", "support"], list(zip(*[])))
+    assert_same_bytes(tmp_path, ["beta", "support"], [np.array([]), np.array([], dtype=int)])
+    assert (tmp_path / "new.csv").read_bytes() == b"beta,support\r\n"
+
+
+def test_writer_rejects_fields_that_need_quoting(tmp_path):
+    for bad in ("a,b", 'say "x"', "two\nlines", "cr\r"):
+        with pytest.raises(ValueError, match="quoting"):
+            ex._write_csv(tmp_path / "bad.csv", ["label"], [[bad]])
+    with pytest.raises(ValueError, match="quoting"):
+        ex._write_csv(tmp_path / "bad.csv", ["a,b"], [[1.0]])
+
+
+def test_writer_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        ex._write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+def test_control_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    mesh = fem.build_mesh(8)
+    values = rng.normal(size=mesh.num_triangles) * (rng.random(mesh.num_triangles) < 0.5)
+    values[:3] = (-0.0, 1e-300, 4.0)
+    control = fem.ControlField(mesh, values)
+    cent = mesh.centroids()
+    rows = [(i, cent[i, 0], cent[i, 1], values[i]) for i in range(mesh.num_triangles)]
+    csv_writer_oracle(tmp_path / "oracle.csv", ["triangle_index", "centroid_x", "centroid_y", "value"], rows)
+    ex.write_control_csv(tmp_path / "new.csv", control)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    layout = fem.SwitchingLayout.build(mesh)
+    strips = SwitchingControl(layout, rng.normal(size=(2, 8)) * (rng.random((2, 8)) < 0.5))
+    centers = (np.arange(8) + 0.5) / 8
+    rows = [(centers[j], strips.u1[j], strips.u2[j]) for j in range(8)]
+    csv_writer_oracle(tmp_path / "oracle.csv", ["x1", "u1", "u2"], rows)
+    ex.write_control_csv(tmp_path / "new.csv", strips)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -17,6 +17,7 @@ from l0control.problem import (
 )
 from l0control.prox import ProxParams, prox_l0, separation_threshold
 from l0control.solver import (
+    NonFiniteError,
     SolverOptions,
     StepSearchError,
     StepStrategy,
@@ -380,6 +381,35 @@ def test_run_fixed_strategy_counts_violations():
     assert report.monotonicity_violations > 0
     assert all(r.trials == 1 for r in report.records)
     assert report.pde_solves == 3 * report.iterations
+
+
+class NaNObjectiveProblem(ToyProblem):
+    """The toy problem with an objective that evaluates to NaN off the start point."""
+
+    def eval_f(self, u):
+        super().eval_f(u)
+        return math.nan
+
+
+@pytest.mark.parametrize("strategy", [StepStrategy.fixed(1.0), StepStrategy.zero_first(0.01)])
+def test_run_stops_on_non_finite_objective(strategy):
+    problem = NaNObjectiveProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
+    with pytest.raises(StepSearchError) as exc:
+        run(problem, SolverOptions(strategy=strategy, max_iterations=50))
+    if strategy.kind == solver.FIXED:
+        # the first NaN objective ends the run instead of 50 iterations of F=nan
+        assert isinstance(exc.value, NonFiniteError)
+        assert problem.budget.count == 3
+
+
+def test_run_stops_on_non_finite_gradient():
+    class NaNGradientProblem(ToyProblem):
+        def value_and_grad(self, u):
+            f, grad = super().value_and_grad(u)
+            return f, fem.ControlField(self.mesh, np.full(2, math.nan))
+
+    with pytest.raises(NonFiniteError, match="gradient"):
+        run(NaNGradientProblem(), SolverOptions(strategy=StepStrategy.fixed(1.0)))
 
 
 def test_run_fixed_strategy_above_lipschitz_is_monotone():
