@@ -42,8 +42,6 @@ def _add_common_flags(parser):
                         help="run the fine-mesh (n=500) variants; slow")
     parser.add_argument("--ydzero", action="store_true", default=None,
                         help="use the zero tracking target")
-    parser.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"],
-                        help="threshold of the log messages written to stderr (default warning)")
 
 
 def build_parser():
@@ -91,7 +89,7 @@ def make_config(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper())
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     try:
         config = make_config(args)
     except (ex.ConfigError, OSError) as exc:

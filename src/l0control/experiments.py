@@ -345,11 +345,13 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     out = Path(out if out is not None else config.out)
     if n_list is None:
         n_list = (10, 20, 40, 80, 160, 320, 640) if config.full else (10, 20, 40)
-    rows, reports, pde_cache = [], [], {}
+    rows, reports = [], []
     for n in n_list:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
-        problem, report = _sweep_run(replace(config, mesh_n=int(n)), pde_cache)
+        cfg = replace(config, mesh_n=int(n))
+        problem = problemmod.make_problem(build_spec(cfg))
+        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)

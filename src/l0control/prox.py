@@ -11,14 +11,14 @@ the sets always have one or two elements and contain 0 whenever they are
 multi-valued.  The canonical (measurable) selection takes 0 at ties.
 
 Each map has one implementation, a private core that works elementwise on
-arrays (or numpy scalars), in the weights as in the arguments: `_l0_sets`
-for the hard-thresholding family, `_prox_l1` for soft thresholding and
-`_prox_switch` for the paired switching prox.  The solver runs them over
-whole control fields through the array maps (`prox_l0_array`,
-`prox_l0_set_arrays`, `prox_l1_array`, `prox_switch_arrays`); the scalar
-API (`hard_threshold`, `box_hard_threshold`, `prox_l0`, `prox_l1`,
-`prox_switch`) validates its arguments, calls the same core and packages
-the result as a `ScalarSolutionSet`, a float or a `SwitchingPoint`.
+arrays (or numpy scalars): `_l0_sets` for the hard-thresholding family,
+`_prox_l1` for soft thresholding and `_prox_switch` for the paired switching
+prox.  The solver runs them over whole control fields through the array
+maps (`prox_l0_array`, `prox_l0_set_arrays`, `prox_l1_array`,
+`prox_switch_arrays`); the scalar API (`hard_threshold`,
+`box_hard_threshold`, `prox_l0`, `prox_l1`, `prox_switch`) validates its
+arguments, calls the same core and packages the result as a
+`ScalarSolutionSet`, a float or a `SwitchingPoint`.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -63,8 +63,7 @@ def _require_finite(name, x):
 
 def _weight(L, alpha):
     w = L + alpha
-    # np.any would cost the scalar API a numpy call per evaluation
-    if (w <= 0).any() if isinstance(w, np.ndarray) else w <= 0:
+    if w <= 0:
         raise ValueError("L + alpha must be positive")
     return w
 
@@ -149,8 +148,10 @@ def _zero_threshold(s, b):
 
     sqrt(2s) when sqrt(2s) <= b (or b = +inf), b/2 + s/b otherwise.
     """
-    root = np.sqrt(2.0 * s)
-    return np.where(root <= b, root, 0.5 * b + s / b)[()]
+    root = math.sqrt(2.0 * s)
+    if math.isinf(b) or root <= b:
+        return root
+    return 0.5 * b + s / b
 
 
 def _l0_sets(q, zero_threshold, b):
@@ -162,7 +163,7 @@ def _l0_sets(q, zero_threshold, b):
     At least one of the two holds everywhere.
     """
     aq = np.abs(q)
-    v = np.minimum(np.maximum(q, -b), b)
+    v = q if math.isinf(b) else np.clip(q, -b, b)
     zero_ok = aq <= zero_threshold + TIE_TOL
     v_ok = (aq >= zero_threshold - TIE_TOL) & (v != 0.0)
     return zero_ok, v, v_ok
@@ -173,7 +174,9 @@ def _prox_l1(g, u, L, alpha, gamma, bound):
     w = _weight(L, alpha)
     z = L * np.asarray(u, dtype=float) - np.asarray(g, dtype=float)
     out = np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0) / w
-    return np.minimum(np.maximum(out, -bound), bound)
+    if not math.isinf(bound):
+        out = np.clip(out, -bound, bound)
+    return out
 
 
 def _prox_switch(g1, g2, u1, u2, L, alpha, beta):
@@ -399,8 +402,7 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
 
 
 # ---------------------------------------------------------------------------
-# array maps used by the solver on whole control fields; the weights L, alpha,
-# beta/gamma and bound may be scalars or arrays broadcasting against the cells
+# array maps used by the solver on whole control fields
 # ---------------------------------------------------------------------------
 
 

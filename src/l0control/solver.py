@@ -215,7 +215,8 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
     and objective are inconsistent.  The first case is detected through
     flat_tol (a trial whose objective matches F_k within flat_tol) and
     reported as a zero step at the current point; the second raises
-    StepSearchError.
+    StepSearchError.  A trial whose objective is NaN raises NonFiniteError
+    at once.
     """
     trials = 0
     flattest = math.inf
@@ -226,6 +227,9 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
         f_t = problem.eval_f(u_t)
         trials += 1
         F_t = f_t + problem.eval_g(u_t)
+        if math.isnan(F_t):
+            # an infinite trial is an ordinary rejection; NaN means the objective is broken
+            raise NonFiniteError(f"objective F=nan at trial weight L={L:g}")
         flattest = min(flattest, abs(F_t - F_k))
         ok = descent_ok(F_k, F_t, u_k, u_t, strategy.eta)
         return u_t, f_t, ok

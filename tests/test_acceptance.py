@@ -22,11 +22,12 @@ from l0control.problem import (
 )
 from l0control.prox import (
     ProxParams,
+    SwitchingPoint,
+    box_hard_threshold,
     fp_membership,
     prox_l0,
-    prox_l0_set_arrays,
-    prox_l1_array,
-    prox_switch_arrays,
+    prox_l1,
+    prox_switch,
     separation_threshold,
 )
 from l0control.solver import SolverOptions, StepStrategy, fp_residual, run
@@ -100,20 +101,10 @@ def _check_against_candidates(values, objective_values, oracle_min, cands, cvals
 
 
 def test_criterion_1_prox_oracle_suite():
-    """10^4 randomized instances per operator match the brute-force reference.
-
-    Each map runs once over the whole batch through its array form, the
-    one the solver runs; the scalar wrappers keep their own tests.
-    """
+    """10^4 randomized instances per operator match the brute-force reference."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     failures = {}
-
-    def set_elements(zero_ok, v, v_ok):
-        # every element of every solution set, with the instance it belongs to
-        assert np.all(zero_ok | v_ok), "empty solution set"
-        elems = np.concatenate([np.zeros(np.count_nonzero(zero_ok)), v[v_ok]])
-        return elems, np.concatenate([np.flatnonzero(zero_ok), np.flatnonzero(v_ok)])
 
     # prox_l0 (set-valued; every element must be a global minimizer)
     g, u, L, alpha, beta, b = draw_l0_instances(rng, N_INSTANCES)
@@ -121,14 +112,21 @@ def test_criterion_1_prox_oracle_suite():
     a1 = g - L * u
     vertex = -a1 / (2 * a2)
     oracle_min, cands, cvals = _oracle_penalized(a2, a1, np.zeros_like(a2), beta, b, vertex)
-    elems, idx = set_elements(*prox_l0_set_arrays(g, u, L, alpha, beta, b))
+    elems = []
+    idx = []
+    for i in range(N_INSTANCES):
+        sol = prox_l0(g[i], u[i], ProxParams(L[i], alpha[i], beta[i], b[i]))
+        for v in sol.values:
+            elems.append(v)
+            idx.append(i)
+    elems = np.array(elems)
+    idx = np.array(idx)
     obj = a2[idx] * elems**2 + a1[idx] * elems + beta[idx] * (elems != 0.0)
     failures["prox_l0"] = _check_against_candidates(
         elems, obj, oracle_min[idx], cands[idx], cvals[idx]
     )
 
-    # box_hard_threshold: minimize -q*u + u^2/2 + s*(u != 0), i.e. prox_l0
-    # at L = 0, alpha = 1, g = -q
+    # box_hard_threshold: minimize -q*u + u^2/2 + s*(u != 0)
     q = rng.uniform(-3, 3, N_INSTANCES)
     s = rng.uniform(0, 2, N_INSTANCES)
     bb = rng.choice([0.6, 1.0, 1.4, math.inf], N_INSTANCES)
@@ -136,8 +134,13 @@ def test_criterion_1_prox_oracle_suite():
     a2 = np.full(N_INSTANCES, 0.5)
     a1 = -q
     oracle_min, cands, cvals = _oracle_penalized(a2, a1, np.zeros_like(a2), s, bb, q)
-    zeros = np.zeros(N_INSTANCES)
-    elems, idx = set_elements(*prox_l0_set_arrays(-q, zeros, zeros, zeros + 1.0, s, bb))
+    elems, idx = [], []
+    for i in range(N_INSTANCES):
+        for v in box_hard_threshold(q[i], s[i], bb[i]).values:
+            elems.append(v)
+            idx.append(i)
+    elems = np.array(elems)
+    idx = np.array(idx)
     obj = 0.5 * elems**2 - q[idx] * elems + s[idx] * (elems != 0.0)
     failures["box_hard_threshold"] = _check_against_candidates(
         elems, obj, oracle_min[idx], cands[idx], cvals[idx]
@@ -149,7 +152,7 @@ def test_criterion_1_prox_oracle_suite():
     a1 = g - L * u
     vertex = -a1 / (2 * a2)
     oracle_min, cands, cvals = _oracle_penalized(a2, a1, gamma, np.zeros_like(a2), b, vertex)
-    vals = prox_l1_array(g, u, L, alpha, gamma, b)
+    vals = np.array([prox_l1(g[i], u[i], L[i], alpha[i], gamma[i], b[i]) for i in range(N_INSTANCES)])
     obj = a2 * vals**2 + a1 * vals + gamma * np.abs(vals)
     failures["prox_l1"] = _check_against_candidates(vals, obj, oracle_min, cands, cvals)
 
@@ -162,7 +165,12 @@ def test_criterion_1_prox_oracle_suite():
     alpha = rng.uniform(0.01, 1, N_INSTANCES)
     beta = rng.uniform(0.01, 1, N_INSTANCES)
     o_min, cands2, cvals2 = reference.switch_batch(g1, g2, u1, u2, L, alpha, beta)
-    p1, p2 = prox_switch_arrays(g1, g2, u1, u2, L, alpha, beta)
+    p1 = np.empty(N_INSTANCES)
+    p2 = np.empty(N_INSTANCES)
+    for i in range(N_INSTANCES):
+        p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]),
+                        L[i], alpha[i], beta[i])
+        p1[i], p2[i] = p.u1, p.u2
     obj = (
         g1 * p1 + g2 * p2
         + 0.5 * L * ((p1 - u1) ** 2 + (p2 - u2) ** 2)

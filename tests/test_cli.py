@@ -151,14 +151,11 @@ def run_cli_process(*args):
                           capture_output=True, text=True, env=env, check=True)
 
 
-def test_log_level_filters_the_monotonicity_warning(tmp_path):
-    default = run_cli_process(*FIXED_WEIGHT_WARNS, "--out", str(tmp_path / "a"))
-    assert default.stderr.count("WARNING:l0control.solver:objective increased") == 3
-    quiet = run_cli_process(*FIXED_WEIGHT_WARNS, "--log-level", "error", "--out", str(tmp_path / "b"))
-    assert quiet.stderr == ""
-    assert quiet.stdout == default.stdout
-    for name in ("report.csv", "final_control.csv", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+def test_monotonicity_warning_goes_through_the_stderr_handler(tmp_path):
+    # basicConfig's "LEVEL:logger:message" format, not the bare message of
+    # Python's last-resort handler
+    result = run_cli_process(*FIXED_WEIGHT_WARNS, "--out", str(tmp_path))
+    assert result.stderr.count("WARNING:l0control.solver:objective increased") == 3
 
 
 def test_beta_sweep_table_mode(tmp_path):
