@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from . import experiments as ex
 from . import fem, solver
@@ -92,6 +93,9 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     try:
         config = make_config(args)
+        if args.command != "selftest":
+            # an unusable output directory fails here, not after the run
+            Path(config.out).mkdir(parents=True, exist_ok=True)
     except (ex.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ex.EXIT_CONFIG

@@ -179,10 +179,15 @@ def _fmt(x):
 _UNQUOTABLE = (",", '"', "\r", "\n")
 
 
+# rows per %-pass: a few hundred kB of strings and tuples per pass stay in the
+# heap, where whole-column buffers (MBs) would be mapped and faulted in afresh
+_BLOCK = 2048
+
+
 def _column(col):
     """(printf spec, values) of one column; float and int arrays skip _fmt."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
-        return ("%.12g" if col.dtype.kind == "f" else "%d"), col.tolist()
+        return ("%.12g" if col.dtype.kind == "f" else "%d"), col
     values = [_fmt(v) for v in col]
     for v in values:
         if any(c in v for c in _UNQUOTABLE):
@@ -191,17 +196,23 @@ def _column(col):
 
 
 def _write_csv(path, header, columns):
-    """Write the header and the columns as CSV rows, formatted in one %-pass."""
+    """Write the header and the columns as CSV rows, _BLOCK rows per %-pass."""
     path = Path(path)
     formatted = [_column(col) for col in columns]
     nrows = len(formatted[0][1]) if formatted else 0
-    flat = [None] * (nrows * len(formatted))
-    for j, (_, values) in enumerate(formatted):
-        flat[j :: len(formatted)] = values  # ValueError unless len(values) == nrows
+    if any(len(values) != nrows for _, values in formatted):
+        raise ValueError(f"CSV columns differ in length: {[len(values) for _, values in formatted]}")
+    head = ",".join(_column(header)[1]) + "\r\n"
     row = ",".join(spec for spec, _ in formatted) + "\r\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_column(header)[1]) + "\r\n" + (row * nrows) % tuple(flat))
+        fh.write(head)
+        for start in range(0, nrows, _BLOCK):
+            block = [values[start : start + _BLOCK] for _, values in formatted]
+            flat = [None] * (len(block[0]) * len(block))
+            for j, values in enumerate(block):
+                flat[j :: len(block)] = values.tolist() if isinstance(values, np.ndarray) else values
+            fh.write((row * len(block[0])) % tuple(flat))
     return path
 
 

@@ -9,11 +9,17 @@ the longest edge is h = sqrt(2)/n.
 States are P1 nodal fields, controls are piecewise constants on triangles.
 Two operators are assembled: the Dirichlet Laplacian (-lap y = u, y = 0 on
 the boundary, eliminated symmetrically) and the Neumann Helmholtz operator
-(-lap y + y = u with natural boundary conditions).  The interior Dirichlet
-stiffness is the 5-point stencil, so a type-I sine transform solves it exactly
-with no factorization (the fast Poisson solver of Buzbee, Golub and Nielson,
-1970).  The Neumann operator is factorized once per mesh, with a diagonally
-preconditioned CG fallback for meshes too large to factorize comfortably.
+(-lap y + y = u with natural boundary conditions).  On this mesh the
+stiffness and the mass are 7-diagonal stencils with fixed element entries
+(the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
+the triangle area a for the mass), so they are summed on the node grid and
+built as diagonal matrices.  Per-triangle values of nodal fields come from
+node-grid slices too, not from a gather through the triangle list.
+The interior Dirichlet stiffness is the 5-point stencil, so a type-I sine
+transform solves it exactly with no factorization (the fast Poisson solver
+of Buzbee, Golub and Nielson, 1970).  The Neumann operator is factorized once
+per mesh, with a diagonally preconditioned CG fallback for meshes too large
+to factorize comfortably.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ __all__ = [
 ]
 
 
+# a grid square's corners as (dx, dy) steps from its lower-left node, in the
+# vertex order of its lower (ll, lr, ur) and upper (ll, ur, ul) triangle
+_SQUARE_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
 class SolverBreakdown(RuntimeError):
     """Raised when a linear solve does not reach the requested accuracy."""
 
@@ -83,7 +94,7 @@ class Mesh:
         return math.sqrt(2.0) / self.n
 
     def centroids(self):
-        return self.nodes[self.triangles].mean(axis=1)
+        return _per_triangle(self, self.nodes, _mean3)
 
 
 @dataclass(eq=False)
@@ -132,14 +143,8 @@ def build_mesh(n):
 
     ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     ll = (iy * k + ix).ravel()
-    lr = ll + 1
-    ul = ll + k
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    corners = [ll + dx + k * dy for tri in _SQUARE_TRIANGLES for dx, dy in tri]
+    triangles = np.stack(corners, axis=1).reshape(2 * n * n, 3)
 
     gx, gy = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
     on_boundary = (gx == 0) | (gx == n) | (gy == 0) | (gy == n)
@@ -147,38 +152,50 @@ def build_mesh(n):
     return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_nodes=boundary_nodes)
 
 
-def _element_geometry(mesh):
-    pts = mesh.nodes[mesh.triangles]
-    x = pts[:, :, 0]
-    y = pts[:, :, 1]
-    # b_i = y_j - y_k, c_i = x_k - x_j (cyclic): gradients of barycentric coords
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return b, c, area
+# exact P1 stiffness of the two triangles in that vertex order; it does not depend on h
+_STIFFNESS_LOCAL = (
+    ((0.5, -0.5, 0.0), (-0.5, 1.0, -0.5), (0.0, -0.5, 0.5)),
+    ((0.5, 0.0, -0.5), (0.0, 0.5, -0.5), (-0.5, -0.5, 1.0)),
+)
 
 
-def _assemble_matrices(mesh):
-    b, c, area = _element_geometry(mesh)
-    inv4a = 1.0 / (4.0 * area)
-    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * inv4a[:, None, None]
-    m_local = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
+def _stencil_matrix(mesh, local):
+    """Sum the element matrices local[t] of every lower (t=0) and upper (t=1) triangle.
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    nn = mesh.num_nodes
-    stiffness = sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    mass = sp.coo_matrix((m_local.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
-    return stiffness, mass
+    Each row is a node's stencil over its (dx, dy) neighbours, dx, dy in {-1, 0, 1};
+    the weight of an offset is summed on the node grid, one slice per triangle
+    corner, in triangle-index order (squares to the lower left first, lower
+    before upper).  The result is the 7-diagonal matrix that a COO scatter of
+    the element matrices gives, without the scatter.
+    """
+    n, k = mesh.n, mesh.n + 1
+    corners = [(c, t, i) for t, tri in enumerate(_SQUARE_TRIANGLES) for i, c in enumerate(tri)]
+    # a node is corner (dx, dy) of the square (dx, dy) steps to its lower left,
+    # so triangle-index order takes larger dy, then larger dx, then lower first
+    corners.sort(key=lambda ct: (-ct[0][1], -ct[0][0], ct[1]))
+    weights = {}
+    for (dx, dy), t, i in corners:
+        for j, (ex, ey) in enumerate(_SQUARE_TRIANGLES[t]):
+            offset = (ex - dx) + k * (ey - dy)
+            grid = weights.setdefault(offset, np.zeros((k, k)))
+            grid[dy : dy + n, dx : dx + n] += local[t][i][j]
+    offsets = sorted(weights)
+    # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric, so
+    # that is A[c, c - off], the row-indexed weight of offset -off at node c
+    data = np.stack([weights[-off].ravel() for off in offsets])
+    # the conversion drops the zeros: stencil entries that vanish, and the
+    # offsets that would wrap around a grid row
+    return sp.dia_matrix((data, offsets), shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
 
 
 def _load_map(mesh):
     """Sparse map from cell values to nodal loads: entries area/3 per vertex."""
     t = mesh.num_triangles
-    rows = mesh.triangles.ravel()
-    cols = np.repeat(np.arange(t), 3)
     data = np.full(3 * t, mesh.triangle_area / 3.0)
-    return sp.coo_matrix((data, (rows, cols)), shape=(mesh.num_nodes, t)).tocsr()
+    # column j holds triangle j's vertices; the conversion to rows lists each
+    # node's triangles in index order, in one pass
+    indptr = np.arange(0, 3 * t + 1, 3)
+    return sp.csc_matrix((data, mesh.triangles.ravel(), indptr), shape=(mesh.num_nodes, t)).tocsr()
 
 
 @dataclass(eq=False)
@@ -237,11 +254,15 @@ def assemble(mesh, pde_kind):
     """Assemble the chosen operator and prepare a reusable linear solver."""
     if pde_kind not in (DIRICHLET_POISSON, NEUMANN_HELMHOLTZ):
         raise ValueError(f"unknown pde kind {pde_kind!r}")
-    stiffness, mass = _assemble_matrices(mesh)
+    stiffness = _stencil_matrix(mesh, _STIFFNESS_LOCAL)
+    # the P1 mass matrix (1 + delta_ij) a/12 is the same on both triangles
+    m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
+    mass = _stencil_matrix(mesh, (m_local, m_local))
     load_map = _load_map(mesh)
 
     if pde_kind == DIRICHLET_POISSON:
-        free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+        inner = np.arange(1, mesh.n)
+        free = (inner[:, None] * (mesh.n + 1) + inner).ravel()
         system = stiffness
         solver = _dirichlet_poisson_solver(mesh.n)
     else:
@@ -268,9 +289,27 @@ def solve_state(pde, u: ControlField):
     return StateField(pde.mesh, pde.solve(rhs))
 
 
+def _per_triangle(mesh, values, fn):
+    """fn(a, b, c) of every triangle's vertex values, in triangle order.
+
+    The vertex values are node-grid slices, not a gather through
+    mesh.triangles; fn sees the vertices in the triangles' own order, so
+    sums over them round as the gathered rows do.
+    """
+    n = mesh.n
+    grid = values.reshape(n + 1, n + 1, *values.shape[1:])
+    per_square = [fn(*(grid[dy : dy + n, dx : dx + n] for dx, dy in tri)) for tri in _SQUARE_TRIANGLES]
+    return np.stack(per_square, axis=2).reshape(-1, *values.shape[1:])
+
+
+def _mean3(a, b, c):
+    # the sum and the division of ndarray.mean over three values
+    return (a + b + c) / 3
+
+
 def element_means(p: StateField):
     """Per-triangle averages of a nodal field (exact mean for P1)."""
-    return ControlField(p.mesh, p.values[p.mesh.triangles].mean(axis=1))
+    return ControlField(p.mesh, _per_triangle(p.mesh, p.values, _mean3))
 
 
 def interpolate_nodal(mesh, fun):
@@ -280,8 +319,7 @@ def interpolate_nodal(mesh, fun):
 
 def l2_norm_state(y: StateField):
     """Exact L2 norm of a P1 field: per-triangle quadratic form of the mass matrix."""
-    v = y.values[y.mesh.triangles]
-    sq = (v * v).sum(axis=1) + v.sum(axis=1) ** 2
+    sq = _per_triangle(y.mesh, y.values, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
     return math.sqrt(max(y.mesh.triangle_area / 12.0 * sq.sum(), 0.0))
 
 
@@ -342,8 +380,7 @@ def switching_gradients(mesh, p: StateField, layout):
     The factor n turns the plain integral into the Riesz representative with
     respect to the L2 inner product on the 1-D strip grid (strip width 1/n).
     """
-    cell_means = p.values[mesh.triangles].mean(axis=1)
-    weights = cell_means * mesh.triangle_area
+    weights = _per_triangle(mesh, p.values, _mean3) * mesh.triangle_area
     g1 = np.zeros(mesh.n)
     g2 = np.zeros(mesh.n)
     np.add.at(g1, layout.strip[layout.in_band1], weights[layout.in_band1])

@@ -118,6 +118,17 @@ def test_infinite_tol_exits_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_unusable_out_exits_2_before_solving(tmp_path, monkeypatch, capsys):
+    def must_not_run(config):
+        raise AssertionError("solved before the output directory was checked")
+
+    monkeypatch.setattr(experiments, "run_solve", must_not_run)
+    regular_file = tmp_path / "taken"
+    regular_file.write_text("")
+    assert_rejected(["solve", "--mesh-n", "4", "--out", str(regular_file)], capsys)
+    assert_rejected(["solve", "--mesh-n", "4", "--out", str(regular_file / "sub")], capsys)
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--frobnicate"])

@@ -167,6 +167,15 @@ def test_writer_list_columns_match_csv_writer(tmp_path):
     )
 
 
+def test_writer_blocks_match_csv_writer(tmp_path):
+    # row counts at and across the block boundaries of the %-passes
+    rng = np.random.default_rng(3)
+    for nrows in (ex._BLOCK - 1, ex._BLOCK, 2 * ex._BLOCK + 1):
+        floats = rng.normal(size=nrows) * 10.0 ** rng.integers(-20, 20, size=nrows)
+        labels = [f"r{i}" for i in range(nrows)]
+        assert_same_bytes(tmp_path, ["i", "x", "label"], [np.arange(nrows), floats, labels])
+
+
 def test_writer_header_only_file(tmp_path):
     assert_same_bytes(tmp_path, ["beta", "support"], list(zip(*[])))
     assert_same_bytes(tmp_path, ["beta", "support"], [np.array([]), np.array([], dtype=int)])
@@ -184,6 +193,10 @@ def test_writer_rejects_fields_that_need_quoting(tmp_path):
 def test_writer_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         ex._write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+    # a column that is only longer past the first block
+    with pytest.raises(ValueError):
+        ex._write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(ex._BLOCK + 1), [0.0] * (ex._BLOCK + 2)])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_control_csv_matches_csv_writer(tmp_path):

@@ -16,6 +16,36 @@ from l0control import fem
 MANUFACTURED_C = 0.45
 
 
+def coo_geometry(mesh):
+    """Barycentric gradients (b, c) and area of every triangle, from its node coordinates."""
+    pts = mesh.nodes[mesh.triangles]
+    x = pts[:, :, 0]
+    y = pts[:, :, 1]
+    # b_i = y_j - y_k, c_i = x_k - x_j (cyclic): gradients of barycentric coords
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    return b, c, area
+
+
+def coo_assembly(mesh):
+    """Stiffness, mass and load map scattered triangle by triangle (the oracle of the stencil build)."""
+    b, c, area = coo_geometry(mesh)
+    inv4a = 1.0 / (4.0 * area)
+    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) * inv4a[:, None, None]
+    m_local = (np.ones((3, 3)) + np.eye(3))[None, :, :] * (area / 12.0)[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    nn, t = mesh.num_nodes, mesh.num_triangles
+    stiffness = sp.coo_matrix((k_local.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
+    mass = sp.coo_matrix((m_local.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
+    load = sp.coo_matrix(
+        (np.full(3 * t, mesh.triangle_area / 3.0), (mesh.triangles.ravel(), np.repeat(np.arange(t), 3))),
+        shape=(nn, t),
+    ).tocsr()
+    return stiffness, mass, load
+
+
 def manufactured_error(n):
     mesh = fem.build_mesh(n)
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
@@ -30,6 +60,8 @@ def test_build_mesh_smallest():
     mesh = fem.build_mesh(1)
     assert mesh.num_triangles == 2
     assert mesh.num_nodes == 4
+    # lower (ll, lr, ur) before upper (ll, ur, ul)
+    assert mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
     assert mesh.mesh_size == pytest.approx(math.sqrt(2.0))
 
 
@@ -54,7 +86,7 @@ def test_build_mesh_rejects_zero():
 
 def test_triangle_areas_positive_and_uniform():
     mesh = fem.build_mesh(7)
-    _, _, area = fem._element_geometry(mesh)
+    _, _, area = coo_geometry(mesh)
     assert np.all(area > 0)
     assert np.allclose(area, mesh.triangle_area, rtol=0, atol=1e-16)
 
@@ -107,6 +139,52 @@ def test_dirichlet_stiffness_is_five_point_stencil():
         else:
             # rounded coordinates (O(eps) each) give edge vectors with relative error O(n eps)
             assert diff <= 4.0 * n * eps, n
+
+
+def stencil_build(n):
+    mesh = fem.build_mesh(n)
+    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
+    stiffness = pde.system
+    assert (fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ).system != stiffness + pde.mass).nnz == 0
+    return mesh, (stiffness, pde.mass, pde.load_map)
+
+
+def same_pattern(a, b):
+    b = b.copy()
+    b.eliminate_zeros()  # the scatter keeps the zero diagonal-edge stiffness entries
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+def test_stencil_build_equals_coo_scatter_at_dyadic_n():
+    # dyadic node coordinates make every element entry exact, and every entry
+    # of the scatter sums equal or exactly representable terms
+    for n in (1, 2, 4, 8, 16, 64, 128):
+        mesh, built = stencil_build(n)
+        for name, new, old in zip(("stiffness", "mass", "load"), built, coo_assembly(mesh)):
+            assert same_pattern(new, old), (n, name)
+            assert np.array_equal(new.data, old.data[old.data != 0]), (n, name)
+
+
+def test_stencil_build_near_coo_scatter_at_rounded_n():
+    # the scatter's element entries carry the rounding of the linspace node
+    # coordinates: edge vectors with relative error O(n eps)
+    eps = np.finfo(float).eps
+    for n in [n for n in range(3, 41) if n & (n - 1)] + [320]:
+        mesh, (stiffness, mass, load) = stencil_build(n)
+        k_old, m_old, load_old = coo_assembly(mesh)
+        for new, old in ((stiffness, k_old), (mass, m_old)):
+            assert same_pattern(new, old), n
+            assert abs(new - old).max() <= 4 * n * eps * abs(old).max(), n
+        # the load weights are area/3 in both builds
+        assert same_pattern(load, load_old) and np.array_equal(load.data, load_old.data), n
+
+
+def test_free_nodes_are_the_interior_nodes():
+    for n in (1, 2, 3, 7, 16):
+        mesh = fem.build_mesh(n)
+        free = fem.assemble(mesh, fem.DIRICHLET_POISSON).free_nodes
+        assert np.array_equal(free, np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)), n
+        assert np.array_equal(fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ).free_nodes, np.arange(mesh.num_nodes))
 
 
 def test_dirichlet_spectral_solve_matches_lu(rng):
@@ -236,6 +314,25 @@ def test_element_means():
     nodal = np.zeros(mesh.num_nodes)
     nodal[mesh.triangles[0]] = [0.0, 1.0, 2.0]
     assert fem.element_means(fem.StateField(mesh, nodal)).values[0] == 1.0
+
+
+def test_grid_views_match_the_triangle_gather(rng):
+    # the node-grid slices give the same bits as a gather through mesh.triangles
+    for n in (1, 3, 20, 64):
+        mesh = fem.build_mesh(n)
+        y = fem.StateField(mesh, rng.normal(size=mesh.num_nodes))
+        gathered = y.values[mesh.triangles]
+        assert np.array_equal(fem.element_means(y).values, gathered.mean(axis=1)), n
+        assert np.array_equal(mesh.centroids(), mesh.nodes[mesh.triangles].mean(axis=1)), n
+        sq = (gathered * gathered).sum(axis=1) + gathered.sum(axis=1) ** 2
+        assert fem.l2_norm_state(y) == math.sqrt(mesh.triangle_area / 12.0 * sq.sum()), n
+        if n % 4 == 0:
+            layout = fem.SwitchingLayout.build(mesh)
+            weights = gathered.mean(axis=1) * mesh.triangle_area
+            for band, g in zip((layout.in_band1, layout.in_band2), fem.switching_gradients(mesh, y, layout)):
+                want = np.zeros(n)
+                np.add.at(want, layout.strip[band], weights[band])
+                assert np.array_equal(g, want * n), n
 
 
 def test_norms_trivial_and_unit():
