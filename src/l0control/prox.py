@@ -163,7 +163,8 @@ def _l0_sets(q, zero_threshold, b):
     At least one of the two holds everywhere.
     """
     aq = np.abs(q)
-    v = q if math.isinf(b) else np.clip(q, -b, b)
+    # the clip method is np.clip without its Python wrapper: same bits, cheaper per scalar call
+    v = q if math.isinf(b) else np.asarray(q).clip(-b, b)
     zero_ok = aq <= zero_threshold + TIE_TOL
     v_ok = (aq >= zero_threshold - TIE_TOL) & (v != 0.0)
     return zero_ok, v, v_ok
@@ -175,7 +176,7 @@ def _prox_l1(g, u, L, alpha, gamma, bound):
     z = L * np.asarray(u, dtype=float) - np.asarray(g, dtype=float)
     out = np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0) / w
     if not math.isinf(bound):
-        out = np.clip(out, -bound, bound)
+        out = out.clip(-bound, bound)
     return out
 
 
@@ -189,17 +190,18 @@ def _prox_switch(g1, g2, u1, u2, L, alpha, beta):
     m1 = (L * u1 - g1) / w
     m2 = (L * u2 - g2) / w
 
-    def quad(a1, a2):
-        return (
-            g1 * a1
-            + g2 * a2
-            + 0.5 * L * ((a1 - u1) ** 2 + (a2 - u2) ** 2)
-            + 0.5 * alpha * (a1 * a1 + a2 * a2)
-        )
-
-    obj_full = quad(m1, m2) + np.where((m1 != 0.0) & (m2 != 0.0), beta, 0.0)
-    obj_first_off = quad(np.zeros_like(m1), m2)
-    obj_second_off = quad(m1, np.zeros_like(m2))
+    # The objective  g.a + (L/2)|a - u|^2 + (alpha/2)|a|^2  at the vertex and
+    # at its two one-sided restrictions, built from per-axis pieces and summed
+    # in this order: g.a, then the L term, then the alpha term.  An axis at 0
+    # contributes 0 to g.a and to |a|^2, and u^2 to |a - u|^2.
+    lin1, lin2 = g1 * m1, g2 * m2
+    dev1, dev2 = (m1 - u1) ** 2, (m2 - u2) ** 2
+    sq1, sq2 = m1 * m1, m2 * m2
+    half_L, half_alpha = 0.5 * L, 0.5 * alpha
+    obj_full = (lin1 + lin2 + half_L * (dev1 + dev2) + half_alpha * (sq1 + sq2)
+                + np.where((m1 != 0.0) & (m2 != 0.0), beta, 0.0))
+    obj_first_off = lin2 + half_L * (u1 * u1 + dev2) + half_alpha * sq2
+    obj_second_off = lin1 + half_L * (dev1 + u2 * u2) + half_alpha * sq1
 
     best = np.minimum(obj_full, np.minimum(obj_first_off, obj_second_off))
     take_first_off = obj_first_off <= best + TIE_TOL

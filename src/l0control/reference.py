@@ -10,6 +10,13 @@ Each scalar reference returns (min_value, argmins) where argmins are the
 candidate points whose objective lies within CANDIDATE_TOL of the observed
 minimum.  If a grid point beats every candidate by more than CANDIDATE_TOL
 the argmin list comes back empty, which callers should treat as a failure.
+
+The batched references for the randomized suites (`penalized_quadratic_batch`,
+`switch_batch`) search each row on its own slice of one shared offset grid
+u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what its own
+radius needs whatever else is in the call, and its result does not depend on
+the other rows.  The grid stays inside the box and misses 0; the endpoints
+and 0 come from the exact candidates.
 """
 
 from __future__ import annotations
@@ -139,29 +146,46 @@ def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-
 # ---------------------------------------------------------------------------
 
 
-def _rowwise_grid_min(c2, c1, cabs, n_points):
-    """Row-wise min of  c2*t^2 + c1*t + cabs*|t|  over t in [-1, 1] \\ {0}.
+def _rowwise_grid_min(a2, a1, w_abs, radius, step):
+    """Row-wise min of  a2*u^2 + a1*u + w_abs*|u|  over the grid points in [-radius, radius].
 
-    n_points is forced even so the grid never contains t = 0 and constant
-    support penalties can be added by the caller.  One row is evaluated at
-    a time so the working set stays one grid long.
+    All rows share one offset grid u_j = (j + 1/2)*step, which never contains
+    u = 0, so the caller can add constant support penalties.  Row i scans the
+    contiguous slice of its own `half_i = floor(radius_i/step + 1/2)` points
+    on each side, whose outermost points (half_i - 1/2)*step never pass
+    radius_i; the endpoints themselves are exact candidates of the callers.
+    A row's result depends on that row alone, and a row with no grid point
+    (radius_i < step/2) gets +inf.  The rows run one at a time through two
+    buffers allocated once per call, so the working set stays one grid long.
     """
-    if n_points % 2:
-        n_points += 1
-    t = np.linspace(-1.0, 1.0, n_points)
-    t2 = t * t
-    at = np.abs(t)
-    c2 = np.asarray(c2, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    cabs = np.asarray(cabs, dtype=float)
-    out = np.empty(c2.shape[0])
-    use_abs = bool(np.any(cabs != 0.0))
-    for i in range(c2.shape[0]):
-        row = c2[i] * t2
-        row += c1[i] * t
+    a2 = np.asarray(a2, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    w_abs = np.asarray(w_abs, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    half = np.floor(radius / step + 0.5).astype(np.int64)
+    # the division may round up across an integer: step back inside the box
+    half -= (half - 0.5) * step > radius
+    top = int(half.max(initial=0))
+    u = (np.arange(-top, top) + 0.5) * step
+    u2 = u * u
+    au = np.abs(u)
+    row = np.empty(u.size)
+    term = np.empty(u.size)
+    out = np.full(a2.shape[0], np.inf)
+    use_abs = bool(np.any(w_abs != 0.0))
+    # plain Python numbers and a direct reduce keep the per-row overhead small
+    rows = zip(half.tolist(), a2.tolist(), a1.tolist(), w_abs.tolist())
+    for i, (k, c2, c1, cabs) in enumerate(rows):
+        if k == 0:
+            continue
+        lo, hi = top - k, top + k
+        r = row[: 2 * k]
+        t = term[: 2 * k]
+        np.multiply(u2[lo:hi], c2, out=r)
+        r += np.multiply(u[lo:hi], c1, out=t)
         if use_abs:
-            row += cabs[i] * at
-        out[i] = row.min()
+            r += np.multiply(au[lo:hi], cabs, out=t)
+        out[i] = np.minimum.reduce(r)
     return out
 
 
@@ -180,9 +204,7 @@ def penalized_quadratic_batch(a2, a1, abs_weight, support_weight, radius, step=G
     ws = np.broadcast_to(np.asarray(support_weight, dtype=float), a2.shape)
     radius = np.broadcast_to(np.asarray(radius, dtype=float), a2.shape)
 
-    n_points = int(math.ceil(2.0 * float(radius.max()) / step)) + 2
-    grid_min = _rowwise_grid_min(a2 * radius**2, a1 * radius, wa * radius, n_points)
-    grid_min = grid_min + ws
+    grid_min = _rowwise_grid_min(a2, a1, wa, radius, step) + ws
 
     vpos = np.clip(-(a1 + wa) / (2.0 * a2), 0.0, radius)
     vneg = np.clip(-(a1 - wa) / (2.0 * a2), -radius, 0.0)
@@ -220,13 +242,11 @@ def switch_batch(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-3):
 
     m1 = -b1 / w
     m2 = -b2 / w
-    r = max(radius, float(np.max(np.abs(m1))) + 0.5, float(np.max(np.abs(m2))) + 0.5)
-    rad = np.full_like(g1, r)
-    n_points = int(math.ceil(2.0 * r / step)) + 2
+    rad = np.maximum(radius, np.maximum(np.abs(m1), np.abs(m2)) + 0.5)
 
     zeros = np.zeros_like(g1)
-    nz1 = _rowwise_grid_min(a2 * rad**2, b1 * rad, zeros, n_points)
-    nz2 = _rowwise_grid_min(a2 * rad**2, b2 * rad, zeros, n_points)
+    nz1 = _rowwise_grid_min(a2, b1, zeros, rad, step)
+    nz2 = _rowwise_grid_min(a2, b2, zeros, rad, step)
     vx1 = a2 * m1**2 + b1 * m1
     vx2 = a2 * m2**2 + b2 * m2
     nz1 = np.minimum(nz1, np.where(m1 != 0.0, vx1, np.inf))

@@ -128,17 +128,13 @@ def five_point_stencil(n):
 
 
 def test_dirichlet_stiffness_is_five_point_stencil():
-    eps = np.finfo(float).eps
+    # the stiffness is built from the stencil, not from rounded node
+    # coordinates, so it matches exactly at every n, dyadic or not
     for n in range(2, 41):
         pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
         fr = pde.free_nodes
         diff = abs(pde.system[fr][:, fr] - five_point_stencil(n)).max()
-        if n & (n - 1) == 0:
-            # dyadic node coordinates are exact, and so is every element entry
-            assert diff == 0.0, n
-        else:
-            # rounded coordinates (O(eps) each) give edge vectors with relative error O(n eps)
-            assert diff <= 4.0 * n * eps, n
+        assert diff == 0.0, n
 
 
 def stencil_build(n):

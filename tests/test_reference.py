@@ -1,0 +1,95 @@
+"""The batched brute-force references: row independence, box safety, density.
+
+Each row of `penalized_quadratic_batch` and `switch_batch` is searched on its
+own slice of one shared offset grid, so a row's result must not depend on
+which other rows share its call, no grid point may leave the row's box, and
+the grid must stay as fine as the step.
+"""
+
+import numpy as np
+import pytest
+
+from l0control import reference
+
+H = reference.GRID_STEP
+
+
+def penalized_rows(rng, n):
+    a2 = rng.uniform(0.005, 2.0, n)
+    a1 = rng.uniform(-4.0, 4.0, n)
+    w_abs = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    w_supp = rng.uniform(0.0, 2.0, n)
+    radius = rng.choice([0.6, 1.0, 1.4, 0.7, 1.23456], n)
+    return a2, a1, w_abs, w_supp, radius
+
+
+def switch_rows(rng, n):
+    rows = [rng.uniform(lo, hi, n) for lo, hi in
+            ((-2, 2), (-2, 2), (-1, 1), (-1, 1), (0, 2), (0.01, 1), (0.01, 1))]
+    # one far vertex, |m1| = 65, which used to widen every row of its call
+    g1, _, u1, _, L, alpha, _ = rows
+    g1[5], u1[5], L[5], alpha[5] = -0.65, 0.0, 0.0, 0.01
+    return rows
+
+
+def assert_rows_independent(batch, columns):
+    n = columns[0].shape[0]
+    full = batch(*columns)
+    blocks = [batch(*(c[rows] for c in columns)) for rows in np.array_split(np.arange(n), n // 64)]
+    for k, whole in enumerate(full):
+        blocked = np.concatenate([b[k] for b in blocks])
+        assert np.array_equal(blocked, whole), k
+    for i in range(0, n, 7):
+        alone = batch(*(c[i : i + 1] for c in columns))
+        for k, whole in enumerate(full):
+            assert np.array_equal(alone[k][0], whole[i]), (i, k)
+
+
+def test_penalized_rows_are_independent_of_their_call():
+    rng = np.random.default_rng(11)
+    assert_rows_independent(reference.penalized_quadratic_batch, penalized_rows(rng, 256))
+
+
+def test_switch_rows_are_independent_of_their_call():
+    rng = np.random.default_rng(12)
+    assert_rows_independent(reference.switch_batch, switch_rows(rng, 256))
+
+
+# r/step with a fractional part below, at and above 1/2, and integer ones;
+# 0.81975 lies one ulp below the rounded point 8197.5*step, yet r/step + 1/2
+# rounds to 8198, so without a check that point would pass the bound
+BOX_RADII = (0.6, 0.7, 1.0, 1.23456, 1.23452, 0.70003, 0.70005, 0.81975, 1.4)
+
+
+@pytest.mark.parametrize("radius", BOX_RADII)
+def test_grid_stays_inside_a_finite_box(radius):
+    # the vertex sits far outside the box, so the objective falls all the way
+    # to the bound and a grid point past it would undercut the exact value there
+    sides = np.array([-10.0, 10.0])
+    a2 = np.full(2, 0.5)
+    a1 = sides
+    w_abs = np.array([0.0, 0.25])
+    grid_min = reference._rowwise_grid_min(a2, a1, w_abs, np.full(2, radius), H)
+    bound = np.array([radius, -radius])
+    exact = a2 * bound**2 + a1 * bound + w_abs * np.abs(bound)
+    assert np.all(grid_min >= exact), (grid_min, exact)
+
+    min_values, _, cvals = reference.penalized_quadratic_batch(a2, a1, w_abs, 0.1, radius)
+    at_bound = np.where(sides < 0, cvals[:, 2], cvals[:, 1])
+    assert np.array_equal(min_values, at_bound)
+
+
+def test_grid_keeps_its_density():
+    rng = np.random.default_rng(13)
+    n = 200
+    a2 = rng.uniform(0.005, 2.0, n)
+    radius = rng.choice([0.6, 1.0, 1.4, 0.7, 1.23456], n)
+    w_abs = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    # an interior vertex of the positive piece: a2*u^2 + (a1 + w_abs)*u with
+    # its minimum at v in (0, radius)
+    v = rng.uniform(0.0, 1.0, n) * radius
+    a1 = -2.0 * a2 * v - w_abs
+    exact = a2 * v * v + (a1 + w_abs) * v
+    grid_min = reference._rowwise_grid_min(a2, a1, w_abs, radius, H)
+    assert np.all(grid_min - exact <= a2 * H * H)
+    assert np.all(grid_min - exact >= -1e-14)
