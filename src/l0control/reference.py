@@ -13,10 +13,12 @@ the argmin list comes back empty, which callers should treat as a failure.
 
 The batched references for the randomized suites (`penalized_quadratic_batch`,
 `switch_batch`) search each row on its own slice of one shared offset grid
-u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what its own
-radius needs whatever else is in the call, and its result does not depend on
-the other rows.  The grid stays inside the box and misses 0; the endpoints
-and 0 come from the exact candidates.
++-u_j, u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what
+its own radius needs whatever else is in the call, and its result does not
+depend on the other rows.  The grid stays inside the box and misses 0; the
+endpoints and 0 come from the exact candidates.  Only the half u_j > 0 is
+evaluated, with linear coefficient -|a1|: since fl(a1*(-u)) = -fl(a1*u) and
+rounding is monotone, that is the smaller of each mirrored pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -149,42 +151,54 @@ def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-
 def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     """Row-wise min of  a2*u^2 + a1*u + w_abs*|u|  over the grid points in [-radius, radius].
 
-    All rows share one offset grid u_j = (j + 1/2)*step, which never contains
-    u = 0, so the caller can add constant support penalties.  Row i scans the
-    contiguous slice of its own `half_i = floor(radius_i/step + 1/2)` points
-    on each side, whose outermost points (half_i - 1/2)*step never pass
-    radius_i; the endpoints themselves are exact candidates of the callers.
-    A row's result depends on that row alone, and a row with no grid point
-    (radius_i < step/2) gets +inf.  The rows run one at a time through two
-    buffers allocated once per call, so the working set stays one grid long.
+    All rows share one offset grid +-u_j, u_j = (j + 1/2)*step, which never
+    contains u = 0, so the caller can add constant support penalties.  Row i
+    scans its own `half_i = floor(radius_i/step + 1/2)` points on each side,
+    whose outermost points (half_i - 1/2)*step never pass radius_i; the
+    endpoints themselves are exact candidates of the callers.  A row's result
+    depends on that row alone, and a row with no grid point (radius_i <
+    step/2) gets +inf.  A negative, NaN or infinite radius raises ValueError.
+
+    The search is folded onto u_j > 0 as a2*u^2 - |a1|*u + w_abs*u, in that
+    term order: fl(a1*(-u)) = -fl(a1*u) and rounding is monotone, so this is
+    the smaller value of each mirrored pair, with the same bits as the
+    two-sided search (NaN and +inf rows included).  The rows run one at a
+    time through two buffers allocated once per call, so the working set
+    stays one half-grid long.
     """
     a2 = np.asarray(a2, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     w_abs = np.asarray(w_abs, dtype=float)
     radius = np.asarray(radius, dtype=float)
+    bad = ~(np.isfinite(radius) & (radius >= 0.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"radius must be finite and >= 0, got radius[{i}] = {radius[i]!r}"
+        )
     half = np.floor(radius / step + 0.5).astype(np.int64)
     # the division may round up across an integer: step back inside the box
     half -= (half - 0.5) * step > radius
     top = int(half.max(initial=0))
-    u = (np.arange(-top, top) + 0.5) * step
+    u = (np.arange(top) + 0.5) * step
     u2 = u * u
-    au = np.abs(u)
-    row = np.empty(u.size)
-    term = np.empty(u.size)
+    # one 2*top block: freeing a block this large lifts glibc's heap trim
+    # threshold, so a caller's later small arrays reuse the heap instead of
+    # page-faulting it back in (about 1 MB per oracle set-up)
+    row, term = np.empty((2, top))
     out = np.full(a2.shape[0], np.inf)
     use_abs = bool(np.any(w_abs != 0.0))
     # plain Python numbers and a direct reduce keep the per-row overhead small
-    rows = zip(half.tolist(), a2.tolist(), a1.tolist(), w_abs.tolist())
+    rows = zip(half.tolist(), a2.tolist(), (-np.abs(a1)).tolist(), w_abs.tolist())
     for i, (k, c2, c1, cabs) in enumerate(rows):
         if k == 0:
             continue
-        lo, hi = top - k, top + k
-        r = row[: 2 * k]
-        t = term[: 2 * k]
-        np.multiply(u2[lo:hi], c2, out=r)
-        r += np.multiply(u[lo:hi], c1, out=t)
+        r = row[:k]
+        t = term[:k]
+        np.multiply(u2[:k], c2, out=r)
+        r += np.multiply(u[:k], c1, out=t)
         if use_abs:
-            r += np.multiply(au[lo:hi], cabs, out=t)
+            r += np.multiply(u[:k], cabs, out=t)
         out[i] = np.minimum.reduce(r)
     return out
 

@@ -1,9 +1,11 @@
-"""The batched brute-force references: row independence, box safety, density.
+"""The batched brute-force references: row independence, box safety, density,
+the exactness of the folded grid and the radius check.
 
 Each row of `penalized_quadratic_batch` and `switch_batch` is searched on its
 own slice of one shared offset grid, so a row's result must not depend on
 which other rows share its call, no grid point may leave the row's box, and
-the grid must stay as fine as the step.
+the grid must stay as fine as the step.  The search runs on the positive half
+only and must give the same bits as the two-sided search it replaces.
 """
 
 import numpy as np
@@ -93,3 +95,54 @@ def test_grid_keeps_its_density():
     grid_min = reference._rowwise_grid_min(a2, a1, w_abs, radius, H)
     assert np.all(grid_min - exact <= a2 * H * H)
     assert np.all(grid_min - exact >= -1e-14)
+
+
+def two_sided_grid_min(a2, a1, w_abs, radius, step):
+    """The unfolded search: both mirrored halves of the grid, term by term."""
+    half = np.floor(radius / step + 0.5).astype(np.int64)
+    half -= (half - 0.5) * step > radius
+    top = int(half.max(initial=0))
+    u = (np.arange(-top, top) + 0.5) * step
+    use_abs = bool(np.any(w_abs != 0.0))
+    out = np.full(a2.shape[0], np.inf)
+    for i, k in enumerate(half):
+        if k == 0:
+            continue
+        v = u[top - k : top + k]
+        r = v * v * a2[i]
+        r += v * a1[i]
+        if use_abs:
+            r += np.abs(v) * w_abs[i]
+        out[i] = np.minimum.reduce(r)
+    return out
+
+
+@pytest.mark.parametrize("step", [H, 1e-3])
+@pytest.mark.parametrize("with_abs", [False, True])
+def test_folded_grid_matches_the_two_sided_search(step, with_abs):
+    rng = np.random.default_rng(14)
+    n = 400
+    a2 = rng.uniform(0.005, 2.0, n)
+    special = rng.choice([0.0, -0.0, 1e-12, -1e-12, 4.0, -4.0], n)
+    a1 = np.where(rng.random(n) < 0.5, special, rng.uniform(-4.0, 4.0, n))
+    w_abs = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n)) if with_abs else np.zeros(n)
+    radius = rng.choice(BOX_RADII, n)
+    radius[:2] = 0.4 * step  # no grid point on either side
+    a1[:2] = (-4.0, 4.0)
+    # NaN rows of either sign, and inf - inf on one half only
+    a1[2:5] = (np.nan, -np.nan, np.inf)
+    a2[4] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = reference._rowwise_grid_min(a2, a1, w_abs, radius, step)
+        want = two_sided_grid_min(a2, a1, w_abs, radius, step)
+    assert np.all(np.isinf(got[:2])) and np.all(np.isnan(got[2:5]))
+    # the same bits, signs of zeros and NaNs included
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_bad_radius_is_rejected(bad):
+    radius = np.array([1.0, bad, 0.6])
+    ones = np.ones(3)
+    with pytest.raises(ValueError, match=r"radius\[1\] = "):
+        reference.penalized_quadratic_batch(0.5 * ones, ones, 0.0, 0.1, radius)
