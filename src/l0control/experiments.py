@@ -37,6 +37,9 @@ TABLE2_BETAS = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 PARETO_BETAS = tuple(0.5 * 0.7**l for l in range(16))
 SWITCHING_BETAS = (0.1, 0.01, 0.001)
 UNSOLVABLE_WEIGHTS = (0.01, 0.1, 1.0, 10.0)
+# selftest's random draws per scalar prox map, and for the paired switching map
+SELFTEST_DRAWS = 300
+SELFTEST_SWITCH_DRAWS = 100
 
 
 class ConfigError(ValueError):
@@ -429,7 +432,7 @@ def run_switching(config: RunConfig, betas=None, out=None):
     return reports
 
 
-def run_selftest(config: RunConfig, out=None, n_random=300):
+def run_selftest(config: RunConfig):
     """Fast self-check: prox operators vs the brute-force reference, gradient
     vs finite differences, mesh sanity, and a trivial zero-target solve.
 
@@ -442,59 +445,51 @@ def run_selftest(config: RunConfig, out=None, n_random=300):
         results.append(ok)
         print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + detail) if detail else ''}")
 
-    worst = 0.0
-    ok = True
-    for _ in range(n_random):
-        g = rng.uniform(-3, 3)
-        u = rng.uniform(-2, 2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 2)
-        beta = rng.uniform(0.01, 2)
-        b = rng.choice([0.5, 1.0, 2.0, math.inf])
-        sol = prox_l0(g, u, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
-        best, argmins = reference.prox_l0_reference(g, u, L, alpha, beta, b)
-        for v in sol.values:
-            val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + (beta if v else 0.0)
-            worst = max(worst, abs(val - best))
-            if abs(val - best) > 1e-10 or min(abs(v - a) for a in argmins) > 1e-8:
-                ok = False
-    check("prox_l0 vs brute force", ok, f"(n={n_random}, worst objective gap {worst:.2e})")
+    def draw(n, *ranges):
+        return [rng.uniform(lo, hi, n) for lo, hi in ranges]
 
-    ok = True
-    for _ in range(n_random):
-        g = rng.uniform(-3, 3)
-        u = rng.uniform(-2, 2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 2)
-        gamma = rng.uniform(0.01, 2)
-        b = rng.choice([0.5, 1.0, 2.0, math.inf])
-        v = prox_l1(g, u, L, alpha, gamma, b)
-        best, argmins = reference.prox_l1_reference(g, u, L, alpha, gamma, b)
-        val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + gamma * abs(v)
-        if abs(val - best) > 1e-10 or min(abs(v - a) for a in argmins) > 1e-8:
-            ok = False
-    check("prox_l1 vs brute force", ok, f"(n={n_random})")
+    def penalized_reference(g, u, L, alpha, abs_w, supp_w, b):
+        """Batch reference for  g*v + (L/2)(v-u)^2 + (alpha/2)v^2 + abs_w*|v| + supp_w*(v != 0)."""
+        a2, a1, const = 0.5 * (L + alpha), g - L * u, 0.5 * L * u * u
+        radius = reference.search_radius(a2, a1, supp_w, b)
+        m, cands, cvals = reference.penalized_quadratic_batch(a2, a1, abs_w, supp_w, radius)
+        return m + const, cands, cvals + const[:, None]
 
-    ok = True
-    for _ in range(max(n_random // 3, 50)):
-        g1, g2 = rng.uniform(-2, 2, size=2)
-        u1, u2 = rng.uniform(-1, 1, size=2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 1)
-        beta = rng.uniform(0.01, 1)
-        p = prox_switch(SwitchingPoint(g1, g2), SwitchingPoint(u1, u2), L, alpha, beta)
-        best, argmins = reference.prox_switch_reference(g1, g2, u1, u2, L, alpha, beta)
-        val = (
-            g1 * p.u1 + g2 * p.u2
-            + 0.5 * L * ((p.u1 - u1) ** 2 + (p.u2 - u2) ** 2)
-            + 0.5 * alpha * (p.u1**2 + p.u2**2)
-            + (beta if p.u1 * p.u2 != 0 else 0.0)
-        )
-        if abs(val - best) > 1e-10:
-            ok = False
-        if min(max(abs(p.u1 - a1), abs(p.u2 - a2)) for a1, a2 in argmins) > 1e-8:
-            ok = False
-    check("prox_switch vs brute force", ok)
+    n = SELFTEST_DRAWS
+    g, u, L, alpha, beta = draw(n, (-3, 3), (-2, 2), (0, 2), (0.01, 2), (0.01, 2))
+    b = rng.choice([0.5, 1.0, 2.0, math.inf], n)
+    best, cands, cvals = penalized_reference(g, u, L, alpha, 0.0, beta, b)
+    # prox_l0 is set-valued: every element is checked against its row
+    pairs = [(i, v) for i in range(n)
+             for v in prox_l0(g[i], u[i], ProxParams(L[i], alpha[i], beta[i], b[i])).values]
+    i, v = map(np.array, zip(*pairs))
+    val = g[i] * v + 0.5 * L[i] * (v - u[i]) ** 2 + 0.5 * alpha[i] * v * v + beta[i] * (v != 0.0)
+    worst = float(np.max(np.abs(val - best[i])))
+    ok = not reference.admit(v, val, best[i], cands[i], cvals[i]).any()
+    check("prox_l0 vs brute force", ok, f"(n={n}, worst objective gap {worst:.2e})")
+
+    g, u, L, alpha, gamma = draw(n, (-3, 3), (-2, 2), (0, 2), (0.01, 2), (0.01, 2))
+    b = rng.choice([0.5, 1.0, 2.0, math.inf], n)
+    best, cands, cvals = penalized_reference(g, u, L, alpha, gamma, 0.0, b)
+    v = np.array([prox_l1(g[i], u[i], L[i], alpha[i], gamma[i], b[i]) for i in range(n)])
+    val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + gamma * np.abs(v)
+    check("prox_l1 vs brute force", not reference.admit(v, val, best, cands, cvals).any(), f"(n={n})")
+
+    n = SELFTEST_SWITCH_DRAWS
+    g1, g2, u1, u2, L, alpha, beta = draw(n, (-2, 2), (-2, 2), (-1, 1), (-1, 1), (0, 2), (0.01, 1), (0.01, 1))
+    best, cands, cvals = reference.switch_batch(g1, g2, u1, u2, L, alpha, beta)
+    v = np.empty((n, 2))
+    for i in range(n):
+        p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]), L[i], alpha[i], beta[i])
+        v[i] = p.u1, p.u2
+    p1, p2 = v.T
+    val = (
+        g1 * p1 + g2 * p2
+        + 0.5 * L * ((p1 - u1) ** 2 + (p2 - u2) ** 2)
+        + 0.5 * alpha * (p1**2 + p2**2)
+        + beta * ((p1 != 0.0) & (p2 != 0.0))
+    )
+    check("prox_switch vs brute force", not reference.admit(v, val, best, cands, cvals).any())
 
     # adjoint gradient vs central differences on a small mesh, both operators
     ok = True

@@ -1,150 +1,110 @@
 """Brute-force reference minimizers for the scalar subproblems.
 
 These routines are the ground truth the closed-form operators are validated
-against: dense grid search (default step 1e-4) plus exact evaluation at the
-analytic candidate points {0, -b, b, quadratic vertices}.  They are written
-from the objective functions alone and deliberately share no helpers with
-the closed-form module.
+against: a dense grid search (default step 1e-4) plus exact evaluation at
+the analytic candidate points {0, -b, b, quadratic vertices}.  They are
+written from the objective functions alone and deliberately share no helpers
+with the closed-form module.
 
-Each scalar reference returns (min_value, argmins) where argmins are the
-candidate points whose objective lies within CANDIDATE_TOL of the observed
-minimum.  If a grid point beats every candidate by more than CANDIDATE_TOL
-the argmin list comes back empty, which callers should treat as a failure.
-
-The batched references for the randomized suites (`penalized_quadratic_batch`,
-`switch_batch`) search each row on its own slice of one shared offset grid
-+-u_j, u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what
-its own radius needs whatever else is in the call, and its result does not
-depend on the other rows.  The grid stays inside the box and misses 0; the
+There is one search per subproblem, batched over rows:
+`penalized_quadratic_batch` for a2*u^2 + a1*u + w_abs*|u| + w_supp*(u != 0)
+in a box, and `switch_batch` for the paired switching objective.  Each row
+is searched on its own slice of one shared offset grid +-u_j,
+u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what its own
+radius needs whatever else is in the call, and its result does not depend
+on the other rows.  The grid stays inside the box and misses 0; the
 endpoints and 0 come from the exact candidates.  Only the half u_j > 0 is
 evaluated, with linear coefficient -|a1|: since fl(a1*(-u)) = -fl(a1*u) and
 rounding is monotone, that is the smaller of each mirrored pair, bit for bit.
+
+`admit` is the one rule every check applies to a batch result, and
+`search_radius` sizes the search for unbounded rows.  The scalar references
+(`box_threshold_reference`, `prox_l0_reference`, `prox_l1_reference`,
+`prox_switch_reference`) are one-row calls of the batch search.  Each
+returns (min_value, argmins), where argmins is the sorted tuple of distinct
+candidates whose objective lies within CANDIDATE_TOL of the minimum; when a
+grid point beats every candidate by more than that, argmins is empty, which
+callers should treat as a failure.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 GRID_STEP = 1e-4
+# the tolerances of the admission rule (see `admit`)
 CANDIDATE_TOL = 1e-9
+OBJECTIVE_TOL = 1e-10
+ARGUMENT_TOL = 1e-8
 
 
-def _grid(lo, hi, step):
-    n = max(int(math.ceil((hi - lo) / step)) + 1, 2)
-    return np.linspace(lo, hi, n)
+def search_radius(a2, a1, w_supp, bound):
+    """Half-width of the search for  a2*u^2 + a1*u + ... + w_supp*(u != 0)  in |u| <= bound.
+
+    The box itself where it is finite; otherwise |a1|/(2*a2) + sqrt(w_supp/a2)
+    + 1/2, which holds every minimizer with room to spare: a nonzero
+    minimizer lies within |a1|/(2*a2) of 0.
+    """
+    unbounded = np.abs(a1) / (2.0 * a2) + np.sqrt(w_supp / a2) + 0.5
+    return np.where(np.isinf(bound), unbounded, bound)
 
 
-def _refine(objective, grid, candidates):
-    vals = objective(grid)
-    best = float(np.min(vals))
-    cands = sorted(set(float(c) for c in candidates))
-    cand_vals = [float(objective(np.array([c]))[0]) for c in cands]
-    best = min(best, min(cand_vals))
-    argmins = tuple(c for c, v in zip(cands, cand_vals) if v <= best + CANDIDATE_TOL)
-    return best, argmins
+def _admitted(min_values, candidate_values):
+    """Mask of the candidates whose value lies within CANDIDATE_TOL of their row's minimum."""
+    return candidate_values <= (min_values + CANDIDATE_TOL)[:, None]
+
+
+def admit(values, objective_values, min_values, candidates, candidate_values):
+    """Per-row failure mask of a check against a batch reference result.
+
+    Row i fails when objective_values[i] misses min_values[i] by more than
+    OBJECTIVE_TOL, or when values[i] lies farther than ARGUMENT_TOL from every
+    candidate whose value is within CANDIDATE_TOL of min_values[i]; an empty
+    admitted set therefore fails.  Paired rows (values (N, 2), candidates
+    (N, 4, 2) from `switch_batch`) measure the distance in the max-norm.
+    """
+    dist = np.abs(candidates - values[:, None])
+    if dist.ndim == 3:
+        dist = dist.max(axis=2)
+    dist = np.where(_admitted(min_values, candidate_values), dist, np.inf)
+    return (np.abs(objective_values - min_values) > OBJECTIVE_TOL) | (dist.min(axis=1) > ARGUMENT_TOL)
+
+
+def _argmins(min_values, candidates, candidate_values, const=0.0):
+    """Row 0 of a batch result as (min_value + const, sorted distinct admitted candidates)."""
+    admitted = candidates[0][_admitted(min_values, candidate_values)[0]]
+    return float(min_values[0] + const), np.unique(admitted, axis=0).tolist()
+
+
+def _penalized_row(a2, a1, w_abs, w_supp, bound, const, step):
+    radius = search_radius(a2, a1, w_supp, bound)
+    best, argmins = _argmins(*penalized_quadratic_batch([a2], [a1], w_abs, w_supp, [radius], step), const)
+    return best, tuple(argmins)
 
 
 def box_threshold_reference(q, s, b, step=GRID_STEP):
     """min of  -q*u + u^2/2 + s*(u != 0)  over |u| <= b."""
-
-    def objective(u):
-        return -q * u + 0.5 * u * u + s * (u != 0.0)
-
-    if math.isinf(b):
-        radius = abs(q) + math.sqrt(2.0 * s) + 0.5
-        grid = _grid(-radius, radius, step)
-        candidates = [0.0, q]
-    else:
-        grid = _grid(-b, b, step)
-        candidates = [0.0, -b, b, min(max(q, -b), b)]
-    return _refine(objective, grid, candidates)
+    return _penalized_row(0.5, -q, 0.0, s, b, 0.0, step)
 
 
 def prox_l0_reference(g, u_k, L, alpha, beta, b, step=GRID_STEP):
     """min of  g*u + (L/2)(u-u_k)^2 + (alpha/2)u^2 + beta*(u != 0)  over |u| <= b."""
-
-    def objective(u):
-        return g * u + 0.5 * L * (u - u_k) ** 2 + 0.5 * alpha * u * u + beta * (u != 0.0)
-
-    vertex = (L * u_k - g) / (L + alpha)
-    if math.isinf(b):
-        radius = abs(vertex) + math.sqrt(2.0 * beta / (L + alpha)) + 0.5
-        grid = _grid(-radius, radius, step)
-        candidates = [0.0, vertex]
-    else:
-        grid = _grid(-b, b, step)
-        candidates = [0.0, -b, b, min(max(vertex, -b), b)]
-    return _refine(objective, grid, candidates)
+    return _penalized_row(0.5 * (L + alpha), g - L * u_k, 0.0, beta, b, 0.5 * L * u_k**2, step)
 
 
 def prox_l1_reference(g, u_k, L, alpha, gamma, b, step=GRID_STEP):
     """min of  g*u + (L/2)(u-u_k)^2 + (alpha/2)u^2 + gamma*|u|  over |u| <= b."""
-
-    def objective(u):
-        return g * u + 0.5 * L * (u - u_k) ** 2 + 0.5 * alpha * u * u + gamma * np.abs(u)
-
-    # vertices of the two smooth half-line pieces, each valid on its side only
-    vpos = max((L * u_k - g - gamma) / (L + alpha), 0.0)
-    vneg = min((L * u_k - g + gamma) / (L + alpha), 0.0)
-    if math.isinf(b):
-        radius = max(abs(vpos), abs(vneg)) + 0.5
-        grid = _grid(-radius, radius, step)
-        candidates = [0.0, vpos, vneg]
-    else:
-        grid = _grid(-b, b, step)
-        candidates = [0.0, -b, b, min(vpos, b), max(vneg, -b)]
-    return _refine(objective, grid, candidates)
+    return _penalized_row(0.5 * (L + alpha), g - L * u_k, gamma, 0.0, b, 0.5 * L * u_k**2, step)
 
 
 def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-3):
-    """min of  g.u + (L/2)|u-u_k|^2 + (alpha/2)|u|^2 + beta*(u1*u2 != 0)  over R^2.
-
-    The quadratic part separates into the coordinates, so the search runs one
-    dense grid per axis and combines the pieces: both coordinates active
-    (penalty beta), first off, second off.  Candidate pairs are built from
-    the per-axis vertices.
-    """
-
-    def q1(u):
-        return g1 * u + 0.5 * L * (u - uk1) ** 2 + 0.5 * alpha * u * u
-
-    def q2(u):
-        return g2 * u + 0.5 * L * (u - uk2) ** 2 + 0.5 * alpha * u * u
-
-    m1 = (L * uk1 - g1) / (L + alpha)
-    m2 = (L * uk2 - g2) / (L + alpha)
-    r = max(radius, abs(m1) + 0.5, abs(m2) + 0.5)
-    grid1 = np.append(_grid(-r, r, step), m1)
-    grid2 = np.append(_grid(-r, r, step), m2)
-
-    v1 = q1(grid1)
-    v2 = q2(grid2)
-    zero1 = float(q1(np.array([0.0]))[0])
-    zero2 = float(q2(np.array([0.0]))[0])
-    min1_free = min(float(np.min(v1)), zero1)
-    min2_free = min(float(np.min(v2)), zero2)
-    min1_nz = float(np.min(v1[grid1 != 0.0]))
-    min2_nz = float(np.min(v2[grid2 != 0.0]))
-
-    best = min(
-        min1_nz + min2_nz + beta,  # both coordinates active
-        zero1 + min2_free,         # first coordinate off
-        min1_free + zero2,         # second coordinate off
-    )
-
-    def total(u1, u2):
-        pen = beta if (u1 != 0.0 and u2 != 0.0) else 0.0
-        return float(q1(np.array([u1]))[0] + q2(np.array([u2]))[0]) + pen
-
-    pairs = {(m1, m2), (0.0, m2), (m1, 0.0), (0.0, 0.0)}
-    argmins = tuple(p for p in sorted(pairs) if total(*p) <= best + CANDIDATE_TOL)
-    return best, argmins
+    """min of  g.u + (L/2)|u-u_k|^2 + (alpha/2)|u|^2 + beta*(u1*u2 != 0)  over R^2."""
+    best, argmins = _argmins(*switch_batch([g1], [g2], [uk1], [uk2], L, alpha, beta, radius, step))
+    return best, tuple(map(tuple, argmins))
 
 
 # ---------------------------------------------------------------------------
-# batched references for the large randomized suites
+# the batch search
 # ---------------------------------------------------------------------------
 
 

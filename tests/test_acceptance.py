@@ -70,34 +70,10 @@ def draw_l0_instances(rng, n):
     return g, u, L, alpha, beta, b
 
 
-def _oracle_penalized(a2, a1, abs_w, supp_w, b, vertex):
-    """Batched reference minimum plus admitted argmin candidates."""
-    finite = ~np.isinf(b)
-    radius = np.where(finite, b, np.abs(vertex) + np.sqrt(supp_w / a2) + 0.5)
-    out_min = np.empty(a2.shape[0])
-    cands = np.empty((a2.shape[0], 5))
-    cvals = np.empty((a2.shape[0], 5))
-    for mask in (finite, ~finite):
-        if not mask.any():
-            continue
-        m, c, v = reference.penalized_quadratic_batch(
-            a2[mask], a1[mask], abs_w[mask], supp_w[mask], radius[mask]
-        )
-        out_min[mask] = m
-        cands[mask] = c
-        cvals[mask] = v
-    return out_min, cands, cvals
-
-
-def _check_against_candidates(values, objective_values, oracle_min, cands, cvals):
-    """Objective within 1e-10 of the reference minimum and argument within
-    1e-8 of an admitted (near-minimal) candidate.  Returns the failure count."""
-    admitted = cvals <= (oracle_min + 1e-9)[:, None]
-    dist = np.abs(cands - values[:, None])
-    dist[~admitted] = np.inf
-    bad_obj = np.abs(objective_values - oracle_min) > 1e-10
-    bad_arg = dist.min(axis=1) > 1e-8
-    return int(np.count_nonzero(bad_obj | bad_arg))
+def _oracle_penalized(a2, a1, abs_w, supp_w, b):
+    """Batched reference minimum, candidates and their values."""
+    radius = reference.search_radius(a2, a1, supp_w, b)
+    return reference.penalized_quadratic_batch(a2, a1, abs_w, supp_w, radius)
 
 
 def test_criterion_1_prox_oracle_suite():
@@ -110,8 +86,7 @@ def test_criterion_1_prox_oracle_suite():
     g, u, L, alpha, beta, b = draw_l0_instances(rng, N_INSTANCES)
     a2 = 0.5 * (L + alpha)
     a1 = g - L * u
-    vertex = -a1 / (2 * a2)
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, np.zeros_like(a2), beta, b, vertex)
+    oracle_min, cands, cvals = _oracle_penalized(a2, a1, 0.0, beta, b)
     elems = []
     idx = []
     for i in range(N_INSTANCES):
@@ -122,9 +97,7 @@ def test_criterion_1_prox_oracle_suite():
     elems = np.array(elems)
     idx = np.array(idx)
     obj = a2[idx] * elems**2 + a1[idx] * elems + beta[idx] * (elems != 0.0)
-    failures["prox_l0"] = _check_against_candidates(
-        elems, obj, oracle_min[idx], cands[idx], cvals[idx]
-    )
+    failures["prox_l0"] = int(reference.admit(elems, obj, oracle_min[idx], cands[idx], cvals[idx]).sum())
 
     # box_hard_threshold: minimize -q*u + u^2/2 + s*(u != 0)
     q = rng.uniform(-3, 3, N_INSTANCES)
@@ -133,7 +106,7 @@ def test_criterion_1_prox_oracle_suite():
     q[np.isinf(bb)] = rng.uniform(-2.5, 2.5, int(np.isinf(bb).sum()))
     a2 = np.full(N_INSTANCES, 0.5)
     a1 = -q
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, np.zeros_like(a2), s, bb, q)
+    oracle_min, cands, cvals = _oracle_penalized(a2, a1, 0.0, s, bb)
     elems, idx = [], []
     for i in range(N_INSTANCES):
         for v in box_hard_threshold(q[i], s[i], bb[i]).values:
@@ -142,19 +115,18 @@ def test_criterion_1_prox_oracle_suite():
     elems = np.array(elems)
     idx = np.array(idx)
     obj = 0.5 * elems**2 - q[idx] * elems + s[idx] * (elems != 0.0)
-    failures["box_hard_threshold"] = _check_against_candidates(
-        elems, obj, oracle_min[idx], cands[idx], cvals[idx]
+    failures["box_hard_threshold"] = int(
+        reference.admit(elems, obj, oracle_min[idx], cands[idx], cvals[idx]).sum()
     )
 
     # prox_l1 (single-valued)
     g, u, L, alpha, gamma, b = draw_l0_instances(rng, N_INSTANCES)
     a2 = 0.5 * (L + alpha)
     a1 = g - L * u
-    vertex = -a1 / (2 * a2)
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, gamma, np.zeros_like(a2), b, vertex)
+    oracle_min, cands, cvals = _oracle_penalized(a2, a1, gamma, 0.0, b)
     vals = np.array([prox_l1(g[i], u[i], L[i], alpha[i], gamma[i], b[i]) for i in range(N_INSTANCES)])
     obj = a2 * vals**2 + a1 * vals + gamma * np.abs(vals)
-    failures["prox_l1"] = _check_against_candidates(vals, obj, oracle_min, cands, cvals)
+    failures["prox_l1"] = int(reference.admit(vals, obj, oracle_min, cands, cvals).sum())
 
     # prox_switch (paired)
     g1 = rng.uniform(-2, 2, N_INSTANCES)
@@ -177,11 +149,7 @@ def test_criterion_1_prox_oracle_suite():
         + 0.5 * alpha * (p1**2 + p2**2)
         + beta * ((p1 != 0.0) & (p2 != 0.0))
     )
-    admitted = cvals2 <= (o_min + 1e-9)[:, None]
-    dist = np.maximum(np.abs(cands2[:, :, 0] - p1[:, None]), np.abs(cands2[:, :, 1] - p2[:, None]))
-    dist[~admitted] = np.inf
-    bad = (np.abs(obj - o_min) > 1e-10) | (dist.min(axis=1) > 1e-8)
-    failures["prox_switch"] = int(np.count_nonzero(bad))
+    failures["prox_switch"] = int(reference.admit(np.stack([p1, p2], axis=1), obj, o_min, cands2, cvals2).sum())
 
     elapsed = time.perf_counter() - t0
     assert failures == {k: 0 for k in failures}, failures

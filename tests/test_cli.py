@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import l0control
-from l0control import cli, experiments, problem, solver
+from l0control import cli, experiments, problem, reference, solver
 
 
 def read_csv(path):
@@ -244,3 +244,19 @@ def test_selftest_passes(tmp_path, capsys):
 def test_selftest_failure_exits_4(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "run_selftest", lambda config: False)
     assert cli.main(["selftest", "--out", str(tmp_path)]) == 4
+
+
+def test_selftest_switch_reference_without_argmins_fails(monkeypatch, tmp_path, capsys):
+    # a grid point 1e-6 below every candidate leaves no admitted argmin:
+    # a failed check (exit 4), not a crash reported as a config error
+    batch = reference.switch_batch
+
+    def beaten(*args):
+        _, cands, cvals = batch(*args)
+        return cvals.min(axis=1) - 1e-6, cands, cvals
+
+    monkeypatch.setattr(reference, "switch_batch", beaten)
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL prox_switch vs brute force" in captured.out.splitlines()
+    assert "error:" not in captured.err

@@ -1,5 +1,6 @@
-"""The batched brute-force references: row independence, box safety, density,
-the exactness of the folded grid and the radius check.
+"""The brute-force references: row independence, box safety, density, the
+exactness of the folded grid, the radius check, the admission rule, and the
+scalar references as one-row views of the batch search.
 
 Each row of `penalized_quadratic_batch` and `switch_batch` is searched on its
 own slice of one shared offset grid, so a row's result must not depend on
@@ -8,8 +9,11 @@ the grid must stay as fine as the step.  The search runs on the positive half
 only and must give the same bits as the two-sided search it replaces.
 """
 
+import math
+
 import numpy as np
 import pytest
+from test_acceptance import N_INSTANCES, SEED, draw_l0_instances
 
 from l0control import reference
 
@@ -146,3 +150,136 @@ def test_bad_radius_is_rejected(bad):
     ones = np.ones(3)
     with pytest.raises(ValueError, match=r"radius\[1\] = "):
         reference.penalized_quadratic_batch(0.5 * ones, ones, 0.0, 0.1, radius)
+
+
+# ---------------------------------------------------------------------------
+# the admission rule
+
+
+def one_row(values, objective, minimum, candidates, candidate_values):
+    return bool(reference.admit(np.array([values]), np.array([objective]), np.array([minimum]),
+                                np.array([candidates]), np.array([candidate_values]))[0])
+
+
+def test_admit_objective_gap():
+    cands, cvals = [0.0, 1.0], [0.5, 0.0]
+    assert not one_row(1.0, reference.OBJECTIVE_TOL, 0.0, cands, cvals)
+    assert one_row(1.0, np.nextafter(reference.OBJECTIVE_TOL, 1.0), 0.0, cands, cvals)
+
+
+def test_admit_argument_distance():
+    cands, cvals = [0.0, 1.0], [0.5, 0.0]
+    assert not one_row(1.0 + 0.5e-8, 0.0, 0.0, cands, cvals)
+    assert one_row(1.0 + 2e-8, 0.0, 0.0, cands, cvals)
+    # 0 is the nearest candidate, but it is not admitted
+    assert one_row(2e-8, 0.0, 0.0, cands, cvals)
+
+
+def test_admit_candidate_tolerance():
+    # the value sits on candidate 1.0; it counts only while that candidate is admitted
+    assert not one_row(1.0, 0.0, 0.0, [1.0, 3.0], [reference.CANDIDATE_TOL, 0.0])
+    assert one_row(1.0, 0.0, 0.0, [1.0, 3.0], [2.0 * reference.CANDIDATE_TOL, 0.0])
+    # nothing admitted: the grid beat every candidate
+    assert one_row(1.0, 0.0, 0.0, [1.0, 3.0], [1e-6, 1e-6])
+
+
+def test_admit_switching_uses_the_max_norm():
+    cands = [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]]
+    cvals = [1.0, 0.0, 1.0, 1.0]
+    # 0.8e-8 off in both coordinates: the max-norm distance is within 1e-8, the sum is not
+    assert not one_row([0.8e-8, 0.5 + 0.8e-8], 0.0, 0.0, cands, cvals)
+    assert one_row([2e-8, 0.5], 0.0, 0.0, cands, cvals)
+    # the unadmitted candidate (0.5, 0.5) is ignored
+    assert one_row([0.5, 0.5], 0.0, 0.0, cands, cvals)
+
+
+def test_search_radius_matches_the_criterion_1_formula():
+    # criterion 1 searched each unbounded row to |vertex| + sqrt(w_supp/a2) + 1/2
+    rng = np.random.default_rng(SEED)
+    g, u, L, alpha, beta, b = draw_l0_instances(rng, N_INSTANCES)
+    q = rng.uniform(-3, 3, N_INSTANCES)
+    s = rng.uniform(0, 2, N_INSTANCES)
+    bb = rng.choice([0.6, 1.0, 1.4, math.inf], N_INSTANCES)
+    q[np.isinf(bb)] = rng.uniform(-2.5, 2.5, int(np.isinf(bb).sum()))
+    g1, u1, L1, alpha1, gamma, b1 = draw_l0_instances(rng, N_INSTANCES)
+    half = np.full(N_INSTANCES, 0.5)
+    rows = (
+        (0.5 * (L + alpha), g - L * u, beta, b, None),
+        (half, -q, s, bb, q),
+        (0.5 * (L1 + alpha1), g1 - L1 * u1, np.zeros(N_INSTANCES), b1, None),
+    )
+    for a2, a1, w_supp, bound, vertex in rows:
+        vertex = -a1 / (2 * a2) if vertex is None else vertex
+        want = np.where(np.isinf(bound), np.abs(vertex) + np.sqrt(w_supp / a2) + 0.5, bound)
+        got = reference.search_radius(a2, a1, w_supp, bound)
+        assert np.isinf(bound).any()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the scalar references are rows of the batch search
+
+
+def batch_argmins(candidates, candidate_values, minimum):
+    tol = reference.CANDIDATE_TOL
+    admitted = [c for c, v in zip(candidates.tolist(), candidate_values) if v <= minimum + tol]
+    return tuple(sorted(set(tuple(c) if isinstance(c, list) else c for c in admitted)))
+
+
+def test_penalized_scalar_references_are_batch_rows():
+    rng = np.random.default_rng(15)
+    n = 60
+    g, u, L, alpha, w, b = draw_l0_instances(rng, n)
+    a2, a1 = 0.5 * (L + alpha), g - L * u
+    const = 0.5 * L * u**2
+    scalar = (
+        (reference.prox_l0_reference, 0.0, w),
+        (reference.prox_l1_reference, w, 0.0),
+    )
+    for ref, w_abs, w_supp in scalar:
+        w_supp = np.broadcast_to(w_supp, (n,))
+        radius = reference.search_radius(a2, a1, w_supp, b)
+        m, c, v = reference.penalized_quadratic_batch(a2, a1, w_abs, w_supp, radius)
+        for i in range(n):
+            best, argmins = ref(g[i], u[i], L[i], alpha[i], w[i], b[i])
+            assert best == m[i] + const[i], (ref.__name__, i)
+            assert argmins == batch_argmins(c[i], v[i], m[i]), (ref.__name__, i)
+
+    q, s = rng.uniform(-3, 3, n), rng.uniform(0, 2, n)
+    half = np.full(n, 0.5)
+    m, c, v = reference.penalized_quadratic_batch(half, -q, 0.0, s, reference.search_radius(half, -q, s, b))
+    for i in range(n):
+        assert reference.box_threshold_reference(q[i], s[i], b[i]) == (m[i], batch_argmins(c[i], v[i], m[i]))
+
+
+def test_switch_scalar_reference_is_a_batch_row():
+    rng = np.random.default_rng(16)
+    rows = switch_rows(rng, 40)
+    m, c, v = reference.switch_batch(*rows)
+    for i in range(40):
+        best, argmins = reference.prox_switch_reference(*(r[i] for r in rows))
+        assert (best, argmins) == (m[i], batch_argmins(c[i], v[i], m[i])), i
+
+
+# ---------------------------------------------------------------------------
+# hand-built ties keep their set semantics
+
+
+def test_box_threshold_tie():
+    # -2u + u^2/2 + 2*(u != 0) is 0 at both u = 0 and u = 2
+    assert reference.box_threshold_reference(2.0, 2.0, math.inf) == (0.0, (0.0, 2.0))
+    assert reference.box_threshold_reference(-2.0, 2.0, 3.0) == (0.0, (-2.0, 0.0))
+
+
+def test_prox_l0_tie_keeps_the_dropped_constant():
+    # a2 = 1/2 and a1 = -2 as in the box tie, shifted by (L/2)*u_k^2 = 1
+    assert reference.prox_l0_reference(-1.0, 2.0, 0.5, 0.5, 2.0, math.inf) == (1.0, (0.0, 2.0))
+
+
+def test_switching_ties():
+    # w = 2 and m1 = m2 = 1/2: the two one-sided restrictions tie at -1/4
+    assert reference.prox_switch_reference(-1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 10.0) == (
+        -0.25, ((0.0, 0.5), (0.5, 0.0)))
+    # |m1| = |m2| with opposite signs, and beta = 1/4 ties the full vertex in as well
+    assert reference.prox_switch_reference(-1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.25) == (
+        -0.25, ((0.0, -0.5), (0.5, -0.5), (0.5, 0.0)))
