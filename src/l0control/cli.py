@@ -3,13 +3,16 @@
 Subcommands: solve, table1, beta-sweep, mesh-study, unsolvable, switching,
 selftest.  Flags override values from an optional "key = value" config file.
 Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
-4 selftest assertion failure.
+4 selftest assertion failure, 141 (128 + SIGPIPE, as a shell reports a
+process that SIGPIPE ends) with nothing on stderr when the reader closes
+stdout early, as `l0control selftest | head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -127,6 +130,12 @@ def main(argv=None):
                 print(ex.summary_line(r))
         elif args.command == "selftest":
             return ex.EXIT_OK if ex.run_selftest(config) else ex.EXIT_SELFTEST
+        # a reader that closed the pipe shows here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return ex.EXIT_BROKEN_PIPE
     except (ex.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ex.EXIT_CONFIG

@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_SELFTEST = 4
+EXIT_BROKEN_PIPE = 141
 
 PDE_NAMES = {
     "dirichlet": fem.DIRICHLET_POISSON,

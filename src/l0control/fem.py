@@ -15,11 +15,11 @@ stiffness and the mass are 7-diagonal stencils with fixed element entries
 the triangle area a for the mass), so they are summed on the node grid and
 built as diagonal matrices.  Per-triangle values of nodal fields come from
 node-grid slices too, not from a gather through the triangle list.
-The interior Dirichlet stiffness is the 5-point stencil, so a type-I sine
-transform solves it exactly with no factorization (the fast Poisson solver
-of Buzbee, Golub and Nielson, 1970).  The Neumann operator is factorized once
-per mesh, with a diagonally preconditioned CG fallback for meshes too large
-to factorize comfortably.
+Both operators are solved by transforms; nothing is factorized.  A type-I
+sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
+Poisson solver of Buzbee, Golub and Nielson, 1970).  A type-I cosine transform
+inverts the Neumann stiffness plus the lumped mass, K + W(x)W/n^2 with
+W = diag(1/2, 1, ..., 1, 1/2), exactly; that preconditions CG on K + M.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ import scipy.sparse.linalg as spla
 
 DIRICHLET_POISSON = "dirichlet_poisson"
 NEUMANN_HELMHOLTZ = "neumann_helmholtz"
-
-# above this many unknowns, the Neumann operator uses CG instead of a sparse LU
-# (n = 500 factors in ~5 s and ~0.8 GB; the limit covers n = 640 studies)
-DIRECT_SOLVER_LIMIT = 700_000
 
 __all__ = [
     "DIRICHLET_POISSON",
@@ -221,21 +217,10 @@ class AssembledPDE:
         return out
 
 
-def _make_solver(matrix, use_direct):
-    if use_direct:
-        lu = spla.splu(matrix.tocsc())
-        return lu.solve
-
-    diag = matrix.diagonal()
-    precond = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diag)
-
-    def cg_solve(rhs):
-        sol, info = spla.cg(matrix, rhs, rtol=1e-12, atol=0.0, maxiter=20 * matrix.shape[0], M=precond)
-        if info != 0:
-            raise SolverBreakdown(f"CG failed to converge (info={info}, n={matrix.shape[0]})")
-        return sol
-
-    return cg_solve
+def _eigenvalue_line(n):
+    # eigenvalues 2 - 2cos(j pi/n), j = 0..n, of the 1-D second difference (DCT-I;
+    # DST-I takes [1:-1]) as 4 sin^2(j pi/2n), free of cancellation at small j
+    return 4.0 * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2
 
 
 def _dirichlet_poisson_solver(n):
@@ -244,10 +229,33 @@ def _dirichlet_poisson_solver(n):
     from scipy.fft import dstn, idstn
 
     m = n - 1
-    # eigenvalues 2 - 2cos(j pi/n) of tridiag(-1, 2, -1) as 4 sin^2(j pi/2n), free of cancellation
-    line = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    line = _eigenvalue_line(n)[1:-1]
     eigenvalues = line[:, None] + line[None, :]
     return lambda rhs: idstn(dstn(rhs.reshape(m, m), type=1) / eigenvalues, type=1).ravel()
+
+
+def _neumann_helmholtz_solver(system, n):
+    """CG on system = K + M, preconditioned by the exact DCT-I inverse of K + W(x)W/n^2.
+
+    K = W(x)K1 + K1(x)W with K1 the 1-D Neumann second difference, so
+    K + W(x)W/n^2 = (W(x)W)(A(x)I + I(x)A + I/n^2), and DCT-I diagonalizes A = W^-1 K1.
+    """
+    # imported here so that importing the package does not load scipy.fft
+    from scipy.fft import dctn, idctn
+
+    w = np.r_[0.5, np.ones(n - 1), 0.5]
+    weights, line = np.outer(w, w), _eigenvalue_line(n)
+    eigenvalues = line[:, None] + line[None, :] + 1.0 / (n * n)
+    precond = spla.LinearOperator(system.shape, matvec=lambda r: idctn(
+        dctn(r.reshape(n + 1, n + 1) / weights, type=1) / eigenvalues, type=1).ravel())
+
+    def cg_solve(rhs):
+        sol, info = spla.cg(system, rhs, rtol=1e-13, atol=0.0, M=precond)
+        if info != 0:
+            raise SolverBreakdown(f"CG failed to converge (info={info}, n={n})")
+        return sol
+
+    return cg_solve
 
 
 def assemble(mesh, pde_kind):
@@ -268,7 +276,7 @@ def assemble(mesh, pde_kind):
     else:
         free = np.arange(mesh.num_nodes)
         system = (stiffness + mass).tocsr()
-        solver = _make_solver(system, system.shape[0] <= DIRECT_SOLVER_LIMIT)
+        solver = _neumann_helmholtz_solver(system, mesh.n)
 
     return AssembledPDE(
         mesh=mesh,

@@ -117,7 +117,6 @@ class SolverOptions:
     strategy: StepStrategy = field(default_factory=StepStrategy)
     max_iterations: int = 10_000
     stop_tol: float = 1e-12
-    initial_control: object = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -315,7 +314,7 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     """
     options = options or SolverOptions()
     strategy = options.strategy
-    u = options.initial_control if options.initial_control is not None else problem.zero_control()
+    u = problem.zero_control()
 
     f_k, grad = problem.value_and_grad(u)
     F_k = f_k + problem.eval_g(u)

@@ -162,6 +162,21 @@ def run_cli_process(*args):
                           capture_output=True, text=True, env=env, check=True)
 
 
+def test_closed_stdout_exits_quietly():
+    # as in `selftest | head -1`: the reader takes one line and closes the pipe;
+    # -u makes every line a write of its own, so later lines hit the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(l0control.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "l0control", "selftest"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline().startswith("PASS")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert proc.wait(timeout=120) == experiments.EXIT_BROKEN_PIPE
+    assert err == ""
+
+
 def test_monotonicity_warning_goes_through_the_stderr_handler(tmp_path):
     # basicConfig's "LEVEL:logger:message" format, not the bare message of
     # Python's last-resort handler

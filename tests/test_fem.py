@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from l0control import fem
+from l0control import cli, fem
 
 # frozen from the n=64 manufactured run: measured constant 0.347, 30% margin
 MANUFACTURED_C = 0.45
@@ -274,12 +274,24 @@ def test_solve_relative_residual(rng):
         assert res <= 1e-12 * np.linalg.norm(rhs[fr])
 
 
-def test_cg_solver_matches_direct(rng):
-    pde = fem.assemble(fem.build_mesh(16), fem.NEUMANN_HELMHOLTZ)
-    rhs = pde.load_map @ rng.normal(size=pde.mesh.num_triangles)
-    direct = spla.splu(pde.system.tocsc()).solve(rhs)
-    cg = fem._make_solver(pde.system, use_direct=False)(rhs)
-    assert np.abs(direct - cg).max() <= 1e-10 * max(np.abs(direct).max(), 1e-30)
+def test_neumann_cg_solve_matches_lu(rng):
+    for n in (1, 2, 3, 8, 40, 160):
+        pde = fem.assemble(fem.build_mesh(n), fem.NEUMANN_HELMHOLTZ)
+        rhs = pde.load_map @ rng.normal(size=pde.mesh.num_triangles)
+        y = pde.solve(rhs)
+        direct = spla.splu(pde.system.tocsc()).solve(rhs)
+        assert np.abs(y - direct).max() <= 1e-10 * np.abs(direct).max(), n
+        if n == 40:
+            assert np.linalg.norm(pde.system @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_neumann_cg_breakdown_raises_and_exits_3(rng, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(fem.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+    pde = fem.assemble(fem.build_mesh(4), fem.NEUMANN_HELMHOLTZ)
+    with pytest.raises(fem.SolverBreakdown, match="info=1"):
+        pde.solve(pde.load_map @ rng.normal(size=pde.mesh.num_triangles))
+    assert cli.main(["solve", "--pde", "neumann", "--mesh-n", "4", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: CG failed to converge")
 
 
 def test_solve_adjoint_zero_and_constants():
