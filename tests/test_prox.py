@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from l0control import reference
+from l0control import prox, reference
 from l0control.prox import (
     ProxParams,
     ScalarSolutionSet,
@@ -258,6 +258,22 @@ def test_prox_l1_requires_positive_weight():
         prox_l1(1.0, 0.0, 1.0, 1.0, -1.0, 2.0)
 
 
+def test_prox_l1_and_prox_switch_check_L_and_alpha_as_prox_params_does():
+    g, u = SwitchingPoint(1.0, -0.5), SwitchingPoint(0.2, 0.3)
+    for name, L, alpha in [("L", math.nan, 1.0), ("L", -0.5, 1.0), ("L", math.inf, 1.0),
+                           ("alpha", 1.0, math.nan), ("alpha", 1.0, -0.5), ("alpha", 1.0, math.inf)]:
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite nonnegative real"):
+            ProxParams(L=L, alpha=alpha, beta=0.5)
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite nonnegative real"):
+            prox_l1(1.0, 1.0, L, alpha, 0.5)
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite nonnegative real"):
+            prox_switch(g, u, L, alpha, 0.5)
+    with pytest.raises(ValueError, match=r"L \+ alpha must be positive"):
+        prox_l1(1.0, 1.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match=r"L \+ alpha must be positive"):
+        prox_switch(g, u, 0.0, 0.0, 0.5)
+
+
 def test_prox_l1_matches_reference_randomized(rng):
     for _ in range(400):
         g = rng.uniform(-3, 3)
@@ -459,18 +475,92 @@ def test_convexified_minimizer_escape_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# vectorized variants agree with the scalar canonical selection
+# vectorized variants agree with the scalar API bit for bit
+
+# offsets from a threshold: on it, and 1e-13 either side (inside the TIE_TOL band)
+NEAR = (0.0, -1e-13, 1e-13)
+SIGNED_ZEROS = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+# both argument types the scalar API meets: builtin floats, and numpy scalars from indexing
+CASTS = (float, np.float64)
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that 0.0 and -0.0 differ."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def assert_builtin_floats(values):
+    assert all(type(v) is float for v in values)
+
+
+def zero_threshold(s, b):
+    root = math.sqrt(2.0 * s)
+    return root if root <= b else 0.5 * b + s / b
+
+
+def l0_edge_rows(w, s, b):
+    """(g, u) rows with u = 0, so q = -g/w: |q| on and around the zero threshold, q = +-b."""
+    t = zero_threshold(s, b)
+    magnitudes = [t + d for d in NEAR] + ([] if math.isinf(b) else [b])
+    return SIGNED_ZEROS + [(-sgn * w * m, 0.0) for m in magnitudes for sgn in (1.0, -1.0)]
+
+
+def with_rows(g, u, rows):
+    extra_g, extra_u = zip(*rows)
+    return np.concatenate([g, extra_g]), np.concatenate([u, extra_u])
+
+
+def test_float_primitives_match_numpy_on_special_values():
+    # the scalar API reaches NaN only through overflow, so the primitives are checked directly
+    specials = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan, -math.nan]
+    for x in specials:
+        assert bits(prox._sign(x)) == bits(np.sign(np.float64(x)))
+        for lo, hi in [(-1.0, 1.0), (-3.0, 3.0)]:
+            assert bits(prox._clip(x, lo, hi)) == bits(np.clip(np.float64(x), lo, hi))
+        for y in specials:
+            assert bits(prox._minimum(x, y)) == bits(np.minimum(np.float64(x), np.float64(y)))
+            assert bits(prox._maximum(x, y)) == bits(np.maximum(np.float64(x), np.float64(y)))
+            for cond in (True, False):
+                assert bits(prox._where(cond, x, y)) == bits(np.where(cond, x, y))
 
 
 def test_array_prox_l0_matches_scalar(rng):
-    g = rng.uniform(-4, 4, size=600)
-    u = rng.uniform(-2, 2, size=600)
+    g0 = rng.uniform(-4, 4, size=600)
+    u0 = rng.uniform(-2, 2, size=600)
     for b in (0.7, 2.0, math.inf):
-        for L, alpha, beta in [(0.0, 0.5, 0.3), (1.2, 0.01, 0.02), (0.3, 1.0, 2.0)]:
+        # w = 1 in the first two keeps the edge rows exact; L = 0 in the first
+        for L, alpha, beta in [(0.0, 1.0, 0.3), (0.5, 0.5, 0.5), (1.2, 0.01, 0.02), (0.3, 1.0, 2.0)]:
+            w = L + alpha
+            g, u = with_rows(g0, u0, l0_edge_rows(w, beta / w, b))
             out = prox_l0_array(g, u, L, alpha, beta, b)
-            p = ProxParams(L=L, alpha=alpha, beta=beta, bound=b)
-            for i in range(g.size):
-                assert out[i] == prox_l0(g[i], u[i], p).canonical
+            zero_ok, v, v_ok = prox_l0_set_arrays(g, u, L, alpha, beta, b)
+            for cast in CASTS:
+                p = ProxParams(L=cast(L), alpha=cast(alpha), beta=cast(beta), bound=cast(b))
+                sols = [prox_l0(cast(g[i]), cast(u[i]), p) for i in range(g.size)]
+                assert np.array_equal(bits([sol.canonical for sol in sols]), bits(out))
+                for i, sol in enumerate(sols):
+                    assert_builtin_floats(sol.values + (sol.canonical,))
+                    want = ((0.0,) if zero_ok[i] else ()) + ((v[i],) if v_ok[i] else ())
+                    assert np.array_equal(bits(sol.values), bits(want))
+
+
+def test_box_hard_threshold_matches_array_sets(rng):
+    # with L = 0 and alpha = 1 the array map's argument is (0*u - g)/1: q = -g, and -0.0 from u = -0.0
+    g0 = rng.uniform(-3, 3, size=400)
+    for b in (0.7, 2.0, math.inf):
+        for s in (0.0, 0.3, 2.0):
+            g, u = with_rows(g0, np.zeros(g0.size), l0_edge_rows(1.0, s, b))
+            zero_ok, v, v_ok = prox_l0_set_arrays(g, u, 0.0, 1.0, s, b)
+            q = (0.0 * u - g) / 1.0
+            for cast in CASTS:
+                for i in range(g.size):
+                    sol = box_hard_threshold(cast(q[i]), cast(s), cast(b))
+                    assert_builtin_floats(sol.values)
+                    if s == 0.0 and math.isinf(b):
+                        want = (q[i],)  # the projection, without the tie band
+                    else:
+                        want = ((0.0,) if zero_ok[i] else ()) + ((v[i],) if v_ok[i] else ())
+                    assert np.array_equal(bits(sol.values), bits(want))
 
 
 def test_array_prox_l0_tie_selects_zero():
@@ -483,23 +573,47 @@ def test_array_prox_l0_tie_selects_zero():
 
 
 def test_array_prox_l1_matches_scalar(rng):
-    g = rng.uniform(-4, 4, size=400)
-    u = rng.uniform(-2, 2, size=400)
+    g0 = rng.uniform(-4, 4, size=400)
+    u0 = rng.uniform(-2, 2, size=400)
     for b in (0.7, math.inf):
-        out = prox_l1_array(g, u, 0.8, 0.2, 0.5, b)
-        for i in range(g.size):
-            assert out[i] == prox_l1(g[i], u[i], 0.8, 0.2, 0.5, b)
+        # gamma = 0 is plain projection; L = 0 drops u; w = 1 in all but the last
+        for L, alpha, gamma in [(0.8, 0.2, 0.5), (0.0, 1.0, 0.5), (0.5, 0.5, 0.0), (1.2, 0.3, 0.7)]:
+            w = L + alpha
+            # u = 0 makes z = L*u - g = -g: |z| on and around gamma, and where the output reaches b
+            kinks = [gamma + d for d in NEAR] + ([] if math.isinf(b) else [w * b + gamma])
+            rows = SIGNED_ZEROS + [(-sgn * z, 0.0) for z in kinks for sgn in (1.0, -1.0)]
+            g, u = with_rows(g0, u0, rows)
+            out = prox_l1_array(g, u, L, alpha, gamma, b)
+            for cast in CASTS:
+                vals = [prox_l1(cast(g[i]), cast(u[i]), cast(L), cast(alpha), cast(gamma), cast(b))
+                        for i in range(g.size)]
+                assert_builtin_floats(vals)
+                assert np.array_equal(bits(vals), bits(out))
 
 
 def test_array_prox_switch_matches_scalar(rng):
-    g1 = rng.uniform(-2, 2, size=300)
-    g2 = rng.uniform(-2, 2, size=300)
-    u1 = rng.uniform(-1, 1, size=300)
-    u2 = rng.uniform(-1, 1, size=300)
-    o1, o2 = prox_switch_arrays(g1, g2, u1, u2, 0.7, 0.1, 0.25)
-    for i in range(g1.size):
-        p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]), 0.7, 0.1, 0.25)
-        assert (o1[i], o2[i]) == (p.u1, p.u2)
+    n = 300
+    g1, g2 = rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=n)
+    u1, u2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+    for L, alpha, beta in [(0.7, 0.1, 0.25), (0.0, 1.0, 0.5), (0.5, 0.5, 0.02)]:
+        w = L + alpha
+        # with u = 0, m = -g/w: (w/2)*m1^2 = beta ties the vertex with u1 = 0, and |m1| = |m2|
+        # ties the two one-sided restrictions; signed zeros in g and u
+        edge = math.sqrt(2.0 * beta / w)
+        rows = [(a, b, c, d) for a, b in SIGNED_ZEROS for c, d in SIGNED_ZEROS]
+        rows += [(-s1 * w * (edge + d1), -s2 * w * (edge + d2), 0.0, 0.0)
+                 for d1 in NEAR for d2 in NEAR for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+        rows += [(-w * (edge + d), 0.5, 0.0, 0.0) for d in NEAR]
+        cols = [np.concatenate([x, extra]) for x, extra in zip((g1, g2, u1, u2), zip(*rows))]
+        o1, o2 = prox_switch_arrays(*cols, L, alpha, beta)
+        for cast in CASTS:
+            pts = [prox_switch(SwitchingPoint(cast(cols[0][i]), cast(cols[1][i])),
+                               SwitchingPoint(cast(cols[2][i]), cast(cols[3][i])),
+                               cast(L), cast(alpha), cast(beta))
+                   for i in range(o1.size)]
+            assert_builtin_floats([x for p in pts for x in (p.u1, p.u2)])
+            assert np.array_equal(bits([p.u1 for p in pts]), bits(o1))
+            assert np.array_equal(bits([p.u2 for p in pts]), bits(o2))
 
 
 def test_array_maps_give_same_result_for_0d_and_1_element_input():
