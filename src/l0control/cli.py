@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import experiments as ex
-from . import fem, solver
+from . import fem, problem, solver
 
 
 def _add_common_flags(parser):
@@ -30,9 +30,9 @@ def _add_common_flags(parser):
     parser.add_argument("--bound", type=float, help='box bound on the control (number or "inf")')
     parser.add_argument("--no-bound", action="store_true", default=None, dest="no_bound",
                         help="drop the box constraint (bound = inf)")
-    parser.add_argument("--penalty", choices=["l0", "l1", "switching"], help="penalty kind")
-    parser.add_argument("--pde", choices=["dirichlet", "neumann"], help="state operator")
-    parser.add_argument("--strategy", choices=["fixed", "bt", "btw", "bt0"], help="step-size rule")
+    parser.add_argument("--penalty", choices=problem.PENALTY_KINDS, help="penalty kind")
+    parser.add_argument("--pde", choices=list(ex.PDE_NAMES), help="state operator")
+    parser.add_argument("--strategy", choices=solver.STRATEGY_KINDS, help="step-size rule")
     parser.add_argument("--lhat0", type=float, help="initial prox weight for the adaptive rules")
     parser.add_argument("--theta", type=float, help="weight reduction factor in (0,1)")
     parser.add_argument("--eta", type=float, help="decrease-condition constant")
@@ -138,6 +138,9 @@ def main(argv=None):
         return ex.EXIT_BROKEN_PIPE
     except (ex.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ex.EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return ex.EXIT_CONFIG
     except (solver.StepSearchError, fem.SolverBreakdown) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"pde must be dirichlet|neumann, got {self.pde!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         build_spec(self)
         build_options(self)
         return self
@@ -98,7 +100,11 @@ def parse_config_file(path):
     """
     known = {f.name: f for f in fields(RunConfig)}
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

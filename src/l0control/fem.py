@@ -121,6 +121,7 @@ class ControlField:
         return float(np.count_nonzero(mask)) * self.mesh.triangle_area
 
     def support_measure(self):
+        """Area of {u != 0}; the zero test is exact since prox outputs exact zeros."""
         return self.measure(self.values)
 
     def indicator(self):

@@ -1,11 +1,11 @@
 """Control problems on the unit square: tracking functional, penalties, gradients.
 
 A problem owns the mesh, the assembled operator and the interpolated target,
-and exposes the handful of evaluations the thresholding loop needs: f and its
-adjoint-based gradient (self-adjoint operator, so one extra solve), the
-penalty g, the pointwise prox, and support bookkeeping.  A per-problem
-counter tracks PDE solves: one per state or adjoint solve, so a gradient
-costs 2 and every line-search trial costs 1.
+and exposes the handful of evaluations the thresholding loop needs: f, its
+adjoint-based gradient (self-adjoint operator, so one extra solve) and the
+penalty g.  The control types carry their own support measure and
+indicator.  A per-problem counter tracks PDE solves: one per state or
+adjoint solve, so a gradient costs 2 and every line-search trial costs 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from . import prox as proxmod
 
 L0 = "l0"
 L1 = "l1"
@@ -202,27 +201,7 @@ class ControlProblem:
         quad = u.norm_sq(0.5 * s.alpha)
         if s.penalty == L1:
             return quad + s.beta * self.mesh.triangle_area * float(np.abs(u.values).sum())
-        return quad + s.beta * self.support_measure(u)
-
-    # -- support bookkeeping ----------------------------------------------
-
-    def support_measure(self, u):
-        """Measure of {u != 0}, or of the overlap {u1*u2 != 0} for switching.
-
-        The zero test is exact since prox outputs exact zeros.
-        """
-        return u.support_measure()
-
-    def chi(self, u):
-        return u.indicator()
-
-    def chi_distance(self, chi1, chi2):
-        return chi1.measure(chi1.values != chi2.values)
-
-    def separation_threshold(self, L):
-        return proxmod.separation_threshold(
-            proxmod.ProxParams(L=L, alpha=self.spec.alpha, beta=self.spec.beta, bound=self.spec.bound)
-        )
+        return quad + s.beta * u.support_measure()
 
     def l1_equivalence_check(self, u, tol=1e-8):
         """True iff u is bang-bang: every cell value in {-b, 0, b} up to tol."""

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fem
 from . import problem as problemmod
 from . import prox as proxmod
 
@@ -166,36 +165,33 @@ def descent_ok(F_k, F_next, u_k, u_next, eta):
     return eta * u_next.diff_norm(u_k) ** 2 <= F_k - F_next
 
 
+def _prox_sets(spec, u, grad, L):
+    """Prox set at weight L of every cell of u, as (zero_ok, v, v_ok) in u's value layout.
+
+    0 belongs to a cell's set where zero_ok, the candidate v where v_ok.  The
+    support penalty's prox is set-valued at the threshold; the l1 and
+    switching maps are single-valued, so their set is {v} everywhere.
+    """
+    if spec.penalty == problemmod.L0:
+        return proxmod.prox_l0_set_arrays(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+    if spec.penalty == problemmod.L1:
+        v = proxmod.prox_l1_array(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+    else:
+        v = np.stack(proxmod.prox_switch_arrays(grad.u1, grad.u2, u.u1, u.u2, L, spec.alpha, spec.beta))
+    return False, v, True
+
+
 def iht_step(problem, u_k, grad, L):
     """Exact global solution of the pointwise subproblem at prox weight L.
 
-    Applies the canonical (tie -> 0) scalar prox per cell: hard thresholding
-    for the support penalty, soft thresholding in l1 mode, the 2-vector prox
-    per strip in switching mode.
+    Takes the canonical (tie -> 0) element of the prox set per cell: hard
+    thresholding for the support penalty, soft thresholding in l1 mode, the
+    2-vector prox per strip in switching mode.
     """
-    s = problem.spec
     if L < 0:
         raise ValueError(f"prox weight must be nonnegative, got {L}")
-    if L + s.alpha <= 0:
-        raise ValueError("L + alpha must be positive")
-    if L == 0.0 and s.alpha == 0.0 and math.isinf(s.bound):
-        raise ValueError("L = 0 with alpha = 0 and no bound leaves the subproblem non-coercive")
-    if s.penalty == problemmod.L0:
-        values = proxmod.prox_l0_array(grad.values, u_k.values, L, s.alpha, s.beta, s.bound)
-        return fem.ControlField(u_k.mesh, values)
-    if s.penalty == problemmod.L1:
-        values = proxmod.prox_l1_array(grad.values, u_k.values, L, s.alpha, s.beta, s.bound)
-        return fem.ControlField(u_k.mesh, values)
-    u1, u2 = proxmod.prox_switch_arrays(
-        grad.u1, grad.u2, u_k.u1, u_k.u2, L, s.alpha, s.beta
-    )
-    return problemmod.SwitchingControl(u_k.layout, np.stack([u1, u2]))
-
-
-def _zero_step_legal(spec):
-    # the pointwise prox divides by L + alpha, so the zero-weight trial
-    # needs alpha > 0 no matter the bound
-    return spec.alpha > 0
+    zero_ok, v, _ = _prox_sets(problem.spec, u_k, grad, L)
+    return replace(u_k, values=np.where(zero_ok, 0.0, v))
 
 
 def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
@@ -238,7 +234,9 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
         f_t = problem.eval_f(u_t)
         return strategy.L_fixed, u_t, f_t, 1
 
-    if strategy.kind == BT_0 and _zero_step_legal(problem.spec):
+    # the pointwise prox divides by L + alpha, so the zero-weight trial
+    # needs alpha > 0 no matter the bound
+    if strategy.kind == BT_0 and problem.spec.alpha > 0:
         u_t, f_t, ok = attempt(0.0)
         if ok:
             return 0.0, u_t, f_t, trials
@@ -286,21 +284,10 @@ def fp_residual(problem, u, L, grad=None):
         raise ValueError("L + alpha must be positive")
     if grad is None:
         grad = problem.grad_f(u)
-    w = L + s.alpha
-    if s.penalty == problemmod.L0:
-        zero_ok, v, v_ok = proxmod.prox_l0_set_arrays(
-            grad.values, u.values, L, s.alpha, s.beta, s.bound
-        )
-        dist = np.where(zero_ok, np.abs(u.values), np.inf)
-        dist = np.minimum(dist, np.where(v_ok, np.abs(u.values - v), np.inf))
-        return w * float(dist.max(initial=0.0))
-    if s.penalty == problemmod.L1:
-        v = proxmod.prox_l1_array(grad.values, u.values, L, s.alpha, s.beta, s.bound)
-        return w * float(np.abs(u.values - v).max(initial=0.0))
-    v1, v2 = proxmod.prox_switch_arrays(grad.u1, grad.u2, u.u1, u.u2, L, s.alpha, s.beta)
-    return w * float(
-        max(np.abs(u.u1 - v1).max(initial=0.0), np.abs(u.u2 - v2).max(initial=0.0))
-    )
+    zero_ok, v, v_ok = _prox_sets(s, u, grad, L)
+    dist = np.minimum(np.where(zero_ok, np.abs(u.values), np.inf),
+                      np.where(v_ok, np.abs(u.values - v), np.inf))
+    return (L + s.alpha) * float(dist.max(initial=0.0))
 
 
 def run(problem, options: SolverOptions = None, compute_fp_residual=True):
@@ -319,7 +306,7 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     f_k, grad = problem.value_and_grad(u)
     F_k = f_k + problem.eval_g(u)
     initial_F = F_k
-    chi_prev = problem.chi(u)
+    chi_prev = u.indicator()
 
     records = []
     termination = MAX_ITERATIONS
@@ -338,7 +325,7 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
         F_next = f_next + g_next
         if not math.isfinite(F_next):
             raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
-        chi_next = problem.chi(u_next)
+        chi_next = u_next.indicator()
         records.append(
             IterationRecord(
                 k=k,
@@ -347,9 +334,9 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 f=f_next,
                 g=g_next,
                 F=F_next,
-                support=problem.support_measure(u_next),
+                support=u_next.support_measure(),
                 step_norm=u_next.diff_norm(u),
-                chi_dist=problem.chi_distance(chi_prev, chi_next),
+                chi_dist=chi_prev.measure(chi_prev.values != chi_next.values),
                 pde_solves=problem.budget.count,
             )
         )

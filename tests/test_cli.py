@@ -118,6 +118,29 @@ def test_infinite_tol_exits_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe x\n")
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cfg) in err and err.count("\n") == 1
+
+
+def test_unallocatable_mesh_exits_2(tmp_path, capsys):
+    # the mesh's first array would take 8e18 bytes, beyond the virtual address
+    # space of any 64-bit host (at most 2^57 bytes), so the request fails at
+    # once and nothing is allocated
+    assert cli.main(["solve", "--mesh-n", str(10**18), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory:") and "allocate" in err and err.count("\n") == 1
+
+
+def test_negative_seed_exits_2(capsys):
+    assert cli.main(["selftest", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
 def test_unusable_out_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     def must_not_run(config):
         raise AssertionError("solved before the output directory was checked")

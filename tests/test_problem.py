@@ -178,17 +178,17 @@ def test_eval_g_l1_mode(rng):
 def test_support_measure_and_chi():
     p = ControlProblem(benchmark_spec(mesh_n=4))
     zero = p.zero_control()
-    assert p.support_measure(zero) == 0.0
+    assert zero.support_measure() == 0.0
     full = fem.ControlField(p.mesh, np.ones(p.mesh.num_triangles))
-    assert p.support_measure(full) == pytest.approx(1.0)
-    chi = p.chi(full)
+    assert full.support_measure() == pytest.approx(1.0)
+    chi = full.indicator()
     assert set(np.unique(chi.values)) == {1.0}
     half = np.zeros(p.mesh.num_triangles)
     half[::2] = 1.0
-    c1 = p.chi(fem.ControlField(p.mesh, half))
-    c2 = p.chi(fem.ControlField(p.mesh, 1.0 - half))
-    assert p.chi_distance(c1, c2) == pytest.approx(1.0)
-    assert p.chi_distance(c1, c1) == 0.0
+    c1 = fem.ControlField(p.mesh, half).indicator()
+    c2 = fem.ControlField(p.mesh, 1.0 - half).indicator()
+    assert c1.measure(c1.values != c2.values) == pytest.approx(1.0)
+    assert c1.measure(c1.values != c1.values) == 0.0
 
 
 def test_l1_equivalence_check():
@@ -204,7 +204,7 @@ def test_l1_equivalence_check():
     u = fem.ControlField(p.mesh, bang)
     assert p.l1_equivalence_check(u)
     # the key identity b*||u||_0 = ||u||_L1 for bang-bang fields
-    assert b * p.support_measure(u) == pytest.approx(
+    assert b * u.support_measure() == pytest.approx(
         p.mesh.triangle_area * np.abs(bang).sum(), abs=1e-10
     )
     with pytest.raises(ValueError):
@@ -284,13 +284,13 @@ def switching_spec(beta=0.01, n=8):
 def test_switching_zero_control_and_overlap():
     p = ControlProblem(switching_spec())
     z = p.zero_control()
-    assert p.support_measure(z) == 0.0
+    assert z.support_measure() == 0.0
     assert p.eval_g(z) == 0.0
     vals = np.zeros((2, 8))
     vals[0, :4] = 1.0
     vals[1, 2:6] = 1.0
     u = SwitchingControl(p.layout, vals)
-    assert p.support_measure(u) == pytest.approx(2 / 8)
+    assert u.support_measure() == pytest.approx(2 / 8)
     expect = 0.5 * 1e-5 * (vals**2).sum() / 8 + 0.01 * 2 / 8
     assert p.eval_g(u) == pytest.approx(expect, rel=1e-12)
 
@@ -312,7 +312,7 @@ def test_switching_chi_distance():
     p = ControlProblem(switching_spec())
     a = np.zeros((2, 8)); a[0, :] = 1.0; a[1, :4] = 1.0
     b = np.zeros((2, 8)); b[0, :] = 1.0; b[1, 2:6] = 1.0
-    ca = p.chi(SwitchingControl(p.layout, a))
-    cb = p.chi(SwitchingControl(p.layout, b))
+    ca = SwitchingControl(p.layout, a).indicator()
+    cb = SwitchingControl(p.layout, b).indicator()
     assert ca.values.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
-    assert p.chi_distance(ca, cb) == pytest.approx(4 / 8)
+    assert ca.measure(ca.values != cb.values) == pytest.approx(4 / 8)

@@ -1,6 +1,8 @@
 """Thresholding iteration: steps, strategies, logging, diagnostics."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +12,21 @@ from l0control.problem import (
     ControlProblem,
     EvaluationBudget,
     ProblemSpec,
+    SwitchingControl,
     default_target,
     switching_target,
     unsolvable_target,
     zero_target,
 )
-from l0control.prox import ProxParams, prox_l0, separation_threshold
+from l0control.prox import (
+    ProxParams,
+    prox_l0,
+    prox_l0_array,
+    prox_l0_set_arrays,
+    prox_l1_array,
+    prox_switch_arrays,
+    separation_threshold,
+)
 from l0control.solver import (
     NonFiniteError,
     SolverOptions,
@@ -72,15 +83,6 @@ class ToyProblem:
         s = self.spec
         quad = 0.5 * s.alpha * fem.l2_norm_control(u) ** 2
         return quad + s.beta * u.support_measure()
-
-    def support_measure(self, u):
-        return u.support_measure()
-
-    def chi(self, u):
-        return fem.ControlField(self.mesh, (u.values != 0.0).astype(float))
-
-    def chi_distance(self, a, b):
-        return self.mesh.triangle_area * float(np.count_nonzero(a.values != b.values))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +182,95 @@ def test_iht_step_is_global_subproblem_minimizer(rng):
         samples[rng.uniform(size=samples.shape) < 0.3] = 0.0
         for vals in samples:
             assert best <= subproblem_value(vals, grad, u_k, L) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one prox dispatch against the former per-penalty branches
+
+
+def _branch_iht_step(spec, u_k, grad, L):
+    """Oracle: the step as three per-penalty branches, one array map each."""
+    if spec.penalty == "l0":
+        return prox_l0_array(grad.values, u_k.values, L, spec.alpha, spec.beta, spec.bound)
+    if spec.penalty == "l1":
+        return prox_l1_array(grad.values, u_k.values, L, spec.alpha, spec.beta, spec.bound)
+    return np.stack(prox_switch_arrays(grad.u1, grad.u2, u_k.u1, u_k.u2, L, spec.alpha, spec.beta))
+
+
+def _branch_fp_residual(spec, u, grad, L):
+    """Oracle: the residual as three per-penalty branches."""
+    w = L + spec.alpha
+    if spec.penalty == "l0":
+        zero_ok, v, v_ok = prox_l0_set_arrays(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+        dist = np.where(zero_ok, np.abs(u.values), np.inf)
+        dist = np.minimum(dist, np.where(v_ok, np.abs(u.values - v), np.inf))
+        return w * float(dist.max(initial=0.0))
+    if spec.penalty == "l1":
+        v = prox_l1_array(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+        return w * float(np.abs(u.values - v).max(initial=0.0))
+    v1, v2 = prox_switch_arrays(grad.u1, grad.u2, u.u1, u.u2, L, spec.alpha, spec.beta)
+    return w * float(max(np.abs(u.u1 - v1).max(initial=0.0), np.abs(u.u2 - v2).max(initial=0.0)))
+
+
+def _bits(x):
+    """Bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _edge_cells(L, alpha, beta, bound, rng):
+    """(u, g) per cell: every shifted argument q = (L*u - g)/(L+alpha) that ends
+    on a threshold of one of the three maps, 1e-13 and 2e-12 either side of it,
+    on and past the bound, at +-0.0, with u = +-0.0; then random cells."""
+    w = L + alpha
+    thresholds = [math.sqrt(2.0 * beta / w), beta / w]
+    if not math.isinf(bound):
+        thresholds += [0.5 * bound + beta / w / bound, bound, 1.5 * bound]
+    qs = [0.0, -0.0] + [t + d for t in thresholds for d in (0.0, 1e-13, -1e-13, 2e-12, -2e-12)]
+    qs += [-q for q in qs[2:]]
+    # with u = +-0.0 and w a power of two, q = -g/w holds exactly
+    u = np.array([0.0, -0.0] * len(qs))
+    g = np.repeat(-w * np.array(qs), 2)
+    u = np.concatenate([u, rng.normal(size=40)])
+    g = np.concatenate([g, rng.normal(size=40)])
+    return u, g
+
+
+@pytest.mark.parametrize("L, alpha, beta, bound", [
+    (0.75, 0.25, 0.3, math.inf),
+    (0.75, 0.25, 0.3, 0.5),      # sqrt(2s) > b: the bounded zero threshold
+    (0.0, 0.5, 0.1, 2.0),        # L = 0 with alpha > 0
+    (1.5, 0.5, 0.02, 1.0),
+])
+@pytest.mark.parametrize("penalty", ["l0", "l1", "switching"])
+def test_prox_dispatch_matches_per_penalty_branches_bit_for_bit(penalty, L, alpha, beta, bound):
+    rng = np.random.default_rng(7)
+    spec = ProblemSpec(alpha=alpha, beta=beta, bound=bound, penalty=penalty, mesh_n=4)
+    problem = SimpleNamespace(spec=spec)
+    u, g = _edge_cells(L, alpha, beta, bound, rng)
+    # the step and the residual never read the mesh or the strip layout
+    if penalty == "switching":
+        # each edge cell beside itself, its other-signed-u twin and a random partner
+        i = np.tile(np.arange(u.size), 3)
+        j = np.concatenate([np.arange(u.size), np.arange(u.size) ^ 1, rng.permutation(u.size)])
+        u_k = SwitchingControl(None, np.stack([u[i], u[j]]))
+        grad = SwitchingControl(None, np.stack([g[i], g[j]]))
+    else:
+        u_k, grad = fem.ControlField(None, u), fem.ControlField(None, g)
+    step = iht_step(problem, u_k, grad, L)
+    assert type(step) is type(u_k) and step.values.shape == u_k.values.shape
+    np.testing.assert_array_equal(_bits(step.values), _bits(_branch_iht_step(spec, u_k, grad, L)))
+
+    def residuals_agree(at, g_at):
+        return _bits(fp_residual(problem, at, L, grad=g_at)) == _bits(_branch_fp_residual(spec, at, g_at, L))
+
+    # the residual at the edge cells, at the step they give and at random
+    # controls, over the whole field and one cell (strip) at a time
+    for values in [u_k.values, step.values, rng.normal(size=u_k.values.shape)]:
+        at = replace(u_k, values=values)
+        assert residuals_agree(at, grad)
+        for c in range(values.shape[-1]):
+            cell = np.s_[..., c:c + 1]
+            assert residuals_agree(replace(at, values=values[cell]), replace(grad, values=grad.values[cell])), c
 
 
 # ---------------------------------------------------------------------------
