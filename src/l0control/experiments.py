@@ -196,13 +196,29 @@ _BLOCK = 2048
 
 def _column(col):
     """(printf spec, values) of one column; float and int arrays skip _fmt."""
-    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
-        return ("%.12g" if col.dtype.kind == "f" else "%d"), col
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return "%s", _distinct_formatted(col)
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return "%d", col
     values = [_fmt(v) for v in col]
     for v in values:
         if any(c in v for c in _UNQUOTABLE):
             raise ValueError(f"CSV field {v!r} would need quoting")
     return "%s", values
+
+
+def _distinct_formatted(col):
+    """The "%.12g" strings of a float array, each distinct value formatted once.
+
+    Values are told apart by their float64 bit patterns, so -0.0 still prints
+    "-0"; every NaN prints "nan".  A mesh's centroid columns hold 2n distinct
+    values in 2n^2 rows.
+    """
+    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    # no "%.12g" string holds a newline
+    strings = ("%.12g\n" * distinct.size % tuple(distinct.view(np.float64).tolist())).split("\n")
+    return np.array(strings[:-1], dtype=object)[inverse]
 
 
 def _write_csv(path, header, columns):

@@ -25,6 +25,7 @@ W = diag(1/2, 1, ..., 1, 1/2), exactly; that preconditions CG on K + M.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,28 @@ class ControlField:
         return ControlField(self.mesh, (self.values != 0.0).astype(float))
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def build_mesh(n):
     """Triangulate (0,1)^2 with n subdivisions per side (2*n^2 triangles)."""
     if n < 1:
         raise ValueError(f"mesh subdivisions must be >= 1, got {n}")
     k = n + 1
+    # the float node array and the int64 triangle array, counted in Python ints
+    # before any of them is allocated (numpy's own shape product can overflow)
+    nbytes = 8 * (2 * k * k + 6 * n * n)
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        raise MemoryError(
+            f"cannot allocate the n={n} mesh: its node and triangle arrays take {nbytes} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
     xs = np.linspace(0.0, 1.0, k)
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
@@ -208,14 +226,8 @@ class AssembledPDE:
     _solver: object
 
     def solve(self, rhs):
-        """Solve system * y = rhs (full nodal rhs); Dirichlet rows return 0."""
-        reduced = rhs[self.free_nodes]
-        if reduced.size == 0:
-            return np.zeros(self.mesh.num_nodes)
-        sol = self._solver(reduced)
-        out = np.zeros(self.mesh.num_nodes)
-        out[self.free_nodes] = sol
-        return out
+        """Solve system * y = rhs (full nodal rhs, left unchanged); Dirichlet rows return 0."""
+        return self._solver(rhs)
 
 
 def _eigenvalue_line(n):
@@ -225,14 +237,28 @@ def _eigenvalue_line(n):
 
 
 def _dirichlet_poisson_solver(n):
-    """Exact solve of the 5-point stencil on the (n-1)^2 interior nodes (row-major)."""
+    """Exact solve of the 5-point stencil on the (n-1)^2 interior nodes.
+
+    Takes the full nodal rhs and transforms its interior view of the node
+    grid; the solution goes into the interior of a zeroed grid, so the
+    boundary rows of the rhs are ignored and those of the result are 0.
+    """
     # imported here so that importing the package does not load scipy.fft
     from scipy.fft import dstn, idstn
 
-    m = n - 1
+    k = n + 1
     line = _eigenvalue_line(n)[1:-1]
     eigenvalues = line[:, None] + line[None, :]
-    return lambda rhs: idstn(dstn(rhs.reshape(m, m), type=1) / eigenvalues, type=1).ravel()
+
+    def solve(rhs):
+        out = np.zeros((k, k))
+        if n > 1:
+            coeffs = dstn(rhs.reshape(k, k)[1:-1, 1:-1], type=1)
+            coeffs /= eigenvalues
+            out[1:-1, 1:-1] = idstn(coeffs, type=1, overwrite_x=True)
+        return out.ravel()
+
+    return solve
 
 
 def _neumann_helmholtz_solver(system, n):
@@ -250,6 +276,7 @@ def _neumann_helmholtz_solver(system, n):
     precond = spla.LinearOperator(system.shape, matvec=lambda r: idctn(
         dctn(r.reshape(n + 1, n + 1) / weights, type=1) / eigenvalues, type=1).ravel())
 
+    # every node is free, so CG's solution is the nodal result
     def cg_solve(rhs):
         sol, info = spla.cg(system, rhs, rtol=1e-13, atol=0.0, M=precond)
         if info != 0:

@@ -34,7 +34,7 @@ deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def _weight(L, alpha):
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScalarSolutionSet:
     """Solution set of a scalar thresholding problem: 1 or 2 values.
 
@@ -109,10 +109,10 @@ class ScalarSolutionSet:
     """
 
     values: tuple
-    canonical: float = field(init=False)
+    canonical: float
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.values))
+    def __init__(self, values):
+        vals = tuple(map(float, values))
         if len(vals) == 1:
             canonical = vals[0]
         elif len(vals) == 2 and 0.0 in vals:

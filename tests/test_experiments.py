@@ -176,6 +176,33 @@ def test_writer_blocks_match_csv_writer(tmp_path):
         assert_same_bytes(tmp_path, ["i", "x", "label"], [np.arange(nrows), floats, labels])
 
 
+def per_value_reference(header, columns):
+    """CSV bytes with every float formatted on its own by format(x, ".12g")."""
+    def field(v):
+        return format(float(v), ".12g") if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(field, row)) for row in zip(*columns)]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_writer_distinct_values_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(15)
+    nan_payload, neg_nan = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+    pool = np.array(EDGE_FLOATS + [2.2e-308 / 3, -1e-310, nan_payload, neg_nan])
+    header = ["i", "x", "x32", "centroid", "label"]
+    for nrows in (0, 1, 7, 2 * ex._BLOCK + 5):
+        x = rng.choice(pool, size=nrows)
+        # float32 values and subnormals, repeated, with the pool's -0.0, NaN and inf cast along
+        x32 = np.concatenate([pool.astype(np.float32), np.array([1e-45, -3e-39], dtype=np.float32)])
+        x32 = rng.choice(x32, size=nrows)
+        centroid = ((np.arange(nrows) % 5) + 1.0 / 3.0) / 5
+        columns = [np.arange(nrows), x, x32, centroid, [f"r{i % 3}" for i in range(nrows)]]
+        ex._write_csv(tmp_path / "new.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == per_value_reference(header, columns), nrows
+    ex._write_csv(tmp_path / "zeros.csv", ["x"], [np.array([-0.0, 0.0, -0.0, math.nan, neg_nan])])
+    assert (tmp_path / "zeros.csv").read_bytes() == b"x\r\n-0\r\n0\r\n-0\r\nnan\r\nnan\r\n"
+
+
 def test_writer_header_only_file(tmp_path):
     assert_same_bytes(tmp_path, ["beta", "support"], list(zip(*[])))
     assert_same_bytes(tmp_path, ["beta", "support"], [np.array([]), np.array([], dtype=int)])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ def test_build_mesh_fine_level():
 def test_build_mesh_rejects_zero():
     with pytest.raises(ValueError):
         fem.build_mesh(0)
+
+
+def test_unallocatable_mesh_allocates_nothing():
+    # (10^8 + 1)^2 nodes: the node coordinates alone would take 1.6e17 bytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="allocate"):
+            fem.build_mesh(10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_triangle_areas_positive_and_uniform():
@@ -181,6 +194,34 @@ def test_free_nodes_are_the_interior_nodes():
         free = fem.assemble(mesh, fem.DIRICHLET_POISSON).free_nodes
         assert np.array_equal(free, np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)), n
         assert np.array_equal(fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ).free_nodes, np.arange(mesh.num_nodes))
+
+
+def gather_scatter_solve(mesh, rhs):
+    """The Dirichlet solve through index arrays: gather the interior rhs, transform, scatter back."""
+    from scipy.fft import dstn, idstn
+
+    n, m = mesh.n, mesh.n - 1
+    free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+    out = np.zeros(mesh.num_nodes)
+    if free.size:
+        line = fem._eigenvalue_line(n)[1:-1]
+        eigenvalues = line[:, None] + line[None, :]
+        out[free] = idstn(dstn(rhs[free].reshape(m, m), type=1) / eigenvalues, type=1).ravel()
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 320])
+def test_dirichlet_view_solve_matches_gather_scatter_bitwise(n):
+    pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
+    # nonzero boundary entries too: the solve must ignore them
+    rhs = np.random.default_rng(n).normal(size=pde.mesh.num_nodes)
+    before = rhs.copy()
+    y = pde.solve(rhs)
+    assert np.array_equal(rhs.view(np.int64), before.view(np.int64))
+    assert np.array_equal(y.view(np.int64), gather_scatter_solve(pde.mesh, rhs).view(np.int64))
+    again = pde.solve(rhs)
+    assert np.array_equal(again.view(np.int64), y.view(np.int64))
+    assert not np.shares_memory(y, again) and not np.shares_memory(y, rhs)
 
 
 def test_dirichlet_spectral_solve_matches_lu(rng):
