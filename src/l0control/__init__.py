@@ -21,7 +21,6 @@ from .fem import (
     l2_inner_control,
     l2_norm_control,
     l2_norm_state,
-    solve_state,
 )
 from .problem import (
     L0,

@@ -7,8 +7,8 @@ lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
 the longest edge is h = sqrt(2)/n.
 
 States are P1 nodal fields, controls are piecewise constants on triangles.
-Two operators are assembled: the Dirichlet Laplacian (-lap y = u, y = 0 on
-the boundary, eliminated symmetrically) and the Neumann Helmholtz operator
+Two operators are solved: the Dirichlet Laplacian (-lap y = u on the
+interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
 stiffness and the mass are 7-diagonal stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
@@ -17,9 +17,11 @@ built as diagonal matrices.  Per-triangle values of nodal fields come from
 node-grid slices too, not from a gather through the triangle list.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
-Poisson solver of Buzbee, Golub and Nielson, 1970).  A type-I cosine transform
-inverts the Neumann stiffness plus the lumped mass, K + W(x)W/n^2 with
-W = diag(1/2, 1, ..., 1, 1/2), exactly; that preconditions CG on K + M.
+Poisson solver of Buzbee, Golub and Nielson, 1970), so the Dirichlet set-up
+builds no stiffness matrix.  A type-I cosine transform inverts the Neumann
+stiffness plus the lumped mass, K + W(x)W/n^2 with W = diag(1/2, 1, ..., 1, 1/2),
+exactly; that preconditions CG on K + M.  scipy is imported inside the
+functions that use it, so importing the package loads none of it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 DIRICHLET_POISSON = "dirichlet_poisson"
 NEUMANN_HELMHOLTZ = "neumann_helmholtz"
@@ -45,7 +45,6 @@ __all__ = [
     "SolverBreakdown",
     "build_mesh",
     "assemble",
-    "solve_state",
     "element_means",
     "interpolate_nodal",
     "l2_norm_state",
@@ -183,6 +182,8 @@ def _stencil_matrix(mesh, local):
     before upper).  The result is the 7-diagonal matrix that a COO scatter of
     the element matrices gives, without the scatter.
     """
+    import scipy.sparse as sp
+
     n, k = mesh.n, mesh.n + 1
     corners = [(c, t, i) for t, tri in enumerate(_SQUARE_TRIANGLES) for i, c in enumerate(tri)]
     # a node is corner (dx, dy) of the square (dx, dy) steps to its lower left,
@@ -205,6 +206,8 @@ def _stencil_matrix(mesh, local):
 
 def _load_map(mesh):
     """Sparse map from cell values to nodal loads: entries area/3 per vertex."""
+    import scipy.sparse as sp
+
     t = mesh.num_triangles
     data = np.full(3 * t, mesh.triangle_area / 3.0)
     # column j holds triangle j's vertices; the conversion to rows lists each
@@ -215,18 +218,21 @@ def _load_map(mesh):
 
 @dataclass(eq=False)
 class AssembledPDE:
-    """Assembled operator, mass matrix, control-to-load map and solver state."""
+    """Mass matrix, control-to-load map (both CSR) and the operator's solver on one mesh."""
 
     mesh: Mesh
     pde_kind: str
-    system: sp.csr_matrix
-    mass: sp.csr_matrix
-    load_map: sp.csr_matrix
-    free_nodes: np.ndarray
+    mass: object
+    load_map: object
     _solver: object
 
     def solve(self, rhs):
-        """Solve system * y = rhs (full nodal rhs, left unchanged); Dirichlet rows return 0."""
+        """Nodal solution for a full nodal rhs, which is left unchanged.
+
+        Dirichlet: the 5-point stencil on the interior rows of rhs; its
+        boundary rows are ignored and those of the result are 0.
+        Neumann: K + M on every node.
+        """
         return self._solver(rhs)
 
 
@@ -243,7 +249,6 @@ def _dirichlet_poisson_solver(n):
     grid; the solution goes into the interior of a zeroed grid, so the
     boundary rows of the rhs are ignored and those of the result are 0.
     """
-    # imported here so that importing the package does not load scipy.fft
     from scipy.fft import dstn, idstn
 
     k = n + 1
@@ -267,7 +272,7 @@ def _neumann_helmholtz_solver(system, n):
     K = W(x)K1 + K1(x)W with K1 the 1-D Neumann second difference, so
     K + W(x)W/n^2 = (W(x)W)(A(x)I + I(x)A + I/n^2), and DCT-I diagonalizes A = W^-1 K1.
     """
-    # imported here so that importing the package does not load scipy.fft
+    import scipy.sparse.linalg as spla
     from scipy.fft import dctn, idctn
 
     w = np.r_[0.5, np.ones(n - 1), 0.5]
@@ -276,7 +281,7 @@ def _neumann_helmholtz_solver(system, n):
     precond = spla.LinearOperator(system.shape, matvec=lambda r: idctn(
         dctn(r.reshape(n + 1, n + 1) / weights, type=1) / eigenvalues, type=1).ravel())
 
-    # every node is free, so CG's solution is the nodal result
+    # the Neumann operator has an unknown at every node, so CG's solution is the nodal result
     def cg_solve(rhs):
         sol, info = spla.cg(system, rhs, rtol=1e-13, atol=0.0, M=precond)
         if info != 0:
@@ -287,42 +292,21 @@ def _neumann_helmholtz_solver(system, n):
 
 
 def assemble(mesh, pde_kind):
-    """Assemble the chosen operator and prepare a reusable linear solver."""
+    """Assemble the mass and the load map and prepare a reusable solver for the operator.
+
+    Only the Neumann operator assembles its stiffness: the CG multiplies by
+    K + M.  The Dirichlet solve is a transform and reads no matrix.
+    """
     if pde_kind not in (DIRICHLET_POISSON, NEUMANN_HELMHOLTZ):
         raise ValueError(f"unknown pde kind {pde_kind!r}")
-    stiffness = _stencil_matrix(mesh, _STIFFNESS_LOCAL)
     # the P1 mass matrix (1 + delta_ij) a/12 is the same on both triangles
     m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
     mass = _stencil_matrix(mesh, (m_local, m_local))
-    load_map = _load_map(mesh)
-
     if pde_kind == DIRICHLET_POISSON:
-        inner = np.arange(1, mesh.n)
-        free = (inner[:, None] * (mesh.n + 1) + inner).ravel()
-        system = stiffness
         solver = _dirichlet_poisson_solver(mesh.n)
     else:
-        free = np.arange(mesh.num_nodes)
-        system = (stiffness + mass).tocsr()
-        solver = _neumann_helmholtz_solver(system, mesh.n)
-
-    return AssembledPDE(
-        mesh=mesh,
-        pde_kind=pde_kind,
-        system=system,
-        mass=mass,
-        load_map=load_map,
-        free_nodes=free,
-        _solver=solver,
-    )
-
-
-def solve_state(pde, u: ControlField):
-    """State solve: system * y = load(u)."""
-    if u.mesh is not pde.mesh:
-        raise ValueError("control lives on a different mesh")
-    rhs = pde.load_map @ u.values
-    return StateField(pde.mesh, pde.solve(rhs))
+        solver = _neumann_helmholtz_solver(_stencil_matrix(mesh, _STIFFNESS_LOCAL) + mass, mesh.n)
+    return AssembledPDE(mesh=mesh, pde_kind=pde_kind, mass=mass, load_map=_load_map(mesh), _solver=solver)
 
 
 def _per_triangle(mesh, values, fn):

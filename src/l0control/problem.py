@@ -163,7 +163,8 @@ class ControlProblem:
             return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
         return SwitchingControl(self.layout, np.zeros((2, self.mesh.n)))
 
-    def _state(self, u):
+    def state(self, u):
+        """State y_u: one PDE solve for the control's load."""
         cells = u.values if self.layout is None else self.layout.cell_values(u.u1, u.u2)
         y = fem.StateField(self.mesh, self.pde.solve(self.pde.load_map @ cells))
         self.budget.add(1)
@@ -176,7 +177,7 @@ class ControlProblem:
 
     def eval_f(self, u):
         """Tracking value 0.5*||y_u - y_d||^2 (one PDE solve)."""
-        return self._tracking(self._state(u))[0]
+        return self._tracking(self.state(u))[0]
 
     def value_and_grad(self, u):
         """f and its gradient on the control space (two PDE solves).
@@ -185,7 +186,7 @@ class ControlProblem:
         the adjoint state averaged per triangle, or integrated over each
         band-strip cell and scaled by n for the strip controls.
         """
-        f, mr = self._tracking(self._state(u))
+        f, mr = self._tracking(self.state(u))
         p = fem.StateField(self.mesh, self.pde.solve(mr))
         self.budget.add(1)
         if self.layout is None:

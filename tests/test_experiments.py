@@ -92,6 +92,7 @@ def test_vertex_rule_objective_reports_interior_misfit(tmp_path):
     problem = ControlProblem(spec)
     u = problem.zero_control()
     fv = ex.vertex_rule_objective(problem, u)
+    assert problem.budget.count == 0  # a diagnostic: its state solve is not counted
     yd = problem.target.values.copy()
     yd[problem.mesh.boundary_nodes] = 0.0
     lump = np.asarray(problem.pde.mass.sum(axis=1)).ravel()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,12 +48,34 @@ def coo_assembly(mesh):
     return stiffness, mass, load
 
 
+# what the assembled operator does not keep, built here for the checks
+
+
+def interior_nodes(mesh):
+    """The Dirichlet unknowns: every node off the boundary."""
+    return np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+
+
+def stiffness_matrix(mesh):
+    return fem._stencil_matrix(mesh, fem._STIFFNESS_LOCAL)
+
+
+def system_matrix(pde):
+    """The matrix pde.solve inverts: the stiffness (Dirichlet, on its interior rows and columns) or K + M (Neumann)."""
+    stiffness = stiffness_matrix(pde.mesh)
+    return stiffness if pde.pde_kind == fem.DIRICHLET_POISSON else stiffness + pde.mass
+
+
+def solve_state(pde, u):
+    return fem.StateField(pde.mesh, pde.solve(pde.load_map @ u.values))
+
+
 def manufactured_error(n):
     mesh = fem.build_mesh(n)
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
     cent = mesh.centroids()
     u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
-    y = fem.solve_state(pde, u)
+    y = solve_state(pde, u)
     exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
     return fem.l2_norm_state(fem.StateField(mesh, y.values - exact.values))
 
@@ -106,24 +129,31 @@ def test_triangle_areas_positive_and_uniform():
 
 def test_assemble_degenerate_dirichlet_mesh():
     pde = fem.assemble(fem.build_mesh(1), fem.DIRICHLET_POISSON)
-    assert pde.free_nodes.size == 0
-    y = fem.solve_state(pde, fem.ControlField(pde.mesh, np.ones(2)))
+    y = solve_state(pde, fem.ControlField(pde.mesh, np.ones(2)))
+    # no interior node: a full nodal result, all of it boundary zeros
+    assert y.values.shape == (4,)
     assert np.all(y.values == 0.0)
 
 
 def test_assemble_interior_stencil_n2():
     pde = fem.assemble(fem.build_mesh(2), fem.DIRICHLET_POISSON)
-    assert pde.free_nodes.size == 1
-    inner = pde.system[pde.free_nodes][:, pde.free_nodes].toarray()
+    fr = interior_nodes(pde.mesh)
+    inner = stiffness_matrix(pde.mesh)[fr][:, fr].toarray()
     assert inner == pytest.approx(np.array([[4.0]]))
+    # one unknown, the centre node, solved by that 1x1 stencil
+    y = pde.solve(np.ones(9))
+    assert np.flatnonzero(y).tolist() == [4]
+    assert y[4] == pytest.approx(0.25)
 
 
 def test_assemble_neumann_positive_definite(rng):
     pde = fem.assemble(fem.build_mesh(2), fem.NEUMANN_HELMHOLTZ)
-    assert pde.free_nodes.size == 9
+    # an unknown at every node: the constant load mass @ 1 solves to 1 everywhere
+    assert np.abs(pde.solve(pde.mass @ np.ones(9)) - 1.0).max() <= 1e-12
+    system = system_matrix(pde)
     for _ in range(10):
         v = rng.normal(size=9)
-        assert v @ (pde.system @ v) > 0
+        assert v @ (system @ v) > 0
         assert v @ (pde.mass @ v) > 0
 
 
@@ -144,17 +174,20 @@ def test_dirichlet_stiffness_is_five_point_stencil():
     # the stiffness is built from the stencil, not from rounded node
     # coordinates, so it matches exactly at every n, dyadic or not
     for n in range(2, 41):
-        pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
-        fr = pde.free_nodes
-        diff = abs(pde.system[fr][:, fr] - five_point_stencil(n)).max()
+        mesh = fem.build_mesh(n)
+        fr = interior_nodes(mesh)
+        diff = abs(stiffness_matrix(mesh)[fr][:, fr] - five_point_stencil(n)).max()
         assert diff == 0.0, n
 
 
 def stencil_build(n):
     mesh = fem.build_mesh(n)
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    stiffness = pde.system
-    assert (fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ).system != stiffness + pde.mass).nnz == 0
+    stiffness = stiffness_matrix(mesh)
+    # the matrix that the Neumann assemble hands its CG solver
+    with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
+        fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
+    assert (spy.call_args.args[0] != stiffness + pde.mass).nnz == 0
     return mesh, (stiffness, pde.mass, pde.load_map)
 
 
@@ -188,12 +221,12 @@ def test_stencil_build_near_coo_scatter_at_rounded_n():
         assert same_pattern(load, load_old) and np.array_equal(load.data, load_old.data), n
 
 
-def test_free_nodes_are_the_interior_nodes():
-    for n in (1, 2, 3, 7, 16):
-        mesh = fem.build_mesh(n)
-        free = fem.assemble(mesh, fem.DIRICHLET_POISSON).free_nodes
-        assert np.array_equal(free, np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)), n
-        assert np.array_equal(fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ).free_nodes, np.arange(mesh.num_nodes))
+def test_dirichlet_assemble_builds_only_the_mass():
+    # the Dirichlet transform reads no stiffness; the Neumann CG reads K + M
+    for kind, stiffness_built in ((fem.DIRICHLET_POISSON, [False]), (fem.NEUMANN_HELMHOLTZ, [False, True])):
+        with mock.patch.object(fem, "_stencil_matrix", wraps=fem._stencil_matrix) as spy:
+            fem.assemble(fem.build_mesh(8), kind)
+        assert [call.args[1] is fem._STIFFNESS_LOCAL for call in spy.call_args_list] == stiffness_built, kind
 
 
 def gather_scatter_solve(mesh, rhs):
@@ -201,7 +234,7 @@ def gather_scatter_solve(mesh, rhs):
     from scipy.fft import dstn, idstn
 
     n, m = mesh.n, mesh.n - 1
-    free = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+    free = interior_nodes(mesh)
     out = np.zeros(mesh.num_nodes)
     if free.size:
         line = fem._eigenvalue_line(n)[1:-1]
@@ -231,11 +264,11 @@ def test_dirichlet_spectral_solve_matches_lu(rng):
         y = pde.solve(rhs)
         boundary = pde.mesh.boundary_nodes
         assert np.all(y[boundary] == 0.0)
-        fr = pde.free_nodes
+        fr = interior_nodes(pde.mesh)
         if fr.size == 0:
             assert np.all(y == 0.0)
             continue
-        oracle = spla.splu(pde.system[fr][:, fr].tocsc()).solve(rhs[fr])
+        oracle = spla.splu(system_matrix(pde)[fr][:, fr].tocsc()).solve(rhs[fr])
         assert np.abs(y[fr] - oracle).max() <= 1e-12 * np.abs(oracle).max(), n
 
 
@@ -247,7 +280,7 @@ def test_dirichlet_spectral_solve_free_of_cancellation(rng):
     n = 500
     pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
     rhs = rng.normal(size=pde.mesh.num_nodes)
-    fr = pde.free_nodes
+    fr = interior_nodes(pde.mesh)
     line = 4 * np.sin(np.longdouble(np.pi) * np.arange(1, n, dtype=np.longdouble) / (2 * n)) ** 2
     grid = rhs[fr].astype(np.longdouble).reshape(n - 1, n - 1)
     ref = idstn(dstn(grid, type=1) / (line[:, None] + line[None, :]), type=1).ravel()
@@ -255,23 +288,42 @@ def test_dirichlet_spectral_solve_free_of_cancellation(rng):
     assert err <= 1e-14
 
 
-def test_import_does_not_load_scipy_fft():
-    code = "import sys, l0control; sys.exit('scipy.fft' in sys.modules)"
+def run_fresh(code):
+    """Run code in a fresh interpreter on this package; returns its exit status."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert done.returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode
+
+
+def test_import_does_not_load_scipy_fft():
+    # nor scipy.sparse and scipy.sparse.linalg
+    code = (
+        "import sys, l0control, l0control.experiments; "
+        "sys.exit(any(m in sys.modules for m in ('scipy.fft', 'scipy.sparse', 'scipy.sparse.linalg')))"
+    )
+    assert run_fresh(code) == 0
+
+
+def test_dirichlet_solve_does_not_load_sparse_linalg():
+    code = (
+        "import sys, numpy as np; from l0control import fem; "
+        "pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON); "
+        "y = pde.solve(pde.load_map @ np.ones(128)); "
+        "assert y.max() > 0; sys.exit('scipy.sparse.linalg' in sys.modules)"
+    )
+    assert run_fresh(code) == 0
 
 
 def test_assembled_matrices_exactly_symmetric():
     for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
         pde = fem.assemble(fem.build_mesh(9), kind)
-        assert (pde.system - pde.system.T).nnz == 0
+        system = system_matrix(pde)
+        assert (system - system.T).nnz == 0
         assert (pde.mass - pde.mass.T).nnz == 0
 
 
 def test_solve_state_zero_control():
     pde = fem.assemble(fem.build_mesh(6), fem.DIRICHLET_POISSON)
-    y = fem.solve_state(pde, fem.ControlField(pde.mesh, np.zeros(pde.mesh.num_triangles)))
+    y = solve_state(pde, fem.ControlField(pde.mesh, np.zeros(pde.mesh.num_triangles)))
     assert np.all(y.values == 0.0)
 
 
@@ -288,7 +340,7 @@ def test_solve_state_convergence_order():
 
 def test_solve_state_neumann_constants():
     pde = fem.assemble(fem.build_mesh(8), fem.NEUMANN_HELMHOLTZ)
-    y = fem.solve_state(pde, fem.ControlField(pde.mesh, np.full(pde.mesh.num_triangles, 3.25)))
+    y = solve_state(pde, fem.ControlField(pde.mesh, np.full(pde.mesh.num_triangles, 3.25)))
     assert np.abs(y.values - 3.25).max() <= 1e-10
 
 
@@ -298,8 +350,8 @@ def test_solve_state_linear(rng):
     u = fem.ControlField(pde.mesh, rng.normal(size=t))
     v = fem.ControlField(pde.mesh, rng.normal(size=t))
     a, b = 1.7, -0.4
-    lhs = fem.solve_state(pde, fem.ControlField(pde.mesh, a * u.values + b * v.values))
-    rhs = a * fem.solve_state(pde, u).values + b * fem.solve_state(pde, v).values
+    lhs = solve_state(pde, fem.ControlField(pde.mesh, a * u.values + b * v.values))
+    rhs = a * solve_state(pde, u).values + b * solve_state(pde, v).values
     scale = np.abs(rhs).max()
     assert np.abs(lhs.values - rhs).max() <= 1e-10 * scale
 
@@ -308,10 +360,10 @@ def test_solve_relative_residual(rng):
     for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
         pde = fem.assemble(fem.build_mesh(24), kind)
         u = fem.ControlField(pde.mesh, rng.normal(size=pde.mesh.num_triangles))
-        y = fem.solve_state(pde, u)
+        y = solve_state(pde, u)
         rhs = pde.load_map @ u.values
-        fr = pde.free_nodes
-        res = np.linalg.norm(pde.system[fr][:, fr] @ y.values[fr] - rhs[fr])
+        fr = interior_nodes(pde.mesh) if kind == fem.DIRICHLET_POISSON else np.arange(pde.mesh.num_nodes)
+        res = np.linalg.norm(system_matrix(pde)[fr][:, fr] @ y.values[fr] - rhs[fr])
         assert res <= 1e-12 * np.linalg.norm(rhs[fr])
 
 
@@ -320,14 +372,15 @@ def test_neumann_cg_solve_matches_lu(rng):
         pde = fem.assemble(fem.build_mesh(n), fem.NEUMANN_HELMHOLTZ)
         rhs = pde.load_map @ rng.normal(size=pde.mesh.num_triangles)
         y = pde.solve(rhs)
-        direct = spla.splu(pde.system.tocsc()).solve(rhs)
+        system = system_matrix(pde)
+        direct = spla.splu(system.tocsc()).solve(rhs)
         assert np.abs(y - direct).max() <= 1e-10 * np.abs(direct).max(), n
         if n == 40:
-            assert np.linalg.norm(pde.system @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            assert np.linalg.norm(system @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_neumann_cg_breakdown_raises_and_exits_3(rng, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(fem.spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr("scipy.sparse.linalg.cg", lambda a, b, **kw: (np.zeros_like(b), 1))
     pde = fem.assemble(fem.build_mesh(4), fem.NEUMANN_HELMHOLTZ)
     with pytest.raises(fem.SolverBreakdown, match="info=1"):
         pde.solve(pde.load_map @ rng.normal(size=pde.mesh.num_triangles))
@@ -350,7 +403,7 @@ def test_adjoint_consistency_identity(rng):
         pde = fem.assemble(fem.build_mesh(10), kind)
         u = fem.ControlField(pde.mesh, rng.normal(size=pde.mesh.num_triangles))
         w = rng.normal(size=pde.mesh.num_nodes)
-        lhs = fem.solve_state(pde, u).values @ (pde.mass @ w)
+        lhs = solve_state(pde, u).values @ (pde.mass @ w)
         p = pde.solve(pde.mass @ w)
         rhs = (pde.load_map @ u.values) @ p
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)

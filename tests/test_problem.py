@@ -95,7 +95,7 @@ def test_eval_f_quadratic_identity(rng):
     u = random_control(p, rng)
     u2 = fem.ControlField(p.mesh, 2.0 * u.values)
     lhs = p.eval_f(u2) - 4 * p.eval_f(u) + 3 * p.eval_f(p.zero_control())
-    y = fem.solve_state(p.pde, u)
+    y = fem.StateField(p.mesh, p.pde.solve(p.pde.load_map @ u.values))
     rhs = 2.0 * float(y.values @ (p.pde.mass @ p.target.values))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -107,8 +107,8 @@ def test_eval_f_quadratic_identity(rng):
 def test_grad_zero_when_state_matches_target(rng):
     spec = benchmark_spec(mesh_n=8, y_d=lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2) * 0.3)
     p = ControlProblem(spec)
-    fr = p.pde.free_nodes
-    system = p.pde.system[fr][:, fr].toarray()
+    fr = np.setdiff1d(np.arange(p.mesh.num_nodes), p.mesh.boundary_nodes)
+    system = fem._stencil_matrix(p.mesh, fem._STIFFNESS_LOCAL)[fr][:, fr].toarray()
     loads = p.pde.load_map.toarray()[fr]
     u_vals, *_ = np.linalg.lstsq(loads, system @ p.target.values[fr], rcond=None)
     u = fem.ControlField(p.mesh, u_vals)
@@ -270,6 +270,16 @@ def test_budget_paused(rng):
     assert p.budget.count == 0
     p.eval_f(p.zero_control())
     assert p.budget.count == 1
+
+
+def test_state_is_one_counted_solve_of_the_load(rng):
+    for spec in (benchmark_spec(mesh_n=8), benchmark_spec(penalty="switching", mesh_n=8, y_d=switching_target)):
+        p = ControlProblem(spec)
+        u = random_control(p, rng) if p.layout is None else SwitchingControl(p.layout, rng.normal(size=(2, 8)))
+        cells = u.values if p.layout is None else p.layout.cell_values(u.u1, u.u2)
+        y = p.state(u)
+        assert p.budget.count == 1, spec.penalty
+        assert np.array_equal(y.values, p.pde.solve(p.pde.load_map @ cells)), spec.penalty
 
 
 # ---------------------------------------------------------------------------
