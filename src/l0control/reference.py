@@ -1,10 +1,10 @@
 """Brute-force reference minimizers for the scalar subproblems.
 
 These routines are the ground truth the closed-form operators are validated
-against: a dense grid search (default step 1e-4) plus exact evaluation at
-the analytic candidate points {0, -b, b, quadratic vertices}.  They are
-written from the objective functions alone and deliberately share no helpers
-with the closed-form module.
+against: the minimum over a fine grid (default step 1e-4) plus exact
+evaluation at the analytic candidate points {0, -b, b, quadratic vertices}.
+They are written from the objective functions alone and deliberately share
+no helpers with the closed-form module.
 
 There is one search per subproblem, batched over rows:
 `penalized_quadratic_batch` for a2*u^2 + a1*u + w_abs*|u| + w_supp*(u != 0)
@@ -16,6 +16,11 @@ on the other rows.  The grid stays inside the box and misses 0; the
 endpoints and 0 come from the exact candidates.  Only the half u_j > 0 is
 evaluated, with linear coefficient -|a1|: since fl(a1*(-u)) = -fl(a1*u) and
 rounding is monotone, that is the smaller of each mirrored pair, bit for bit.
+A strictly convex row is evaluated only on the window of its half-grid that
+can hold the computed minimum: a bound on the rounding error rules out every
+point farther from the vertex, so the minimum is the dense grid's, bit for
+bit (see `_grid_windows`).  The grid, its step and the tolerances are those
+of the dense search; only the points evaluated change.
 
 `admit` is the one rule every check applies to a batch result, and
 `search_radius` sizes the search for unbounded rows.  The scalar references
@@ -108,23 +113,67 @@ def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-
 # ---------------------------------------------------------------------------
 
 
+def _grid_windows(a2, c1, w_abs, radius, half, step):
+    """Per-row index window [lo, hi) of the half-grid that holds the row's computed minimum.
+
+    On u > 0 row i is the parabola a2*u^2 + (c1 + w_abs)*u, c1 = -|a1|, with
+    its vertex at v.  For a2 > 0 every evaluated point is off its exact
+    value by less than E = 16*eps*(a2*R^2 + (|c1| + w_abs)*R) + 1e-300,
+    R = radius_i: about four times the first-order bound 4*eps*(...) of the
+    evaluated expression, and the last term covers underflow.  Let j* be
+    the grid index nearest v in [0, half_i).  A point farther than
+    D = step/2 + sqrt(step^2/4 + 2E/a2) from u_{j*} lies more than 2E above
+    u_{j*} in exact arithmetic, so its computed value is strictly larger:
+    the window j* +- floor(D/step) holds the row's minimum, bit for bit.
+    The spare in E covers the rounding of v and of the index arithmetic.
+
+    Rows with a2 <= 0, rows where a coefficient, E or D is not finite, and
+    rows whose window would not be shorter than the half-grid get the whole
+    half-grid [0, half_i).
+    """
+    with np.errstate(all="ignore"):
+        err = 16.0 * np.finfo(float).eps * (a2 * radius**2 + (np.abs(c1) + w_abs) * radius) + 1e-300
+        # floor(D/step), and j* = floor(v/step): u_j = (j + 1/2)*step
+        reach = np.floor(0.5 + np.sqrt(0.25 + 2.0 * err / a2 / (step * step)))
+        nearest = np.clip(np.floor(-(c1 + w_abs) / (2.0 * a2) / step), 0.0, half - 1.0)
+        # clipped as floats, before the int cast: inf opens a bound to the
+        # half-grid, and NaN fails the comparison below
+        lo = np.clip(nearest - reach, 0.0, half)
+        hi = np.clip(nearest + reach + 1.0, 0.0, half)
+        narrow = (a2 > 0.0) & (hi - lo < half)
+    return np.where(narrow, lo, 0.0).astype(np.int64), np.where(narrow, hi, half).astype(np.int64)
+
+
+# widest window evaluated in the (rows, width) gather; a wider one (a nearly
+# flat row) runs in the per-row loop, so the gather stays a few MB at 10^4 rows
+_GATHER_WIDTH = 64
+
+
 def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     """Row-wise min of  a2*u^2 + a1*u + w_abs*|u|  over the grid points in [-radius, radius].
 
     All rows share one offset grid +-u_j, u_j = (j + 1/2)*step, which never
     contains u = 0, so the caller can add constant support penalties.  Row i
-    scans its own `half_i = floor(radius_i/step + 1/2)` points on each side,
-    whose outermost points (half_i - 1/2)*step never pass radius_i; the
-    endpoints themselves are exact candidates of the callers.  A row's result
-    depends on that row alone, and a row with no grid point (radius_i <
-    step/2) gets +inf.  A negative, NaN or infinite radius raises ValueError.
+    is searched on its own `half_i = floor(radius_i/step + 1/2)` points on
+    each side, whose outermost points (half_i - 1/2)*step never pass
+    radius_i; the endpoints themselves are exact candidates of the callers.
+    A row's result depends on that row alone, and a row with no grid point
+    (radius_i < step/2) gets +inf.  A negative, NaN or infinite radius raises
+    ValueError.
 
     The search is folded onto u_j > 0 as a2*u^2 - |a1|*u + w_abs*u, in that
     term order: fl(a1*(-u)) = -fl(a1*u) and rounding is monotone, so this is
     the smaller value of each mirrored pair, with the same bits as the
-    two-sided search (NaN and +inf rows included).  The rows run one at a
-    time through two buffers allocated once per call, so the working set
-    stays one half-grid long.
+    two-sided search (NaN and +inf rows included).
+
+    A strictly convex row is evaluated only on the window of its half-grid
+    that can hold the computed minimum (`_grid_windows`), a few points
+    around its vertex; the minimum is the one of the whole half-grid, bit
+    for bit.  These rows are evaluated together as one (rows, width) gather.
+    The other rows (a2 <= 0, non-finite values, nearly flat rows) run one
+    at a time over their window, which is the whole half-grid unless the row
+    is convex.  Every row reads u_j and u_j^2 from one (2, top) block, so the
+    grid and its bits are those of the dense search.
     """
     a2 = np.asarray(a2, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -140,26 +189,47 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     # the division may round up across an integer: step back inside the box
     half -= (half - 0.5) * step > radius
     top = int(half.max(initial=0))
-    u = (np.arange(top) + 0.5) * step
-    u2 = u * u
-    # one 2*top block: freeing a block this large lifts glibc's heap trim
-    # threshold, so a caller's later small arrays reuse the heap instead of
-    # page-faulting it back in (about 1 MB per oracle set-up)
-    row, term = np.empty((2, top))
-    out = np.full(a2.shape[0], np.inf)
+    # u and u^2 in one (2, top) block: freeing a block this large lifts
+    # glibc's heap trim threshold, so a caller's later small arrays reuse the
+    # heap instead of page-faulting it back in (about 1 MB per oracle set-up)
+    grid = np.empty((2, top))
+    u, u2 = grid
+    np.multiply(np.arange(top) + 0.5, step, out=u)
+    np.multiply(u, u, out=u2)
+    c1 = -np.abs(a1)
     use_abs = bool(np.any(w_abs != 0.0))
-    # plain Python numbers and a direct reduce keep the per-row overhead small
-    rows = zip(half.tolist(), a2.tolist(), (-np.abs(a1)).tolist(), w_abs.tolist())
-    for i, (k, c2, c1, cabs) in enumerate(rows):
-        if k == 0:
-            continue
-        r = row[:k]
-        t = term[:k]
-        np.multiply(u2[:k], c2, out=r)
-        r += np.multiply(u[:k], c1, out=t)
+    lo, hi = _grid_windows(a2, c1, w_abs, radius, half, step)
+    width = hi - lo
+    # narrow windows are convex rows, whose values hold no NaN and no -0.0,
+    # so a (rows, width) reduction gives the bits of the per-row one
+    gathered = (width < half) & (width <= _GATHER_WIDTH)
+    out = np.full(a2.shape[0], np.inf)
+
+    rows = np.flatnonzero(gathered)
+    if rows.size:
+        idx = lo[rows, None] + np.arange(width[rows].max())
+        # a padded index repeats the row's last point: the minimum stays
+        np.minimum(idx, hi[rows, None] - 1, out=idx)
+        pu, pu2 = grid[:, idx]
+        r = pu2 * a2[rows, None]
+        r += pu * c1[rows, None]
         if use_abs:
-            r += np.multiply(u[:k], cabs, out=t)
-        out[i] = np.minimum.reduce(r)
+            r += pu * w_abs[rows, None]
+        out[rows] = r.min(axis=1)
+
+    rows = np.flatnonzero(~gathered & (width > 0))
+    if rows.size:
+        row, term = np.empty((2, int(width[rows].max())))
+        # plain Python numbers and a direct reduce keep the per-row overhead small
+        for i, j0, j1, c2, c, cabs in zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist(),
+                                          a2[rows].tolist(), c1[rows].tolist(), w_abs[rows].tolist()):
+            r = row[: j1 - j0]
+            t = term[: j1 - j0]
+            np.multiply(u2[j0:j1], c2, out=r)
+            r += np.multiply(u[j0:j1], c, out=t)
+            if use_abs:
+                r += np.multiply(u[j0:j1], cabs, out=t)
+            out[i] = np.minimum.reduce(r)
     return out
 
 

@@ -1,15 +1,17 @@
 """The brute-force references: row independence, box safety, density, the
-exactness of the folded grid, the radius check, the admission rule, and the
-scalar references as one-row views of the batch search.
+exactness of the folded and windowed grid, the radius check, the admission
+rule, and the scalar references as one-row views of the batch search.
 
 Each row of `penalized_quadratic_batch` and `switch_batch` is searched on its
 own slice of one shared offset grid, so a row's result must not depend on
 which other rows share its call, no grid point may leave the row's box, and
 the grid must stay as fine as the step.  The search runs on the positive half
-only and must give the same bits as the two-sided search it replaces.
+only, and a convex row only on a window of it, and must give the same bits as
+the dense two-sided search.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,10 +103,16 @@ def test_grid_keeps_its_density():
     assert np.all(grid_min - exact >= -1e-14)
 
 
-def two_sided_grid_min(a2, a1, w_abs, radius, step):
-    """The unfolded search: both mirrored halves of the grid, term by term."""
+def half_grid(radius, step):
+    """Grid points per side of each row, as `_rowwise_grid_min` counts them."""
     half = np.floor(radius / step + 0.5).astype(np.int64)
     half -= (half - 0.5) * step > radius
+    return half
+
+
+def two_sided_grid_min(a2, a1, w_abs, radius, step):
+    """The dense unfolded search: both mirrored halves of the grid, term by term."""
+    half = half_grid(radius, step)
     top = int(half.max(initial=0))
     u = (np.arange(-top, top) + 0.5) * step
     use_abs = bool(np.any(w_abs != 0.0))
@@ -142,6 +150,118 @@ def test_folded_grid_matches_the_two_sided_search(step, with_abs):
     assert np.all(np.isinf(got[:2])) and np.all(np.isnan(got[2:5]))
     # the same bits, signs of zeros and NaNs included
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def adversarial_rows(rng, n, step, with_abs):
+    """Rows that probe the window: ties, near-flat rows and degenerate values.
+
+    a2 is log-uniform over 1e-7..1e2, except a group of nearly flat rows
+    (a2 down to 1e-12, a large w_abs cancelling most of |a1|) whose rounding
+    noise spans many grid points.  Vertices sit on grid points, on midpoints
+    between them, one ulp off either, inside or outside the row's range.
+    """
+    radius = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 7.0, n), rng.choice(BOX_RADII, n))
+    a2 = 10.0 ** rng.uniform(-7.0, 2.0, n)
+    j = np.floor(rng.random(n) * half_grid(radius, step))
+    on_point, midpoint = (j + 0.5) * step, (j + 1.0) * step
+    vertex = np.select(
+        [np.arange(n) % 6 == k for k in range(5)],
+        [on_point, midpoint, np.nextafter(midpoint, np.inf), np.nextafter(midpoint, -np.inf),
+         np.nextafter(on_point, np.inf)],
+        rng.uniform(-1.0, 2.0, n) * radius,
+    )
+    w_abs = np.zeros(n)
+    if with_abs:
+        # in the same call as rows with w_abs = 0
+        w_abs = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+        flat = slice(0, n // 4)
+        a2[flat] = 10.0 ** rng.uniform(-12.0, -8.0, n // 4)
+        radius[flat] = rng.uniform(3.0, 7.0, n // 4)
+        vertex[flat] = rng.uniform(0.5, 1.0, n // 4) * radius[flat]
+        w_abs[flat] = rng.uniform(0.5, 2.0, n // 4)
+    # the positive piece a2*u^2 + (w_abs - |a1|)*u has its vertex at `vertex`
+    a1 = (w_abs + 2.0 * a2 * vertex) * rng.choice([-1.0, 1.0], n)
+
+    special = [(0.0, 1.0), (0.0, -1.0), (-0.0, 0.5), (-1.0, 0.5), (-1e-9, 3.0), (np.inf, 1.0),
+               (-np.inf, 1.0), (np.nan, 1.0), (1e300, 3.0), (1e300, -1e300), (1e-300, 0.0),
+               (1e-300, 1e-290), (1e-300, -1e-300), (0.5, np.nan), (0.5, -np.nan), (0.5, np.inf),
+               (0.5, -np.inf), (0.5, 0.0), (0.5, -0.0), (1e-7, 0.0), (0.0, 0.0), (-0.0, -0.0)]
+    a2[-len(special):], a1[-len(special):] = np.array(special).T
+    radius[n // 2 : n // 2 + 6] = 0.4 * step  # no grid point
+    return a2, a1, w_abs, radius
+
+
+@pytest.mark.parametrize("step", [H, 1e-3])
+@pytest.mark.parametrize("with_abs", [False, True])
+def test_windowed_search_matches_the_dense_search(step, with_abs):
+    rng = np.random.default_rng(17)
+    a2, a1, w_abs, radius = adversarial_rows(rng, 600, step, with_abs)
+    with np.errstate(all="ignore"):
+        got = reference._rowwise_grid_min(a2, a1, w_abs, radius, step)
+        want = two_sided_grid_min(a2, a1, w_abs, radius, step)
+    assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
+    # the same bits, signs of zeros and NaNs included
+    mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatch.size == 0, [(a2[i], a1[i], w_abs[i], radius[i], got[i], want[i]) for i in mismatch[:5]]
+
+
+def criterion_1_rows(rng, n):
+    """(a2, a1, w_abs, radius, step) of the four checks, at criterion 1's draw ranges."""
+    g, u, L, alpha, beta, b = draw_l0_instances(rng, n)
+    a2, a1 = 0.5 * (L + alpha), g - L * u
+    zeros = np.zeros(n)
+    yield a2, a1, zeros, reference.search_radius(a2, a1, beta, b), H
+    q, s = rng.uniform(-3, 3, n), rng.uniform(0, 2, n)
+    bb = rng.choice([0.6, 1.0, 1.4, math.inf], n)
+    q[np.isinf(bb)] = rng.uniform(-2.5, 2.5, int(np.isinf(bb).sum()))
+    box = np.full(n, 0.5)
+    yield box, -q, zeros, reference.search_radius(box, -q, s, bb), H
+    g, u, L, alpha, gamma, b = draw_l0_instances(rng, n)
+    a2, a1 = 0.5 * (L + alpha), g - L * u
+    yield a2, a1, gamma, reference.search_radius(a2, a1, zeros, b), H
+    g1, g2, u1, u2, L, alpha, _ = switch_rows(rng, n)
+    w = L + alpha
+    b1, b2 = g1 - L * u1, g2 - L * u2
+    rad = np.maximum(3.0, np.maximum(np.abs(b1 / w), np.abs(b2 / w)) + 0.5)
+    for b12 in (b1, b2):
+        yield 0.5 * w, b12, zeros, rad, 1e-3
+
+
+def test_windows_are_narrow_on_convex_rows_and_whole_on_degenerate_ones():
+    # a window that silently widened to the half-grid would keep the bits
+    # and lose the speed; this is where it shows
+    rng = np.random.default_rng(SEED)
+    for a2, a1, w_abs, radius, step in criterion_1_rows(rng, 2000):
+        half = half_grid(radius, step)
+        lo, hi = reference._grid_windows(a2, -np.abs(a1), w_abs, radius, half, step)
+        assert np.all((0 <= lo) & (lo < hi) & (hi <= half))
+        assert np.all(hi - lo <= 16), (hi - lo).max()
+
+    a2 = np.array([0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 0.5, 0.5, 0.5, 0.5, 1e-300, 5e-324])
+    a1 = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, np.nan, np.inf, -np.inf, 1.0, 0.0, 1.0])
+    w_abs = np.array([0.0] * 9 + [np.inf, 0.0, 0.0])
+    radius = np.full(a2.shape, 1.0)
+    half = half_grid(radius, H)
+    with np.errstate(all="ignore"):
+        lo, hi = reference._grid_windows(a2, -np.abs(a1), w_abs, radius, half, H)
+    assert np.array_equal(lo, np.zeros_like(lo)) and np.array_equal(hi, half)
+
+
+def test_window_arithmetic_raises_no_warning():
+    rng = np.random.default_rng(18)
+    n = 300
+    a2 = 10.0 ** rng.uniform(-7.0, 2.0, n)
+    a1 = rng.uniform(-4.0, 4.0, n)
+    w_abs = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    radius = rng.choice(BOX_RADII, n)
+    # the window divides by a2 and overflows 2*a2; the evaluation itself stays finite
+    a2[:8] = (0.0, -0.0, -1.0, 1e-300, 5e-324, 1e300, 1e-12, 1e308)
+    radius[:8] = 1.0
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        reference._rowwise_grid_min(a2, a1, w_abs, radius, H)
+        reference.penalized_quadratic_batch(*penalized_rows(rng, n))
+        reference.switch_batch(*switch_rows(rng, n))
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
