@@ -25,11 +25,8 @@ def _add_common_flags(parser):
     parser.add_argument("--config", metavar="FILE", help="key = value config file; flags override it")
     parser.add_argument("--mesh-n", type=int, dest="mesh_n", help="grid subdivisions per side")
     parser.add_argument("--alpha", type=float, help="quadratic control-cost weight")
-    parser.add_argument("--beta", type=float, help="support-penalty weight")
-    parser.add_argument("--gamma", type=float, help="l1 penalty weight (overrides beta in l1 mode)")
+    parser.add_argument("--beta", type=float, help="support-penalty weight (the l1 weight in l1 mode)")
     parser.add_argument("--bound", type=float, help='box bound on the control (number or "inf")')
-    parser.add_argument("--no-bound", action="store_true", default=None, dest="no_bound",
-                        help="drop the box constraint (bound = inf)")
     parser.add_argument("--penalty", choices=problem.PENALTY_KINDS, help="penalty kind")
     parser.add_argument("--pde", choices=list(ex.PDE_NAMES), help="state operator")
     parser.add_argument("--strategy", choices=solver.STRATEGY_KINDS, help="step-size rule")
@@ -42,8 +39,6 @@ def _add_common_flags(parser):
     parser.add_argument("--tol", type=float, help="stop when |F_{k+1}-F_k| <= tol")
     parser.add_argument("--out", metavar="DIR", help="output directory (default '.')")
     parser.add_argument("--seed", type=int, help="seed for randomized subcommands")
-    parser.add_argument("--full", action="store_true", default=None,
-                        help="run the fine-mesh (n=500) variants; slow")
     parser.add_argument("--ydzero", action="store_true", default=None,
                         help="use the zero tracking target")
 
@@ -99,7 +94,7 @@ def main(argv=None):
         if args.command != "selftest":
             # an unusable output directory fails here, not after the run
             Path(config.out).mkdir(parents=True, exist_ok=True)
-    except (ex.ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ex.EXIT_CONFIG
 
@@ -136,7 +131,7 @@ def main(argv=None):
         # the interpreter flushes stdout again at exit: point it at devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return ex.EXIT_BROKEN_PIPE
-    except (ex.ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ex.EXIT_CONFIG
     except MemoryError as exc:

@@ -37,6 +37,7 @@ TABLE1_BT_WEIGHTS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 TABLE2_BETAS = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 PARETO_BETAS = tuple(0.5 * 0.7**l for l in range(16))
 SWITCHING_BETAS = (0.1, 0.01, 0.001)
+MESH_STUDY_NS = (10, 20, 40)
 UNSOLVABLE_WEIGHTS = (0.01, 0.1, 1.0, 10.0)
 # selftest's random draws per scalar prox map, and for the paired switching map
 SELFTEST_DRAWS = 300
@@ -44,7 +45,7 @@ SELFTEST_SWITCH_DRAWS = 100
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (unknown key or out-of-range value)."""
+    """Bad config-file syntax, key or type, `pde`, `seed`, or a failed command-specific check."""
 
 
 @dataclass
@@ -54,7 +55,6 @@ class RunConfig:
     mesh_n: int = 40
     alpha: float = 0.01
     beta: float = 0.01
-    gamma: float = None
     bound: float = 4.0
     penalty: str = "l0"
     pde: str = "dirichlet"
@@ -68,20 +68,16 @@ class RunConfig:
     tol: float = 1e-12
     out: str = "."
     seed: int = 0
-    full: bool = False
     ydzero: bool = False
-    no_bound: bool = False
 
     def validate(self):
         """Reject bad values before any run starts.
 
-        Ranges are checked where the values are used (ProblemSpec,
-        StepStrategy, SolverOptions); this adds only what those never see.
+        ConfigError covers `pde` and `seed`, which nothing downstream sees;
+        ProblemSpec, StepStrategy and SolverOptions raise ValueError for the rest.
         """
         if self.pde not in PDE_NAMES:
             raise ConfigError(f"pde must be dirichlet|neumann, got {self.pde!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         build_spec(self)
@@ -89,7 +85,10 @@ class RunConfig:
         return self
 
 
-_BOOL_KEYS = {"full", "ydzero", "no_bound"}
+# annotations are the strings "int", "float", "str", "bool" (postponed evaluation)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path):
@@ -98,7 +97,6 @@ def parse_config_file(path):
     Keys are the RunConfig field names (dashes accepted); unknown keys are
     rejected.  Blank lines and lines starting with '#' are ignored.
     """
-    known = {f.name: f for f in fields(RunConfig)}
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -113,70 +111,54 @@ def parse_config_file(path):
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, val)
     return values
 
 
 def _coerce(key, val):
-    if key in _BOOL_KEYS:
-        low = val.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {val!r}")
-    if key in ("mesh_n", "imax", "max_iter", "seed"):
-        try:
-            return int(val)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {val!r}") from exc
-    if key in ("penalty", "pde", "strategy", "out"):
+    """Parse a config-file value as the type of RunConfig field `key`."""
+    kind = _FIELD_TYPES[key]
+    if kind == "str":
         return val
+    if kind == "bool":
+        if val.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"{key}: expected a boolean, got {val!r}")
+        return _BOOL_WORDS[val.lower()]
+    parse, noun = (int, "an integer") if kind == "int" else (float, "a number")
     try:
-        return float(val)
+        return parse(val)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {val!r}") from exc
+        raise ConfigError(f"{key}: expected {noun}, got {val!r}") from exc
 
 
 def build_spec(config: RunConfig, y_d=None):
-    penalty = config.penalty
-    bound = math.inf if config.no_bound else config.bound
-    beta = config.beta
-    if penalty == "l1" and config.gamma is not None:
-        beta = config.gamma
     if y_d is None:
         y_d = problemmod.zero_target if config.ydzero else problemmod.default_target
-    try:
-        return problemmod.ProblemSpec(
-            alpha=config.alpha,
-            beta=beta,
-            bound=bound,
-            penalty=penalty,
-            pde=PDE_NAMES[config.pde],
-            y_d=y_d,
-            mesh_n=config.mesh_n,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return problemmod.ProblemSpec(
+        alpha=config.alpha,
+        beta=config.beta,
+        bound=config.bound,
+        penalty=config.penalty,
+        pde=PDE_NAMES[config.pde],
+        y_d=y_d,
+        mesh_n=config.mesh_n,
+    )
 
 
 def build_options(config: RunConfig):
-    try:
-        strategy = solvermod.StepStrategy(
-            kind=config.strategy,
-            L_fixed=config.lfixed,
-            L_hat0=config.lhat0,
-            theta=config.theta,
-            eta=config.eta,
-            I_max=config.imax,
-        )
-        return solvermod.SolverOptions(
-            strategy=strategy, max_iterations=config.max_iter, stop_tol=config.tol
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    strategy = solvermod.StepStrategy(
+        kind=config.strategy,
+        L_fixed=config.lfixed,
+        L_hat0=config.lhat0,
+        theta=config.theta,
+        eta=config.eta,
+        I_max=config.imax,
+    )
+    return solvermod.SolverOptions(
+        strategy=strategy, max_iterations=config.max_iter, stop_tol=config.tol
+    )
 
 
 def _fmt(x):
@@ -252,7 +234,7 @@ def _write_json(path, payload):
 
 
 def write_report_csv(path, report):
-    header = ["k", "L", "trials", "f", "g", "F", "support", "step_norm", "chi_dist", "pde_solves"]
+    header = [f.name for f in fields(solvermod.IterationRecord)]
     return _write_csv(path, header, [report.column(name) for name in header])
 
 
@@ -334,11 +316,10 @@ def _sweep_run(cfg, pde_cache, y_d=None):
 def run_table1(config: RunConfig, out=None):
     """Line-search strategy comparison: 8 BT weights plus BT-W and BT-0."""
     out = Path(out if out is not None else config.out)
-    mesh_n = 500 if config.full else config.mesh_n
     rows, reports, pde_cache = [], [], {}
     cases = [("bt", w) for w in TABLE1_BT_WEIGHTS] + [("btw", 0.01), ("bt0", 0.01)]
     for kind, lhat0 in cases:
-        cfg = replace(config, strategy=kind, lhat0=lhat0, mesh_n=mesh_n)
+        cfg = replace(config, strategy=kind, lhat0=lhat0)
         problem, report = _sweep_run(cfg, pde_cache)
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((report.final_F, support, report.pde_solves, lhat0, kind, F_vertex))
@@ -356,13 +337,12 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
     grid, emitting (beta, f, support) series for each.
     """
     out = Path(out if out is not None else config.out)
-    mesh_n = 500 if config.full else config.mesh_n
     pde_cache = {}
     if pareto:
         betas = tuple(betas) if betas else PARETO_BETAS
         all_reports = {}
         for kind in ("l0", "l1"):
-            cfgs = [replace(config, penalty=kind, beta=b, gamma=None, mesh_n=mesh_n) for b in betas]
+            cfgs = [replace(config, penalty=kind, beta=b) for b in betas]
             reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
             columns = [betas, [r.final_f for r in reports], [r.records[-1].support for r in reports]]
             _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], columns)
@@ -370,7 +350,7 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
         return all_reports
 
     betas = tuple(betas) if betas else TABLE2_BETAS
-    cfgs = [replace(config, beta=b, no_bound=True, mesh_n=mesh_n) for b in betas]
+    cfgs = [replace(config, beta=b, bound=math.inf) for b in betas]
     reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
     supports = [r.records[-1].support for r in reports]
     _write_csv(out / "beta_sweep.csv", ["beta", "support"], [betas, supports])
@@ -380,10 +360,8 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
 def run_mesh_study(config: RunConfig, n_list=None, out=None):
     """Same problem across mesh resolutions; emits (h, F, support, pde_solves)."""
     out = Path(out if out is not None else config.out)
-    if n_list is None:
-        n_list = (10, 20, 40, 80, 160, 320, 640) if config.full else (10, 20, 40)
     rows, reports = [], []
-    for n in n_list:
+    for n in n_list or MESH_STUDY_NS:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
         cfg = replace(config, mesh_n=int(n))
@@ -407,7 +385,7 @@ def run_unsolvable(config: RunConfig, out=None):
     alpha, beta = config.alpha, config.beta
     if not (alpha > 0 and beta > 0):
         raise ConfigError("the unsolvable configuration needs alpha > 0 and beta > 0")
-    cfg = replace(config, pde="neumann", penalty="l0", no_bound=True)
+    cfg = replace(config, pde="neumann", penalty="l0", bound=math.inf)
     spec = build_spec(cfg, y_d=problemmod.unsolvable_target(alpha, beta))
     problem = problemmod.make_problem(spec)
 
@@ -442,11 +420,9 @@ def run_switching(config: RunConfig, betas=None, out=None):
     """Two-band switching runs over a beta grid; emits overlap table and profiles."""
     out = Path(out if out is not None else config.out)
     betas = tuple(betas) if betas else SWITCHING_BETAS
-    if config.mesh_n % 4:
-        raise ConfigError(f"switching runs need 4 | mesh_n, got {config.mesh_n}")
     rows, reports, pde_cache = [], [], {}
     for beta in betas:
-        cfg = replace(config, penalty="switching", pde="dirichlet", beta=beta, no_bound=True)
+        cfg = replace(config, penalty="switching", pde="dirichlet", beta=beta, bound=math.inf)
         _, report = _sweep_run(cfg, pde_cache, y_d=problemmod.switching_target)
         rows.append((beta, report.final_F, report.records[-1].support))
         write_control_csv(out / f"switching_controls_beta{_fmt(beta)}.csv", report.final_control)

@@ -99,7 +99,7 @@ class ProblemSpec:
             if self.pde != fem.DIRICHLET_POISSON:
                 raise ValueError("the switching problem uses the Dirichlet Laplacian")
             if self.mesh_n % 4:
-                raise ValueError("the switching problem needs 4 | mesh_n")
+                raise ValueError(f"the switching problem needs 4 | mesh_n, got {self.mesh_n}")
 
 
 class EvaluationBudget:

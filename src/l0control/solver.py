@@ -280,8 +280,6 @@ def fp_residual(problem, u, L, grad=None):
     cell satisfies the fixed-point inclusion.
     """
     s = problem.spec
-    if L + s.alpha <= 0:
-        raise ValueError("L + alpha must be positive")
     if grad is None:
         grad = problem.grad_f(u)
     zero_ok, v, v_ok = _prox_sets(s, u, grad, L)

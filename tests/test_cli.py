@@ -84,11 +84,12 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-def test_invalid_values_exit_2(tmp_path):
+def test_invalid_values_exit_2(tmp_path, capsys):
     assert cli.main(["solve", "--beta", "-1", "--out", str(tmp_path)]) == 2
     assert cli.main(["solve", "--theta", "1.5", "--out", str(tmp_path)]) == 2
     assert cli.main(["solve", "--mesh-n", "0", "--out", str(tmp_path)]) == 2
     assert cli.main(["switching", "--mesh-n", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: the switching problem needs 4 | mesh_n, got 10"
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("mesh_n six\n")
     assert cli.main(["solve", "--config", str(cfg)]) == 2
@@ -156,6 +157,22 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--gamma", "0.02"], ["--no-bound"], ["--full"]])
+def test_removed_alias_flags_exit_2(flag):
+    # spelled --beta (the l1 weight in l1 mode), --bound inf, --mesh-n 500
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["beta-sweep", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["gamma = 0.02", "no_bound = true", "full = 1"])
+def test_removed_alias_config_keys_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(tmp_path, monkeypatch):

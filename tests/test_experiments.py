@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -112,12 +113,48 @@ def test_config_coercion_errors():
     with pytest.raises(ex.ConfigError):
         ex._coerce("mesh_n", "ten")
     with pytest.raises(ex.ConfigError):
-        ex._coerce("full", "maybe")
+        ex._coerce("ydzero", "maybe")
     with pytest.raises(ex.ConfigError):
         ex._coerce("alpha", "much")
     assert ex._coerce("bound", "inf") == math.inf
-    assert ex._coerce("full", "yes") is True
+    assert ex._coerce("ydzero", "yes") is True
     assert ex._coerce("penalty", "l1") == "l1"
+
+
+def test_coerce_round_trips_every_field_default():
+    # each key is parsed as its RunConfig annotation, so str(default) reads back as itself
+    for f in fields(RunConfig):
+        value = ex._coerce(f.name, str(f.default))
+        assert value == f.default and type(value) is type(f.default), f.name
+    for word in ("1", "true", "True", "YES", "on"):
+        assert ex._coerce("ydzero", word) is True
+    for word in ("0", "false", "False", "NO", "off"):
+        assert ex._coerce("ydzero", word) is False
+
+
+def test_sweeps_drop_the_bound_where_the_paper_does(tmp_path, monkeypatch):
+    specs = []
+    build_spec = ex.build_spec
+
+    def spy(config, y_d=None):
+        specs.append(build_spec(config, y_d=y_d))
+        return specs[-1]
+
+    monkeypatch.setattr(ex, "build_spec", spy)
+    config = RunConfig(mesh_n=8, bound=2.0, out=str(tmp_path))
+    for run, count in [
+        (lambda: ex.run_beta_sweep(config, betas=[0.5, 0.05]), 2),
+        (lambda: ex.run_switching(config, betas=[0.1, 0.001]), 2),
+        (lambda: ex.run_unsolvable(config), 1),
+    ]:
+        specs.clear()
+        run()
+        assert len(specs) == count
+        assert all(spec.bound == math.inf for spec in specs)
+    # the Pareto sweep keeps the configured bound and weighs both penalties by beta
+    specs.clear()
+    ex.run_beta_sweep(config, betas=[0.05], pareto=True)
+    assert [(s.penalty, s.beta, s.bound) for s in specs] == [("l0", 0.05, 2.0), ("l1", 0.05, 2.0)]
 
 
 # ---------------------------------------------------------------------------

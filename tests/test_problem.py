@@ -51,7 +51,7 @@ def test_spec_validation_errors():
 
 
 def test_spec_switching_constraints():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"needs 4 \| mesh_n, got 10"):
         benchmark_spec(penalty="switching", mesh_n=10)
     with pytest.raises(ValueError):
         benchmark_spec(penalty="switching", mesh_n=8, pde=fem.NEUMANN_HELMHOLTZ)
