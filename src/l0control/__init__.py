@@ -13,7 +13,6 @@ from .fem import (
     AssembledPDE,
     ControlField,
     Mesh,
-    StateField,
     assemble,
     build_mesh,
     element_means,

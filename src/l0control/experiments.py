@@ -243,7 +243,7 @@ def write_control_csv(path, control):
         cent = control.mesh.centroids()
         columns = [np.arange(control.mesh.num_triangles), cent[:, 0], cent[:, 1], control.values]
         return _write_csv(path, ["triangle_index", "centroid_x", "centroid_y", "value"], columns)
-    n = control.layout.mesh.n
+    n = control.mesh.n
     centers = (np.arange(n) + 0.5) / n
     return _write_csv(path, ["x1", "u1", "u2"], [centers, control.u1, control.u2])
 
@@ -259,7 +259,7 @@ def vertex_rule_objective(problem, u):
     """
     with problem.budget.paused():
         y = problem.state(u)
-    r = y.values - problem.target.values
+    r = y - problem.target
     if problem.spec.pde == fem.DIRICHLET_POISSON:
         r[problem.mesh.boundary_nodes] = 0.0
     lump = np.asarray(problem.pde.mass.sum(axis=1)).ravel()
@@ -364,9 +364,7 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     for n in n_list or MESH_STUDY_NS:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
-        cfg = replace(config, mesh_n=int(n))
-        problem = problemmod.make_problem(build_spec(cfg))
-        report = solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
+        problem, report = _sweep_run(replace(config, mesh_n=int(n)), {})
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)

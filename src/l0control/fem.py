@@ -6,7 +6,8 @@ split along its lower-left to upper-right diagonal, and within a square the
 lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
 the longest edge is h = sqrt(2)/n.
 
-States are P1 nodal fields, controls are piecewise constants on triangles.
+States are P1 nodal fields, plain arrays of one value per node; controls
+are piecewise constants on triangles.
 Two operators are solved: the Dirichlet Laplacian (-lap y = u on the
 interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
@@ -39,7 +40,6 @@ __all__ = [
     "DIRICHLET_POISSON",
     "NEUMANN_HELMHOLTZ",
     "Mesh",
-    "StateField",
     "ControlField",
     "AssembledPDE",
     "SolverBreakdown",
@@ -50,8 +50,6 @@ __all__ = [
     "l2_norm_state",
     "l2_norm_control",
     "l2_inner_control",
-    "SwitchingLayout",
-    "switching_gradients",
 ]
 
 
@@ -94,19 +92,19 @@ class Mesh:
 
 
 @dataclass(eq=False)
-class StateField:
-    """Nodal values of a P1 function."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-
-@dataclass(eq=False)
 class ControlField:
     """One value per triangle (piecewise-constant function)."""
 
     mesh: Mesh
     values: np.ndarray
+
+    def cells(self):
+        """The per-triangle values of the load (the identity here)."""
+        return self.values
+
+    def restrict(self, means):
+        """The control-space gradient of per-triangle adjoint means (the identity here)."""
+        return ControlField(self.mesh, means)
 
     def norm_sq(self, scale):
         """scale * ||u||^2 (exact L2 norm of the piecewise constant)."""
@@ -327,20 +325,20 @@ def _mean3(a, b, c):
     return (a + b + c) / 3
 
 
-def element_means(p: StateField):
-    """Per-triangle averages of a nodal field (exact mean for P1)."""
-    return ControlField(p.mesh, _per_triangle(p.mesh, p.values, _mean3))
+def element_means(mesh, p):
+    """Per-triangle averages of the nodal field p (exact mean for P1)."""
+    return _per_triangle(mesh, p, _mean3)
 
 
 def interpolate_nodal(mesh, fun):
-    """Nodal interpolant of a callable (x1, x2) -> value."""
-    return StateField(mesh, np.asarray(fun(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float))
+    """Nodal values of a callable (x1, x2) -> value."""
+    return np.asarray(fun(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
 
 
-def l2_norm_state(y: StateField):
-    """Exact L2 norm of a P1 field: per-triangle quadratic form of the mass matrix."""
-    sq = _per_triangle(y.mesh, y.values, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
-    return math.sqrt(max(y.mesh.triangle_area / 12.0 * sq.sum(), 0.0))
+def l2_norm_state(mesh, y):
+    """Exact L2 norm of the nodal field y: per-triangle quadratic form of the mass matrix."""
+    sq = _per_triangle(mesh, y, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
+    return math.sqrt(max(mesh.triangle_area / 12.0 * sq.sum(), 0.0))
 
 
 def l2_norm_control(u: ControlField):
@@ -353,56 +351,3 @@ def l2_inner_control(u: ControlField, v: ControlField):
         raise ValueError("fields live on different meshes")
     return u.mesh.triangle_area * float(u.values @ v.values)
 
-
-# ---------------------------------------------------------------------------
-# geometry for the two-band switching configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class SwitchingLayout:
-    """Maps triangles to vertical strips and the two horizontal control bands.
-
-    Band 1 is (0,1) x (0, 1/4), band 2 is (0,1) x (3/4, 1); both are unions
-    of mesh cells when 4 divides n.  Each 1-D control is piecewise constant
-    on the n strips [j/n, (j+1)/n] of the x1 axis.
-    """
-
-    mesh: Mesh
-    strip: np.ndarray
-    in_band1: np.ndarray
-    in_band2: np.ndarray
-
-    @classmethod
-    def build(cls, mesh):
-        if mesh.n % 4:
-            raise ValueError(f"switching bands need 4 | n, got n={mesh.n}")
-        cent = mesh.centroids()
-        strip = np.minimum((cent[:, 0] * mesh.n).astype(np.int64), mesh.n - 1)
-        return cls(
-            mesh=mesh,
-            strip=strip,
-            in_band1=cent[:, 1] < 0.25,
-            in_band2=cent[:, 1] > 0.75,
-        )
-
-    def cell_values(self, u1, u2):
-        """Expand the 1-D controls into a per-triangle field (zero between bands)."""
-        c = np.zeros(self.mesh.num_triangles)
-        c[self.in_band1] = np.asarray(u1)[self.strip[self.in_band1]]
-        c[self.in_band2] = np.asarray(u2)[self.strip[self.in_band2]]
-        return c
-
-
-def switching_gradients(mesh, p: StateField, layout):
-    """Per-strip gradient entries n * integral of p over band_k intersect strip_j.
-
-    The factor n turns the plain integral into the Riesz representative with
-    respect to the L2 inner product on the 1-D strip grid (strip width 1/n).
-    """
-    weights = _per_triangle(mesh, p.values, _mean3) * mesh.triangle_area
-    g1 = np.zeros(mesh.n)
-    g2 = np.zeros(mesh.n)
-    np.add.at(g1, layout.strip[layout.in_band1], weights[layout.in_band1])
-    np.add.at(g2, layout.strip[layout.in_band2], weights[layout.in_band2])
-    return g1 * mesh.n, g2 * mesh.n

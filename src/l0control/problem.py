@@ -100,6 +100,8 @@ class ProblemSpec:
                 raise ValueError("the switching problem uses the Dirichlet Laplacian")
             if self.mesh_n % 4:
                 raise ValueError(f"the switching problem needs 4 | mesh_n, got {self.mesh_n}")
+            if not math.isinf(self.bound):
+                raise ValueError(f"the switching problem takes no bound (bound = inf), got {self.bound}")
 
 
 class EvaluationBudget:
@@ -132,9 +134,11 @@ class ControlProblem:
 
     The control space is the penalty's: a `fem.ControlField` (one value per
     triangle) for l0 and l1, a `SwitchingControl` (two 1-D controls on the
-    strip grid, expanded into the two bands) for switching.  The control
-    types carry their own norm and measure, so only the load expansion, the
-    gradient restriction and the l1 penalty line depend on the penalty.
+    strip grid) for switching.  A control expands itself into per-triangle
+    load values (`cells`) and restricts per-triangle adjoint means to its own
+    gradient (`restrict`), and carries its own norm and measure, so only the
+    zero control and the l1 penalty line depend on the penalty.  States, the
+    adjoint and the target are plain arrays of nodal values.
 
     A preassembled operator may be passed to share its solver set-up across
     problem instances (penalty sweeps on one mesh).
@@ -150,28 +154,26 @@ class ControlProblem:
         else:
             self.mesh = fem.build_mesh(spec.mesh_n)
             self.pde = fem.assemble(self.mesh, spec.pde)
-        self.layout = fem.SwitchingLayout.build(self.mesh) if spec.penalty == SWITCHING else None
         self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
-        if not np.all(np.isfinite(self.target.values)):
+        if not np.all(np.isfinite(self.target)):
             raise ValueError("the target y_d has non-finite values on the mesh nodes")
         self.budget = EvaluationBudget()
 
     # -- evaluations ------------------------------------------------------
 
     def zero_control(self):
-        if self.layout is None:
-            return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
-        return SwitchingControl(self.layout, np.zeros((2, self.mesh.n)))
+        if self.spec.penalty == SWITCHING:
+            return SwitchingControl(self.mesh, np.zeros((2, self.mesh.n)))
+        return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
 
     def state(self, u):
-        """State y_u: one PDE solve for the control's load."""
-        cells = u.values if self.layout is None else self.layout.cell_values(u.u1, u.u2)
-        y = fem.StateField(self.mesh, self.pde.solve(self.pde.load_map @ cells))
+        """Nodal state y_u: one PDE solve for the control's load."""
+        y = self.pde.solve(self.pde.load_map @ u.cells())
         self.budget.add(1)
         return y
 
     def _tracking(self, y):
-        r = y.values - self.target.values
+        r = y - self.target
         mr = self.pde.mass @ r
         return 0.5 * float(r @ mr), mr
 
@@ -183,16 +185,12 @@ class ControlProblem:
         """f and its gradient on the control space (two PDE solves).
 
         The gradient is the Riesz representative of df in the control space:
-        the adjoint state averaged per triangle, or integrated over each
-        band-strip cell and scaled by n for the strip controls.
+        the adjoint state averaged per triangle, restricted by the control.
         """
         f, mr = self._tracking(self.state(u))
-        p = fem.StateField(self.mesh, self.pde.solve(mr))
+        p = self.pde.solve(mr)
         self.budget.add(1)
-        if self.layout is None:
-            return f, fem.element_means(p)
-        g1, g2 = fem.switching_gradients(self.mesh, p, self.layout)
-        return f, SwitchingControl(self.layout, np.stack([g1, g2]))
+        return f, u.restrict(fem.element_means(self.mesh, p))
 
     def grad_f(self, u):
         return self.value_and_grad(u)[1]
@@ -217,13 +215,39 @@ class ControlProblem:
 class SwitchingControl:
     """Two 1-D controls on the strip grid, stored as rows of a (2, n) array.
 
-    The strip grid is the 1-D interval (0, 1) cut into n strips of width 1/n,
-    so norms and measures are sums over strips divided by n.  An indicator
-    (`indicator()`) is a single row of n values on the same grid.
+    The strip grid is the 1-D interval (0, 1) cut into the mesh's n columns,
+    strips of width 1/n, so norms and measures are sums over strips divided
+    by n.  Control k acts on band k: band 1 is (0,1) x (0, 1/4), band 2 is
+    (0,1) x (3/4, 1), each n/4 rows of grid squares (4 | n).  Triangles are
+    numbered by row, column, then lower before upper, so both maps read the
+    bands and strips off the numbering.  An indicator (`indicator()`) is a
+    single row of n values on the strip grid.
     """
 
-    layout: fem.SwitchingLayout
+    mesh: fem.Mesh
     values: np.ndarray
+
+    def cells(self):
+        """Per-triangle load values: u1 on band 1, u2 on band 2, zero between."""
+        n = self.mesh.n
+        c = np.zeros((n, n, 2))
+        c[: n // 4] = self.u1[:, None]
+        c[3 * n // 4 :] = self.u2[:, None]
+        return c.ravel()
+
+    def restrict(self, means):
+        """Per-strip gradient: n * the integral of the adjoint over band k and strip j.
+
+        The band's area * means are summed one triangle at a time from +0.0,
+        in triangle order (a reduction over the leading axis adds row by row),
+        as a scatter into zeros would; the factor n turns the integral into
+        the Riesz representative on the strip grid.
+        """
+        n = self.mesh.n
+        w = (means * self.mesh.triangle_area).reshape(n, n, 2).transpose(0, 2, 1)
+        bands = (w[: n // 4], w[3 * n // 4 :])
+        g = [np.add.reduce(band.reshape(-1, n), axis=0, initial=0.0) * n for band in bands]
+        return SwitchingControl(self.mesh, np.stack(g))
 
     @property
     def u1(self):
@@ -239,15 +263,15 @@ class SwitchingControl:
         The scale is multiplied in before the division by n, the rounding
         order the penalty has always used.
         """
-        return scale * float((self.values * self.values).sum()) / self.layout.mesh.n
+        return scale * float((self.values * self.values).sum()) / self.mesh.n
 
     def diff_norm(self, other):
         d = self.values - other.values
-        return math.sqrt(float((d * d).sum()) / self.layout.mesh.n)
+        return math.sqrt(float((d * d).sum()) / self.mesh.n)
 
     def measure(self, mask):
         """Length of the union of the strips where mask is set."""
-        return float(np.count_nonzero(mask)) / self.layout.mesh.n
+        return float(np.count_nonzero(mask)) / self.mesh.n
 
     def support_measure(self):
         """Length of the overlap set {u1*u2 != 0}, the set the switching penalty charges."""
@@ -255,7 +279,7 @@ class SwitchingControl:
 
     def indicator(self):
         """Characteristic function of the overlap set, one row on the strip grid."""
-        return SwitchingControl(self.layout, (self.u1 * self.u2 != 0.0).astype(float))
+        return SwitchingControl(self.mesh, (self.u1 * self.u2 != 0.0).astype(float))
 
 
 # kept only because perfbench/spans.py hooks methods through this name

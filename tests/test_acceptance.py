@@ -224,9 +224,9 @@ def test_criterion_4_fem_convergence_order():
         pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
         cent = mesh.centroids()
         u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
-        y = fem.StateField(mesh, pde.solve(pde.load_map @ u.values))
+        y = pde.solve(pde.load_map @ u.values)
         exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        errs.append(fem.l2_norm_state(fem.StateField(mesh, y.values - exact.values)))
+        errs.append(fem.l2_norm_state(mesh, y - exact))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     elapsed = time.perf_counter() - t0
     assert r1 >= 3.5 and r2 >= 3.5, (r1, r2)
@@ -274,9 +274,10 @@ def test_criterion_5_mesh_study_coarse_rows():
 def test_discretization_robustness_mesh_study(tmp_path):
     """The paper's claim that the method is robust with respect to discretization.
 
-    mesh-study's problem at n = 40/80/160/320: the same iteration count at
-    every n, PDE solves within a band of 8, F converging at least 3x faster
-    per halving of h (O(h^2) gives 4x), and shrinking support increments.
+    mesh-study's problem at n = 40/80/160/320: 7 iterations at every n, PDE
+    solves within a band of 8 and within 10% of their median, F converging at
+    least 3x faster per halving of h (O(h^2) gives 4x), and shrinking support
+    increments.
     """
     t0 = time.perf_counter()
     reports = experiments.run_mesh_study(experiments.RunConfig(out=str(tmp_path)), n_list=(40, 80, 160, 320))
@@ -284,8 +285,9 @@ def test_discretization_robustness_mesh_study(tmp_path):
     solves = [r.pde_solves for r in reports]
     dF = np.abs(np.diff([r.final_F for r in reports]))
     dsupp = np.abs(np.diff([r.records[-1].support for r in reports]))
-    assert len(set(iterations)) == 1, iterations
+    assert iterations == [7] * 4, iterations
     assert max(solves) - min(solves) <= 8, solves
+    assert np.all(np.abs(np.array(solves) - np.median(solves)) <= 0.1 * np.median(solves)), solves
     assert np.all(dF[:-1] >= 3.0 * dF[1:]), dF
     assert np.all(dsupp[:-1] > dsupp[1:]), dsupp
     elapsed = time.perf_counter() - t0

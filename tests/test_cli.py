@@ -119,6 +119,18 @@ def test_infinite_tol_exits_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_switching_solve_with_a_bound_exits_2(tmp_path, capsys):
+    # solve's default bound is 4; the switching problem takes none
+    assert cli.main(["solve", "--penalty", "switching", "--mesh-n", "16", "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the switching problem takes no bound (bound = inf), got 4.0\n"
+    assert not (tmp_path / "a" / "summary.json").exists()
+    argv = ["solve", "--penalty", "switching", "--bound", "inf", "--mesh-n", "16", "--out", str(tmp_path / "b")]
+    assert cli.main(argv) == 0
+    header, rows = read_csv(tmp_path / "b" / "final_control.csv")
+    assert header == ["x1", "u1", "u2"] and len(rows) == 16
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"\xff\xfe x\n")

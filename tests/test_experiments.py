@@ -94,7 +94,7 @@ def test_vertex_rule_objective_reports_interior_misfit(tmp_path):
     u = problem.zero_control()
     fv = ex.vertex_rule_objective(problem, u)
     assert problem.budget.count == 0  # a diagnostic: its state solve is not counted
-    yd = problem.target.values.copy()
+    yd = problem.target.copy()
     yd[problem.mesh.boundary_nodes] = 0.0
     lump = np.asarray(problem.pde.mass.sum(axis=1)).ravel()
     assert fv == pytest.approx(0.5 * (yd * yd) @ lump, rel=1e-12)
@@ -276,8 +276,7 @@ def test_control_csv_matches_csv_writer(tmp_path):
     ex.write_control_csv(tmp_path / "new.csv", control)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    layout = fem.SwitchingLayout.build(mesh)
-    strips = SwitchingControl(layout, rng.normal(size=(2, 8)) * (rng.random((2, 8)) < 0.5))
+    strips = SwitchingControl(mesh, rng.normal(size=(2, 8)) * (rng.random((2, 8)) < 0.5))
     centers = (np.arange(8) + 0.5) / 8
     rows = [(centers[j], strips.u1[j], strips.u2[j]) for j in range(8)]
     csv_writer_oracle(tmp_path / "oracle.csv", ["x1", "u1", "u2"], rows)

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from l0control import cli, fem
+from l0control.problem import SwitchingControl
 
 # frozen from the n=64 manufactured run: measured constant 0.347, 30% margin
 MANUFACTURED_C = 0.45
@@ -67,7 +68,7 @@ def system_matrix(pde):
 
 
 def solve_state(pde, u):
-    return fem.StateField(pde.mesh, pde.solve(pde.load_map @ u.values))
+    return pde.solve(pde.load_map @ u.values)
 
 
 def manufactured_error(n):
@@ -77,7 +78,7 @@ def manufactured_error(n):
     u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
     y = solve_state(pde, u)
     exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    return fem.l2_norm_state(fem.StateField(mesh, y.values - exact.values))
+    return fem.l2_norm_state(mesh, y - exact)
 
 
 def test_build_mesh_smallest():
@@ -131,8 +132,8 @@ def test_assemble_degenerate_dirichlet_mesh():
     pde = fem.assemble(fem.build_mesh(1), fem.DIRICHLET_POISSON)
     y = solve_state(pde, fem.ControlField(pde.mesh, np.ones(2)))
     # no interior node: a full nodal result, all of it boundary zeros
-    assert y.values.shape == (4,)
-    assert np.all(y.values == 0.0)
+    assert y.shape == (4,)
+    assert np.all(y == 0.0)
 
 
 def test_assemble_interior_stencil_n2():
@@ -324,7 +325,7 @@ def test_assembled_matrices_exactly_symmetric():
 def test_solve_state_zero_control():
     pde = fem.assemble(fem.build_mesh(6), fem.DIRICHLET_POISSON)
     y = solve_state(pde, fem.ControlField(pde.mesh, np.zeros(pde.mesh.num_triangles)))
-    assert np.all(y.values == 0.0)
+    assert np.all(y == 0.0)
 
 
 def test_solve_state_manufactured_error_bound():
@@ -341,7 +342,7 @@ def test_solve_state_convergence_order():
 def test_solve_state_neumann_constants():
     pde = fem.assemble(fem.build_mesh(8), fem.NEUMANN_HELMHOLTZ)
     y = solve_state(pde, fem.ControlField(pde.mesh, np.full(pde.mesh.num_triangles, 3.25)))
-    assert np.abs(y.values - 3.25).max() <= 1e-10
+    assert np.abs(y - 3.25).max() <= 1e-10
 
 
 def test_solve_state_linear(rng):
@@ -351,9 +352,9 @@ def test_solve_state_linear(rng):
     v = fem.ControlField(pde.mesh, rng.normal(size=t))
     a, b = 1.7, -0.4
     lhs = solve_state(pde, fem.ControlField(pde.mesh, a * u.values + b * v.values))
-    rhs = a * solve_state(pde, u).values + b * solve_state(pde, v).values
+    rhs = a * solve_state(pde, u) + b * solve_state(pde, v)
     scale = np.abs(rhs).max()
-    assert np.abs(lhs.values - rhs).max() <= 1e-10 * scale
+    assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
 
 def test_solve_relative_residual(rng):
@@ -363,7 +364,7 @@ def test_solve_relative_residual(rng):
         y = solve_state(pde, u)
         rhs = pde.load_map @ u.values
         fr = interior_nodes(pde.mesh) if kind == fem.DIRICHLET_POISSON else np.arange(pde.mesh.num_nodes)
-        res = np.linalg.norm(system_matrix(pde)[fr][:, fr] @ y.values[fr] - rhs[fr])
+        res = np.linalg.norm(system_matrix(pde)[fr][:, fr] @ y[fr] - rhs[fr])
         assert res <= 1e-12 * np.linalg.norm(rhs[fr])
 
 
@@ -403,7 +404,7 @@ def test_adjoint_consistency_identity(rng):
         pde = fem.assemble(fem.build_mesh(10), kind)
         u = fem.ControlField(pde.mesh, rng.normal(size=pde.mesh.num_triangles))
         w = rng.normal(size=pde.mesh.num_nodes)
-        lhs = solve_state(pde, u).values @ (pde.mass @ w)
+        lhs = solve_state(pde, u) @ (pde.mass @ w)
         p = pde.solve(pde.mass @ w)
         rhs = (pde.load_map @ u.values) @ p
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
@@ -411,44 +412,45 @@ def test_adjoint_consistency_identity(rng):
 
 def test_element_means():
     mesh = fem.build_mesh(2)
-    assert np.all(fem.element_means(fem.StateField(mesh, np.zeros(mesh.num_nodes))).values == 0.0)
-    assert fem.element_means(fem.StateField(mesh, np.full(mesh.num_nodes, 3.0))).values == pytest.approx(3.0)
+    assert np.all(fem.element_means(mesh, np.zeros(mesh.num_nodes)) == 0.0)
+    assert fem.element_means(mesh, np.full(mesh.num_nodes, 3.0)) == pytest.approx(3.0)
     nodal = np.zeros(mesh.num_nodes)
     nodal[mesh.triangles[0]] = [0.0, 1.0, 2.0]
-    assert fem.element_means(fem.StateField(mesh, nodal)).values[0] == 1.0
+    assert fem.element_means(mesh, nodal)[0] == 1.0
 
 
 def test_grid_views_match_the_triangle_gather(rng):
     # the node-grid slices give the same bits as a gather through mesh.triangles
     for n in (1, 3, 20, 64):
         mesh = fem.build_mesh(n)
-        y = fem.StateField(mesh, rng.normal(size=mesh.num_nodes))
-        gathered = y.values[mesh.triangles]
-        assert np.array_equal(fem.element_means(y).values, gathered.mean(axis=1)), n
+        y = rng.normal(size=mesh.num_nodes)
+        gathered = y[mesh.triangles]
+        assert np.array_equal(fem.element_means(mesh, y), gathered.mean(axis=1)), n
         assert np.array_equal(mesh.centroids(), mesh.nodes[mesh.triangles].mean(axis=1)), n
         sq = (gathered * gathered).sum(axis=1) + gathered.sum(axis=1) ** 2
-        assert fem.l2_norm_state(y) == math.sqrt(mesh.triangle_area / 12.0 * sq.sum()), n
+        assert fem.l2_norm_state(mesh, y) == math.sqrt(mesh.triangle_area / 12.0 * sq.sum()), n
         if n % 4 == 0:
-            layout = fem.SwitchingLayout.build(mesh)
+            strip, bands = centroid_bands(mesh)
             weights = gathered.mean(axis=1) * mesh.triangle_area
-            for band, g in zip((layout.in_band1, layout.in_band2), fem.switching_gradients(mesh, y, layout)):
+            grads = SwitchingControl(mesh, np.zeros((2, n))).restrict(fem.element_means(mesh, y)).values
+            for band, g in zip(bands, grads):
                 want = np.zeros(n)
-                np.add.at(want, layout.strip[band], weights[band])
+                np.add.at(want, strip[band], weights[band])
                 assert np.array_equal(g, want * n), n
 
 
 def test_norms_trivial_and_unit():
     mesh = fem.build_mesh(9)
-    assert fem.l2_norm_state(fem.StateField(mesh, np.zeros(mesh.num_nodes))) == 0.0
+    assert fem.l2_norm_state(mesh, np.zeros(mesh.num_nodes)) == 0.0
     assert fem.l2_norm_control(fem.ControlField(mesh, np.zeros(mesh.num_triangles))) == 0.0
     assert fem.l2_norm_control(fem.ControlField(mesh, np.ones(mesh.num_triangles))) == pytest.approx(1.0, abs=1e-14)
-    assert fem.l2_norm_state(fem.StateField(mesh, np.ones(mesh.num_nodes))) == pytest.approx(1.0, abs=1e-14)
+    assert fem.l2_norm_state(mesh, np.ones(mesh.num_nodes)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_norm_of_interpolated_sine_product():
     mesh = fem.build_mesh(64)
     y = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-    assert abs(fem.l2_norm_state(y) - 0.5) <= 1e-3
+    assert abs(fem.l2_norm_state(mesh, y) - 0.5) <= 1e-3
 
 
 def test_inner_product_and_diff_norm(rng):
@@ -480,10 +482,59 @@ def test_support_measure_exact_zero_test():
 # switching geometry
 
 
+def centroid_bands(mesh):
+    """Strip index and (band 1, band 2) masks of every triangle, read off its centroid."""
+    cent = mesh.centroids()
+    strip = np.minimum((cent[:, 0] * mesh.n).astype(np.int64), mesh.n - 1)
+    return strip, (cent[:, 1] < 0.25, cent[:, 1] > 0.75)
+
+
+def centroid_cells(mesh, u1, u2):
+    """Oracle of SwitchingControl.cells: each band's triangles take their strip's value."""
+    strip, bands = centroid_bands(mesh)
+    c = np.zeros(mesh.num_triangles)
+    for band, uk in zip(bands, (u1, u2)):
+        c[band] = uk[strip[band]]
+    return c
+
+
+def centroid_restrict(mesh, means):
+    """Oracle of SwitchingControl.restrict: area * means scattered into the strips in triangle order."""
+    strip, bands = centroid_bands(mesh)
+    weights = means * mesh.triangle_area
+    g = np.zeros((2, mesh.n))
+    for gk, band in zip(g, bands):
+        np.add.at(gk, strip[band], weights[band])
+    return g * mesh.n
+
+
 def switching_load(mesh, u1, u2):
     """Nodal load of chi_band1 * u1(x1) + chi_band2 * u2(x1), as the problem builds it."""
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    return pde.load_map @ fem.SwitchingLayout.build(mesh).cell_values(u1, u2)
+    return pde.load_map @ SwitchingControl(mesh, np.stack([u1, u2])).cells()
+
+
+def wide_draw(rng, size):
+    """Normal draws scaled over 2^-60..2^60, with a share of exact +0.0 and -0.0."""
+    x = rng.normal(size=size) * np.exp2(rng.integers(-60, 61, size=size))
+    x[rng.random(size) < 0.1] = 0.0
+    x[rng.random(size) < 0.1] = -0.0
+    return x
+
+
+def test_switching_cells_and_restrict_match_the_centroid_oracle(rng):
+    # bit for bit, +-0.0 included: a strip of -0.0 means restricts to +0.0
+    for n in (4, 8, 12, 40, 320):
+        mesh = fem.build_mesh(n)
+        u = SwitchingControl(mesh, np.stack([wide_draw(rng, n), wide_draw(rng, n)]))
+        cells = u.cells()
+        assert cells.shape == (mesh.num_triangles,), n
+        assert np.array_equal(cells.view(np.int64), centroid_cells(mesh, u.u1, u.u2).view(np.int64)), n
+        means = wide_draw(rng, mesh.num_triangles)
+        means[mesh.triangles[:, 0] % (n + 1) == n // 2] = -0.0
+        g = u.restrict(means)
+        assert type(g) is SwitchingControl and g.mesh is mesh, n
+        assert np.array_equal(g.values.view(np.int64), centroid_restrict(mesh, means).view(np.int64)), n
 
 
 def test_switching_loads_zero():
@@ -500,21 +551,13 @@ def test_switching_loads_band_mass():
     assert load2.sum() == pytest.approx(0.25, abs=1e-14)
 
 
-def test_switching_requires_divisible_mesh():
-    with pytest.raises(ValueError):
-        fem.SwitchingLayout.build(fem.build_mesh(6))
-    with pytest.raises(ValueError):
-        fem.SwitchingLayout.build(fem.build_mesh(10))
-
-
 def test_switching_gradient_matches_load_pairing(rng):
     # <gradients, (du1, du2)>_{1/n} equals the load pairing <p, load(du)>
     mesh = fem.build_mesh(8)
-    layout = fem.SwitchingLayout.build(mesh)
-    p = fem.StateField(mesh, rng.normal(size=mesh.num_nodes))
-    g1, g2 = fem.switching_gradients(mesh, p, layout)
+    p = rng.normal(size=mesh.num_nodes)
+    g1, g2 = SwitchingControl(mesh, np.zeros((2, 8))).restrict(fem.element_means(mesh, p)).values
     du1 = rng.normal(size=8)
     du2 = rng.normal(size=8)
     lhs = (g1 @ du1 + g2 @ du2) / mesh.n
-    rhs = p.values @ switching_load(mesh, du1, du2)
+    rhs = p @ switching_load(mesh, du1, du2)
     assert lhs == pytest.approx(rhs, rel=1e-12)

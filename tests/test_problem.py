@@ -52,12 +52,23 @@ def test_spec_validation_errors():
 
 def test_spec_switching_constraints():
     with pytest.raises(ValueError, match=r"needs 4 \| mesh_n, got 10"):
-        benchmark_spec(penalty="switching", mesh_n=10)
+        benchmark_spec(penalty="switching", mesh_n=10, bound=math.inf)
     with pytest.raises(ValueError):
-        benchmark_spec(penalty="switching", mesh_n=8, pde=fem.NEUMANN_HELMHOLTZ)
-    spec = benchmark_spec(penalty="switching", mesh_n=8, alpha=1e-5, y_d=switching_target)
+        benchmark_spec(penalty="switching", mesh_n=8, pde=fem.NEUMANN_HELMHOLTZ, bound=math.inf)
+    spec = benchmark_spec(penalty="switching", mesh_n=8, alpha=1e-5, y_d=switching_target, bound=math.inf)
     assert isinstance(make_problem(spec).zero_control(), SwitchingControl)
-    assert make_problem(benchmark_spec()).layout is None
+    assert type(make_problem(benchmark_spec()).zero_control()) is fem.ControlField
+
+
+def test_spec_switching_rejects_a_finite_bound():
+    # the switching prox has no box; the operator and divisibility checks come first
+    for bound in (4.0, 1e-3):
+        with pytest.raises(ValueError, match=rf"takes no bound \(bound = inf\), got {bound}$"):
+            benchmark_spec(penalty="switching", mesh_n=8, bound=bound)
+    with pytest.raises(ValueError, match="Dirichlet"):
+        benchmark_spec(penalty="switching", mesh_n=8, pde=fem.NEUMANN_HELMHOLTZ)
+    with pytest.raises(ValueError, match=r"needs 4 \| mesh_n, got 10"):
+        benchmark_spec(penalty="switching", mesh_n=10)
 
 
 def test_non_finite_target_rejected():
@@ -66,7 +77,7 @@ def test_non_finite_target_rejected():
 
     for penalty in ("l0", "l1", "switching"):
         with pytest.raises(ValueError, match="non-finite"):
-            ControlProblem(benchmark_spec(penalty=penalty, mesh_n=8, y_d=half_nan))
+            ControlProblem(benchmark_spec(penalty=penalty, mesh_n=8, y_d=half_nan, bound=math.inf))
     with pytest.raises(ValueError, match="non-finite"):
         ControlProblem(benchmark_spec(y_d=lambda x1, x2: np.full_like(x1, np.inf)))
 
@@ -84,7 +95,7 @@ def test_eval_f_zero_control_equals_target_norm():
     # independent quadrature: the exact elementwise P1 norm of the interpolant
     p = ControlProblem(benchmark_spec(mesh_n=10))
     f0 = p.eval_f(p.zero_control())
-    expect = 0.5 * fem.l2_norm_state(p.target) ** 2
+    expect = 0.5 * fem.l2_norm_state(p.mesh, p.target) ** 2
     assert f0 > 0
     assert f0 == pytest.approx(expect, rel=1e-12)
 
@@ -95,8 +106,8 @@ def test_eval_f_quadratic_identity(rng):
     u = random_control(p, rng)
     u2 = fem.ControlField(p.mesh, 2.0 * u.values)
     lhs = p.eval_f(u2) - 4 * p.eval_f(u) + 3 * p.eval_f(p.zero_control())
-    y = fem.StateField(p.mesh, p.pde.solve(p.pde.load_map @ u.values))
-    rhs = 2.0 * float(y.values @ (p.pde.mass @ p.target.values))
+    y = p.pde.solve(p.pde.load_map @ u.values)
+    rhs = 2.0 * float(y @ (p.pde.mass @ p.target))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -110,7 +121,7 @@ def test_grad_zero_when_state_matches_target(rng):
     fr = np.setdiff1d(np.arange(p.mesh.num_nodes), p.mesh.boundary_nodes)
     system = fem._stencil_matrix(p.mesh, fem._STIFFNESS_LOCAL)[fr][:, fr].toarray()
     loads = p.pde.load_map.toarray()[fr]
-    u_vals, *_ = np.linalg.lstsq(loads, system @ p.target.values[fr], rcond=None)
+    u_vals, *_ = np.linalg.lstsq(loads, system @ p.target[fr], rcond=None)
     u = fem.ControlField(p.mesh, u_vals)
     f, grad = p.value_and_grad(u)
     assert f <= 1e-18
@@ -247,10 +258,10 @@ def test_shared_operator_budget_for_l0_and_switching(rng):
     l0 = ControlProblem(benchmark_spec(mesh_n=8), pde=pde)
     sw = ControlProblem(switching_spec(), pde=pde)
     assert l0.pde is sw.pde and l0.mesh is sw.mesh
-    assert l0.layout is None and sw.layout is not None
+    assert type(l0.zero_control()) is fem.ControlField and type(sw.zero_control()) is SwitchingControl
     controls = {
         "l0": (l0, random_control(l0, rng)),
-        "switching": (sw, SwitchingControl(sw.layout, rng.normal(size=(2, 8)))),
+        "switching": (sw, SwitchingControl(sw.mesh, rng.normal(size=(2, 8)))),
     }
     for penalty, (p, u) in controls.items():
         p.eval_f(u)
@@ -273,13 +284,14 @@ def test_budget_paused(rng):
 
 
 def test_state_is_one_counted_solve_of_the_load(rng):
-    for spec in (benchmark_spec(mesh_n=8), benchmark_spec(penalty="switching", mesh_n=8, y_d=switching_target)):
+    for spec in (benchmark_spec(mesh_n=8),
+                 benchmark_spec(penalty="switching", mesh_n=8, y_d=switching_target, bound=math.inf)):
         p = ControlProblem(spec)
-        u = random_control(p, rng) if p.layout is None else SwitchingControl(p.layout, rng.normal(size=(2, 8)))
-        cells = u.values if p.layout is None else p.layout.cell_values(u.u1, u.u2)
+        u = random_control(p, rng) if spec.penalty == "l0" else SwitchingControl(p.mesh, rng.normal(size=(2, 8)))
+        cells = u.cells()
         y = p.state(u)
         assert p.budget.count == 1, spec.penalty
-        assert np.array_equal(y.values, p.pde.solve(p.pde.load_map @ cells)), spec.penalty
+        assert np.array_equal(y, p.pde.solve(p.pde.load_map @ cells)), spec.penalty
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ def test_switching_zero_control_and_overlap():
     vals = np.zeros((2, 8))
     vals[0, :4] = 1.0
     vals[1, 2:6] = 1.0
-    u = SwitchingControl(p.layout, vals)
+    u = SwitchingControl(p.mesh, vals)
     assert u.support_measure() == pytest.approx(2 / 8)
     expect = 0.5 * 1e-5 * (vals**2).sum() / 8 + 0.01 * 2 / 8
     assert p.eval_g(u) == pytest.approx(expect, rel=1e-12)
@@ -307,13 +319,13 @@ def test_switching_zero_control_and_overlap():
 
 def test_switching_gradient_matches_finite_differences(rng):
     p = ControlProblem(switching_spec())
-    u = SwitchingControl(p.layout, rng.normal(size=(2, 8)))
+    u = SwitchingControl(p.mesh, rng.normal(size=(2, 8)))
     du = rng.normal(size=(2, 8))
     _, grad = p.value_and_grad(u)
     pairing = float((grad.values * du).sum()) / p.mesh.n
     eps = 1e-5
-    up = SwitchingControl(p.layout, u.values + eps * du)
-    um = SwitchingControl(p.layout, u.values - eps * du)
+    up = SwitchingControl(p.mesh, u.values + eps * du)
+    um = SwitchingControl(p.mesh, u.values - eps * du)
     fd = (p.eval_f(up) - p.eval_f(um)) / (2 * eps)
     assert pairing == pytest.approx(fd, rel=1e-6)
 
@@ -322,7 +334,7 @@ def test_switching_chi_distance():
     p = ControlProblem(switching_spec())
     a = np.zeros((2, 8)); a[0, :] = 1.0; a[1, :4] = 1.0
     b = np.zeros((2, 8)); b[0, :] = 1.0; b[1, 2:6] = 1.0
-    ca = SwitchingControl(p.layout, a).indicator()
-    cb = SwitchingControl(p.layout, b).indicator()
+    ca = SwitchingControl(p.mesh, a).indicator()
+    cb = SwitchingControl(p.mesh, b).indicator()
     assert ca.values.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
     assert ca.measure(ca.values != cb.values) == pytest.approx(4 / 8)

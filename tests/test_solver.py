@@ -244,10 +244,12 @@ def _edge_cells(L, alpha, beta, bound, rng):
 @pytest.mark.parametrize("penalty", ["l0", "l1", "switching"])
 def test_prox_dispatch_matches_per_penalty_branches_bit_for_bit(penalty, L, alpha, beta, bound):
     rng = np.random.default_rng(7)
-    spec = ProblemSpec(alpha=alpha, beta=beta, bound=bound, penalty=penalty, mesh_n=4)
+    # a switching problem takes no bound; its edge cells are still those of the bound
+    spec = ProblemSpec(alpha=alpha, beta=beta, bound=math.inf if penalty == "switching" else bound,
+                       penalty=penalty, mesh_n=4)
     problem = SimpleNamespace(spec=spec)
     u, g = _edge_cells(L, alpha, beta, bound, rng)
-    # the step and the residual never read the mesh or the strip layout
+    # the step and the residual never read the mesh
     if penalty == "switching":
         # each edge cell beside itself, its other-signed-u twin and a random partner
         i = np.tile(np.arange(u.size), 3)
