@@ -306,10 +306,17 @@ def _assemble_once(cache, mesh_n, pde_kind):
     return cache[key]
 
 
-def _sweep_run(cfg, pde_cache, y_d=None):
+def _sweep_specs(cfgs, y_d=None):
+    """(config, ProblemSpec) of every run of a sweep, all built before the first run.
+
+    A bad later value then fails before any run solves or writes anything.
+    """
+    return [(cfg, build_spec(cfg, y_d=y_d)) for cfg in cfgs]
+
+
+def _sweep_run(cfg, spec, pde_cache):
     """One run of a sweep on the operator shared through pde_cache, without fp residual."""
-    spec = build_spec(cfg, y_d=y_d)
-    problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, cfg.mesh_n, spec.pde))
+    problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, spec.mesh_n, spec.pde))
     return problem, solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
 
 
@@ -318,11 +325,10 @@ def run_table1(config: RunConfig, out=None):
     out = Path(out if out is not None else config.out)
     rows, reports, pde_cache = [], [], {}
     cases = [("bt", w) for w in TABLE1_BT_WEIGHTS] + [("btw", 0.01), ("bt0", 0.01)]
-    for kind, lhat0 in cases:
-        cfg = replace(config, strategy=kind, lhat0=lhat0)
-        problem, report = _sweep_run(cfg, pde_cache)
+    for cfg, spec in _sweep_specs([replace(config, strategy=kind, lhat0=lhat0) for kind, lhat0 in cases]):
+        problem, report = _sweep_run(cfg, spec, pde_cache)
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
-        rows.append((report.final_F, support, report.pde_solves, lhat0, kind, F_vertex))
+        rows.append((report.final_F, support, report.pde_solves, cfg.lhat0, cfg.strategy, F_vertex))
         reports.append(report)
     header = ["F", "support", "pde_solves", "L_hat0", "strategy", "F_vertex"]
     _write_csv(out / "table1.csv", header, list(zip(*rows)))
@@ -341,17 +347,18 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
     if pareto:
         betas = tuple(betas) if betas else PARETO_BETAS
         all_reports = {}
-        for kind in ("l0", "l1"):
-            cfgs = [replace(config, penalty=kind, beta=b) for b in betas]
-            reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
+        sweeps = {kind: _sweep_specs([replace(config, penalty=kind, beta=b) for b in betas])
+                  for kind in ("l0", "l1")}
+        for kind, runs in sweeps.items():
+            reports = [_sweep_run(cfg, spec, pde_cache)[1] for cfg, spec in runs]
             columns = [betas, [r.final_f for r in reports], [r.records[-1].support for r in reports]]
             _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], columns)
             all_reports[kind] = reports
         return all_reports
 
     betas = tuple(betas) if betas else TABLE2_BETAS
-    cfgs = [replace(config, beta=b, bound=math.inf) for b in betas]
-    reports = [_sweep_run(cfg, pde_cache)[1] for cfg in cfgs]
+    runs = _sweep_specs([replace(config, beta=b, bound=math.inf) for b in betas])
+    reports = [_sweep_run(cfg, spec, pde_cache)[1] for cfg, spec in runs]
     supports = [r.records[-1].support for r in reports]
     _write_csv(out / "beta_sweep.csv", ["beta", "support"], [betas, supports])
     return reports
@@ -361,10 +368,12 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     """Same problem across mesh resolutions; emits (h, F, support, pde_solves)."""
     out = Path(out if out is not None else config.out)
     rows, reports = [], []
-    for n in n_list or MESH_STUDY_NS:
+    n_list = n_list or MESH_STUDY_NS
+    for n in n_list:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
-        problem, report = _sweep_run(replace(config, mesh_n=int(n)), {})
+    for cfg, spec in _sweep_specs([replace(config, mesh_n=int(n)) for n in n_list]):
+        problem, report = _sweep_run(cfg, spec, {})
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)
@@ -389,7 +398,7 @@ def run_unsolvable(config: RunConfig, out=None):
 
     u_bar = fem.ControlField(problem.mesh, np.full(problem.mesh.num_triangles, math.sqrt(beta / alpha)))
     with problem.budget.paused():
-        grad_bar = problem.grad_f(u_bar)
+        grad_bar = problem.value_and_grad(u_bar)[1]
         grad_dev = float(np.abs(grad_bar.values + math.sqrt(2 * alpha * beta)).max())
         fp_rows = [(L, solvermod.fp_residual(problem, u_bar, L, grad=grad_bar)) for L in UNSOLVABLE_WEIGHTS]
     _write_csv(out / "unsolvable_fp.csv", ["L", "fp_residual"], list(zip(*fp_rows)))
@@ -419,11 +428,11 @@ def run_switching(config: RunConfig, betas=None, out=None):
     out = Path(out if out is not None else config.out)
     betas = tuple(betas) if betas else SWITCHING_BETAS
     rows, reports, pde_cache = [], [], {}
-    for beta in betas:
-        cfg = replace(config, penalty="switching", pde="dirichlet", beta=beta, bound=math.inf)
-        _, report = _sweep_run(cfg, pde_cache, y_d=problemmod.switching_target)
-        rows.append((beta, report.final_F, report.records[-1].support))
-        write_control_csv(out / f"switching_controls_beta{_fmt(beta)}.csv", report.final_control)
+    cfgs = [replace(config, penalty="switching", pde="dirichlet", beta=b, bound=math.inf) for b in betas]
+    for cfg, spec in _sweep_specs(cfgs, y_d=problemmod.switching_target):
+        _, report = _sweep_run(cfg, spec, pde_cache)
+        rows.append((cfg.beta, report.final_F, report.records[-1].support))
+        write_control_csv(out / f"switching_controls_beta{_fmt(cfg.beta)}.csv", report.final_control)
         reports.append(report)
     _write_csv(out / "switching.csv", ["beta", "F", "overlap"], list(zip(*rows)))
     return reports
@@ -499,7 +508,7 @@ def run_selftest(config: RunConfig):
             u = fem.ControlField(problem.mesh, rng.normal(size=problem.mesh.num_triangles))
             du = fem.ControlField(problem.mesh, rng.normal(size=problem.mesh.num_triangles))
             _, grad = problem.value_and_grad(u)
-            pair = fem.l2_inner_control(grad, du)
+            pair = problem.mesh.triangle_area * float(grad.values @ du.values)
             eps = 1e-5
             up = fem.ControlField(problem.mesh, u.values + eps * du.values)
             um = fem.ControlField(problem.mesh, u.values - eps * du.values)

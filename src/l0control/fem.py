@@ -48,8 +48,6 @@ __all__ = [
     "element_means",
     "interpolate_nodal",
     "l2_norm_state",
-    "l2_norm_control",
-    "l2_inner_control",
 ]
 
 
@@ -108,7 +106,8 @@ class ControlField:
 
     def norm_sq(self, scale):
         """scale * ||u||^2 (exact L2 norm of the piecewise constant)."""
-        return scale * l2_norm_control(self) ** 2
+        # squares the rounded norm, not area * (v @ v): the g column depends on these bits
+        return scale * math.sqrt(self.mesh.triangle_area * float(self.values @ self.values)) ** 2
 
     def diff_norm(self, other):
         d = self.values - other.values
@@ -339,15 +338,4 @@ def l2_norm_state(mesh, y):
     """Exact L2 norm of the nodal field y: per-triangle quadratic form of the mass matrix."""
     sq = _per_triangle(mesh, y, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
     return math.sqrt(max(mesh.triangle_area / 12.0 * sq.sum(), 0.0))
-
-
-def l2_norm_control(u: ControlField):
-    """Exact L2 norm of a piecewise-constant field."""
-    return math.sqrt(u.mesh.triangle_area * float(u.values @ u.values))
-
-
-def l2_inner_control(u: ControlField, v: ControlField):
-    if u.mesh is not v.mesh:
-        raise ValueError("fields live on different meshes")
-    return u.mesh.triangle_area * float(u.values @ v.values)
 

@@ -108,25 +108,19 @@ class EvaluationBudget:
     """PDE-solve counter (one increment per state or adjoint solve)."""
 
     def __init__(self):
-        self._count = 0
-        self._pause_depth = 0
-
-    @property
-    def count(self):
-        return self._count
+        self.count = 0
 
     def add(self, n=1):
-        if self._pause_depth == 0:
-            self._count += n
+        self.count += n
 
     @contextmanager
     def paused(self):
-        """Suspend counting, e.g. for post-run diagnostics; pauses nest."""
-        self._pause_depth += 1
+        """Leave the count as it was on entry, e.g. for post-run diagnostics."""
+        count = self.count
         try:
             yield
         finally:
-            self._pause_depth -= 1
+            self.count = count
 
 
 class ControlProblem:
@@ -191,9 +185,6 @@ class ControlProblem:
         p = self.pde.solve(mr)
         self.budget.add(1)
         return f, u.restrict(fem.element_means(self.mesh, p))
-
-    def grad_f(self, u):
-        return self.value_and_grad(u)[1]
 
     def eval_g(self, u):
         s = self.spec

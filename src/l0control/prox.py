@@ -152,9 +152,6 @@ class ProxParams:
         _positive("beta", self.beta)
         _box_bound("bound", self.bound)
 
-    def _weight(self):
-        return _weight(self.L, self.alpha)
-
 
 @dataclass(frozen=True)
 class SwitchingPoint:
@@ -323,7 +320,7 @@ def box_hard_threshold(q, s, b):
 
 def separation_threshold(p: ProxParams):
     """Smallest magnitude a nonzero prox output can take: min(b, sqrt(2*beta/(L+alpha)))."""
-    w = p._weight()
+    w = _weight(p.L, p.alpha)
     return min(p.bound, math.sqrt(2.0 * p.beta / w))
 
 
@@ -384,7 +381,7 @@ def fp_membership(u, g, p: ProxParams):
     """
     u = _finite("u", u)
     g = _finite("g", g)
-    w = p._weight()
+    w = _weight(p.L, p.alpha)
     s = p.beta / w
     root = math.sqrt(2.0 * s)
     b = p.bound

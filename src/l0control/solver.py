@@ -94,22 +94,6 @@ class StepStrategy:
         if not (0 <= self.L_fixed < math.inf):
             raise ValueError(f"L_fixed must be a finite nonnegative real, got {self.L_fixed}")
 
-    @classmethod
-    def fixed(cls, L, **kw):
-        return cls(kind=FIXED, L_fixed=L, **kw)
-
-    @classmethod
-    def backtracking(cls, L_hat0=0.01, **kw):
-        return cls(kind=BT, L_hat0=L_hat0, **kw)
-
-    @classmethod
-    def widening(cls, L_hat0=0.01, **kw):
-        return cls(kind=BT_W, L_hat0=L_hat0, **kw)
-
-    @classmethod
-    def zero_first(cls, L_hat0=0.01, **kw):
-        return cls(kind=BT_0, L_hat0=L_hat0, **kw)
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -281,7 +265,7 @@ def fp_residual(problem, u, L, grad=None):
     """
     s = problem.spec
     if grad is None:
-        grad = problem.grad_f(u)
+        grad = problem.value_and_grad(u)[1]
     zero_ok, v, v_ok = _prox_sets(s, u, grad, L)
     dist = np.minimum(np.where(zero_ok, np.abs(u.values), np.inf),
                       np.where(v_ok, np.abs(u.values - v), np.inf))

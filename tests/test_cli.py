@@ -165,6 +165,34 @@ def test_unusable_out_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     assert_rejected(["solve", "--mesh-n", "4", "--out", str(regular_file / "sub")], capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["switching", "--mesh-n", "8", "--betas", "0.01", "0"], "beta must be a finite positive real, got 0.0"),
+    (["beta-sweep", "--mesh-n", "8", "--betas", "0.01", "-1"], "beta must be a finite positive real, got -1.0"),
+    (["beta-sweep", "--pareto", "--mesh-n", "8", "--betas", "0.01", "-1"],
+     "beta must be a finite positive real, got -1.0"),
+    (["mesh-study", "--n-list", "8", "2"], "mesh study needs n >= 4, got 2"),
+    (["mesh-study", "--penalty", "switching", "--bound", "inf", "--n-list", "8", "10"],
+     "the switching problem needs 4 | mesh_n, got 10"),
+])
+def test_sweep_rejects_a_bad_later_value_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran before every value was checked")
+
+    monkeypatch.setattr(solver, "run", must_not_run)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    F, support, pde_solves = capsys.readouterr().out.split()
+    assert float(F) > 0 and 0 < float(support) < 1 and int(pde_solves) > 0
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--frobnicate"])

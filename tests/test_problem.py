@@ -135,7 +135,7 @@ def test_grad_matches_finite_differences(rng):
             u = random_control(p, rng)
             du = random_control(p, rng)
             _, grad = p.value_and_grad(u)
-            pairing = fem.l2_inner_control(grad, du)
+            pairing = p.mesh.triangle_area * float(grad.values @ du.values)
             eps = 1e-5
             up = fem.ControlField(p.mesh, u.values + eps * du.values)
             um = fem.ControlField(p.mesh, u.values - eps * du.values)
@@ -151,7 +151,7 @@ def test_grad_constant_for_unsolvable_configuration():
     )
     p = ControlProblem(spec)
     ubar = fem.ControlField(p.mesh, np.full(p.mesh.num_triangles, math.sqrt(beta / alpha)))
-    grad = p.grad_f(ubar)
+    grad = p.value_and_grad(ubar)[1]
     dev = np.abs(grad.values + math.sqrt(2 * alpha * beta)).max()
     assert dev <= 10 * p.mesh.mesh_size**2
     assert dev <= 1e-10  # constants are exact on this operator
@@ -182,7 +182,7 @@ def test_eval_g_half_support_at_bound():
 def test_eval_g_l1_mode(rng):
     p = ControlProblem(benchmark_spec(penalty="l1", beta=0.3, alpha=0.2, mesh_n=4))
     u = random_control(p, rng)
-    expect = 0.5 * 0.2 * fem.l2_norm_control(u) ** 2 + 0.3 * p.mesh.triangle_area * np.abs(u.values).sum()
+    expect = 0.5 * 0.2 * u.norm_sq(1.0) + 0.3 * p.mesh.triangle_area * np.abs(u.values).sum()
     assert p.eval_g(u) == pytest.approx(expect, rel=1e-12)
 
 
@@ -280,6 +280,21 @@ def test_budget_paused(rng):
         p.eval_f(p.zero_control())  # the outer pause still holds
     assert p.budget.count == 0
     p.eval_f(p.zero_control())
+    assert p.budget.count == 1
+    # a pause whose block raises still restores the count on exit, nested too
+    with pytest.raises(RuntimeError):
+        with p.budget.paused():
+            p.eval_f(p.zero_control())
+            with p.budget.paused():
+                p.eval_f(p.zero_control())
+                raise RuntimeError
+    assert p.budget.count == 1
+    with p.budget.paused():
+        with pytest.raises(RuntimeError):
+            with p.budget.paused():
+                p.eval_f(p.zero_control())
+                raise RuntimeError
+        p.eval_f(p.zero_control())
     assert p.budget.count == 1
 
 

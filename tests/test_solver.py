@@ -76,12 +76,9 @@ class ToyProblem:
         f = 0.5 * self.lipschitz * self.mesh.triangle_area * float(d @ d)
         return f, fem.ControlField(self.mesh, self.lipschitz * d)
 
-    def grad_f(self, u):
-        return self.value_and_grad(u)[1]
-
     def eval_g(self, u):
         s = self.spec
-        quad = 0.5 * s.alpha * fem.l2_norm_control(u) ** 2
+        quad = 0.5 * s.alpha * u.norm_sq(1.0)
         return quad + s.beta * u.support_measure()
 
 
@@ -284,7 +281,7 @@ def test_select_step_fixed_applies_without_test():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    strat = StepStrategy.fixed(2.0)
+    strat = StepStrategy(kind="fixed", L_fixed=2.0)
     L, u_next, f_next, trials = select_step(p, strat, u, grad, F)
     assert L == 2.0 and trials == 1
     expect = prox_l0(grad.values[0], 0.0, ProxParams(2.0, 1.0, 1.0, 2.0)).canonical
@@ -297,7 +294,7 @@ def test_select_step_bt_accepts_initial_when_descending():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy.backtracking(0.01), u, grad, F)
+    L, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F)
     assert L == 0.01 and trials == 1
 
 
@@ -307,7 +304,7 @@ def test_select_step_bt_doubles_until_accepted():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy.backtracking(1.0), u, grad, F)
+    L, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=1.0), u, grad, F)
     assert L > 1.0
     assert trials == int(round(math.log2(L / 1.0))) + 1
     # the accepted weight survives its own descent test by construction
@@ -322,7 +319,7 @@ def test_select_step_widening_keeps_last_accepted():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    strat = StepStrategy.widening(0.01, I_max=1)
+    strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=1)
     L, _, _, trials = select_step(p, strat, u, grad, F)
     assert L == pytest.approx(0.005)
     assert trials == 2
@@ -333,7 +330,7 @@ def test_select_step_widening_runs_all_imax_when_everything_descends():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    strat = StepStrategy.widening(0.01, I_max=5)
+    strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=5)
     L, _, _, trials = select_step(p, strat, u, grad, F)
     assert L == pytest.approx(0.01 * 0.5**5)
     assert trials == 6
@@ -344,7 +341,7 @@ def test_select_step_zero_first_accepts_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy.zero_first(0.01), u, grad, F)
+    L, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=0.01), u, grad, F)
     assert L == 0.0 and trials == 1
 
 
@@ -354,7 +351,7 @@ def test_select_step_zero_first_skips_illegal_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy.zero_first(1.0), u, grad, F)
+    L, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=1.0), u, grad, F)
     assert L > 0.0
 
 
@@ -368,7 +365,7 @@ def test_select_step_raises_on_inconsistent_objective():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     with pytest.raises(StepSearchError):
-        select_step(p, StepStrategy.backtracking(0.01), u, grad, 1.0)
+        select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, 1.0)
 
 
 def test_select_step_flat_objective_accepts_zero_move_at_large_weight():
@@ -384,7 +381,7 @@ def test_select_step_flat_objective_accepts_zero_move_at_large_weight():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     F = 7.0 + p.eval_g(u)
-    L, u_next, f_next, trials = select_step(p, StepStrategy.backtracking(0.01), u, grad, F, flat_tol=1e-12)
+    L, u_next, f_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
     assert np.all(u_next.values == u.values)
     assert trials < solver.MAX_INCREASES
 
@@ -401,12 +398,12 @@ def test_select_step_stagnation_returns_zero_move():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     F = 7.0 + p.eval_g(u)
-    L, u_next, f_next, trials = select_step(p, StepStrategy.backtracking(0.01), u, grad, F, flat_tol=1e-12)
+    L, u_next, f_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
     assert u_next is u
     assert f_next + p.eval_g(u) == F
     assert trials == solver.MAX_INCREASES + 1
     with pytest.raises(StepSearchError):
-        select_step(p, StepStrategy.backtracking(0.01), u, grad, F, flat_tol=1e-16)
+        select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,7 @@ def test_select_step_stagnation_returns_zero_move():
 
 def test_run_zero_target_terminates_immediately():
     problem = ControlProblem(benchmark_spec(mesh_n=6, y_d=zero_target))
-    report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01)))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
     assert report.final_F == 0.0
     assert report.iterations == 1
     assert report.termination == solver.TOLERANCE
@@ -425,7 +422,7 @@ def test_run_zero_target_terminates_immediately():
 
 def test_run_benchmark_coarse_logs_and_invariants():
     problem = ControlProblem(benchmark_spec(mesh_n=10))
-    report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01)))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
     eta = 1e-4
     Fs = [report.initial_F] + report.column("F")
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
@@ -451,7 +448,7 @@ def test_run_benchmark_coarse_logs_and_invariants():
 
 def test_run_sigma_separation_every_iteration():
     problem = ControlProblem(benchmark_spec(mesh_n=8))
-    options = SolverOptions(strategy=StepStrategy.zero_first(0.01))
+    options = SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01))
     u = problem.zero_control()
     _, grad = problem.value_and_grad(u)
     F = problem.eval_f(u) + problem.eval_g(u)
@@ -470,7 +467,7 @@ def test_run_fixed_strategy_counts_violations():
     # fixed weight far below the toy Lipschitz constant: the iteration
     # overshoots and the objective increases, which is logged, not enforced
     p = ToyProblem(lipschitz=8.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
-    report = run(p, SolverOptions(strategy=StepStrategy.fixed(1.0), max_iterations=12))
+    report = run(p, SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0), max_iterations=12))
     assert report.monotonicity_violations > 0
     assert all(r.trials == 1 for r in report.records)
     assert report.pde_solves == 3 * report.iterations
@@ -484,7 +481,8 @@ class NaNObjectiveProblem(ToyProblem):
         return math.nan
 
 
-@pytest.mark.parametrize("strategy", [StepStrategy.fixed(1.0), StepStrategy.zero_first(0.01)])
+@pytest.mark.parametrize("strategy", [StepStrategy(kind="fixed", L_fixed=1.0),
+                                      StepStrategy(kind="bt0", L_hat0=0.01)])
 def test_run_stops_on_non_finite_objective(strategy):
     problem = NaNObjectiveProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
     with pytest.raises(NonFiniteError):
@@ -501,12 +499,12 @@ def test_run_stops_on_non_finite_gradient():
             return f, fem.ControlField(self.mesh, np.full(2, math.nan))
 
     with pytest.raises(NonFiniteError, match="gradient"):
-        run(NaNGradientProblem(), SolverOptions(strategy=StepStrategy.fixed(1.0)))
+        run(NaNGradientProblem(), SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0)))
 
 
 def test_run_fixed_strategy_above_lipschitz_is_monotone():
     p = ToyProblem(lipschitz=0.5, target=(1.2, -0.8), beta=0.05, bound=2.0)
-    report = run(p, SolverOptions(strategy=StepStrategy.fixed(1.0), max_iterations=200))
+    report = run(p, SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0), max_iterations=200))
     assert report.monotonicity_violations == 0
     Fs = [report.initial_F] + report.column("F")
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
@@ -514,7 +512,7 @@ def test_run_fixed_strategy_above_lipschitz_is_monotone():
 
 def test_run_max_iterations_termination():
     problem = ControlProblem(benchmark_spec(mesh_n=6))
-    report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01), max_iterations=2),
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), max_iterations=2),
                  compute_fp_residual=False)
     assert report.iterations == 2
     assert report.termination == solver.MAX_ITERATIONS
@@ -525,7 +523,7 @@ def test_run_large_initial_weight_collapses_to_zero():
     # large weights keep every cell below threshold, so the first accepted
     # step is u = 0 and the iteration stops there
     problem = ControlProblem(benchmark_spec(mesh_n=10))
-    report = run(problem, SolverOptions(strategy=StepStrategy.backtracking(10.0)))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt", L_hat0=10.0)))
     assert np.all(report.final_control.values == 0.0)
     assert report.records[-1].support == 0.0
 
@@ -534,7 +532,7 @@ def test_run_switching_problem_smoke():
     spec = ProblemSpec(alpha=1e-5, beta=0.01, bound=math.inf, penalty="switching",
                        pde=fem.DIRICHLET_POISSON, y_d=switching_target, mesh_n=8)
     problem = ControlProblem(spec)
-    report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01), max_iterations=500))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), max_iterations=500))
     Fs = [report.initial_F] + report.column("F")
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
     assert report.pde_solves == 2 * report.iterations + sum(report.column("trials"))
@@ -556,16 +554,16 @@ def test_fp_residual_detects_convexified_solution():
                           y_d=unsolvable_target(alpha, beta), mesh_n=16)
     problem = ControlProblem(spec)
     ubar = fem.ControlField(problem.mesh, np.full(problem.mesh.num_triangles, 1.0))
-    grad = problem.grad_f(ubar)
+    grad = problem.value_and_grad(ubar)[1]
     for L in (0.01, 0.1, 1.0, 10.0):
         assert fp_residual(problem, ubar, L, grad=grad) > 1e-3
 
 
 def test_fp_residual_monotone_in_weight_at_converged_control():
     problem = ControlProblem(benchmark_spec(mesh_n=8))
-    report = run(problem, SolverOptions(strategy=StepStrategy.zero_first(0.01)))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
     u = report.final_control
-    grad = problem.grad_f(u)
+    grad = problem.value_and_grad(u)[1]
     base_L = max(report.fp_residual_L, 0.01)
     r0 = fp_residual(problem, u, base_L, grad=grad)
     if r0 <= 1e-10:
