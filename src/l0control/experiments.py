@@ -20,7 +20,6 @@ from . import fem
 from . import problem as problemmod
 from . import reference
 from . import solver as solvermod
-from .prox import ProxParams, SwitchingPoint, prox_l0, prox_l1, prox_switch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +38,7 @@ PARETO_BETAS = tuple(0.5 * 0.7**l for l in range(16))
 SWITCHING_BETAS = (0.1, 0.01, 0.001)
 MESH_STUDY_NS = (10, 20, 40)
 UNSOLVABLE_WEIGHTS = (0.01, 0.1, 1.0, 10.0)
-# selftest's random draws per scalar prox map, and for the paired switching map
+# selftest's random draws per thresholding prox map, and for the paired switching map
 SELFTEST_DRAWS = 300
 SELFTEST_SWITCH_DRAWS = 100
 
@@ -372,6 +371,7 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     for n in n_list:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
+        fem.check_mesh_fits(int(n))
     for cfg, spec in _sweep_specs([replace(config, mesh_n=int(n)) for n in n_list]):
         problem, report = _sweep_run(cfg, spec, {})
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
@@ -454,48 +454,19 @@ def run_selftest(config: RunConfig):
     def draw(n, *ranges):
         return [rng.uniform(lo, hi, n) for lo, hi in ranges]
 
-    def penalized_reference(g, u, L, alpha, abs_w, supp_w, b):
-        """Batch reference for  g*v + (L/2)(v-u)^2 + (alpha/2)v^2 + abs_w*|v| + supp_w*(v != 0)."""
-        a2, a1, const = 0.5 * (L + alpha), g - L * u, 0.5 * L * u * u
-        radius = reference.search_radius(a2, a1, supp_w, b)
-        m, cands, cvals = reference.penalized_quadratic_batch(a2, a1, abs_w, supp_w, radius)
-        return m + const, cands, cvals + const[:, None]
-
     n = SELFTEST_DRAWS
-    g, u, L, alpha, beta = draw(n, (-3, 3), (-2, 2), (0, 2), (0.01, 2), (0.01, 2))
-    b = rng.choice([0.5, 1.0, 2.0, math.inf], n)
-    best, cands, cvals = penalized_reference(g, u, L, alpha, 0.0, beta, b)
-    # prox_l0 is set-valued: every element is checked against its row
-    pairs = [(i, v) for i in range(n)
-             for v in prox_l0(g[i], u[i], ProxParams(L[i], alpha[i], beta[i], b[i])).values]
-    i, v = map(np.array, zip(*pairs))
-    val = g[i] * v + 0.5 * L[i] * (v - u[i]) ** 2 + 0.5 * alpha[i] * v * v + beta[i] * (v != 0.0)
-    worst = float(np.max(np.abs(val - best[i])))
-    ok = not reference.admit(v, val, best[i], cands[i], cvals[i]).any()
-    check("prox_l0 vs brute force", ok, f"(n={n}, worst objective gap {worst:.2e})")
-
-    g, u, L, alpha, gamma = draw(n, (-3, 3), (-2, 2), (0, 2), (0.01, 2), (0.01, 2))
-    b = rng.choice([0.5, 1.0, 2.0, math.inf], n)
-    best, cands, cvals = penalized_reference(g, u, L, alpha, gamma, 0.0, b)
-    v = np.array([prox_l1(g[i], u[i], L[i], alpha[i], gamma[i], b[i]) for i in range(n)])
-    val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + gamma * np.abs(v)
-    check("prox_l1 vs brute force", not reference.admit(v, val, best, cands, cvals).any(), f"(n={n})")
+    for penalty in ("l0", "l1"):
+        # weight is beta or gamma; every element of an l0 prox set is checked against its row
+        g, u, L, alpha, weight = draw(n, (-3, 3), (-2, 2), (0, 2), (0.01, 2), (0.01, 2))
+        b = rng.choice([0.5, 1.0, 2.0, math.inf], n)
+        fail, gap = reference.check_prox(penalty, g, u, L, alpha, weight, b)
+        detail = f"(n={n}, worst objective gap {gap.max():.2e})" if penalty == "l0" else f"(n={n})"
+        check(f"prox_{penalty} vs brute force", not fail.any(), detail)
 
     n = SELFTEST_SWITCH_DRAWS
     g1, g2, u1, u2, L, alpha, beta = draw(n, (-2, 2), (-2, 2), (-1, 1), (-1, 1), (0, 2), (0.01, 1), (0.01, 1))
-    best, cands, cvals = reference.switch_batch(g1, g2, u1, u2, L, alpha, beta)
-    v = np.empty((n, 2))
-    for i in range(n):
-        p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]), L[i], alpha[i], beta[i])
-        v[i] = p.u1, p.u2
-    p1, p2 = v.T
-    val = (
-        g1 * p1 + g2 * p2
-        + 0.5 * L * ((p1 - u1) ** 2 + (p2 - u2) ** 2)
-        + 0.5 * alpha * (p1**2 + p2**2)
-        + beta * ((p1 != 0.0) & (p2 != 0.0))
-    )
-    check("prox_switch vs brute force", not reference.admit(v, val, best, cands, cvals).any())
+    fail, _ = reference.check_prox("switching", (g1, g2), (u1, u2), L, alpha, beta)
+    check("prox_switch vs brute force", not fail.any())
 
     # adjoint gradient vs central differences on a small mesh, both operators
     ok = True

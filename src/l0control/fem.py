@@ -134,20 +134,25 @@ def _physical_memory():
         return None
 
 
-def build_mesh(n):
-    """Triangulate (0,1)^2 with n subdivisions per side (2*n^2 triangles)."""
-    if n < 1:
-        raise ValueError(f"mesh subdivisions must be >= 1, got {n}")
-    k = n + 1
+def check_mesh_fits(n):
+    """Raise MemoryError if the n-subdivision mesh's arrays exceed physical memory."""
     # the float node array and the int64 triangle array, counted in Python ints
     # before any of them is allocated (numpy's own shape product can overflow)
-    nbytes = 8 * (2 * k * k + 6 * n * n)
+    nbytes = 8 * (2 * (n + 1) ** 2 + 6 * n * n)
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise MemoryError(
             f"cannot allocate the n={n} mesh: its node and triangle arrays take {nbytes} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
+
+
+def build_mesh(n):
+    """Triangulate (0,1)^2 with n subdivisions per side (2*n^2 triangles)."""
+    if n < 1:
+        raise ValueError(f"mesh subdivisions must be >= 1, got {n}")
+    check_mesh_fits(n)
+    k = n + 1
     xs = np.linspace(0.0, 1.0, k)
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])

@@ -12,18 +12,21 @@ multi-valued.  The canonical (measurable) selection takes 0 at ties.
 
 Each map has one implementation, a private core: `_l0_sets` for the
 hard-thresholding family, `_prox_l1` for soft thresholding and
-`_prox_switch` for the paired switching prox.  The cores are written against
-primitives that take a float or an ndarray alike: the builtin `abs`, the
-arithmetic and comparison operators, `&`, and `_clip`, `_where`, `_minimum`,
-`_maximum` and `_sign`, which run plain Python on builtin floats (with
-numpy's NaN and signed-zero results) and call numpy on anything else.  The solver runs the cores over
-whole control fields through the array maps (`prox_l0_array`,
-`prox_l0_set_arrays`, `prox_l1_array`, `prox_switch_arrays`); the scalar API
-(`hard_threshold`, `box_hard_threshold`, `prox_l0`, `prox_l1`,
-`prox_switch`) validates its arguments, converts them to builtin floats,
-calls the same core and packages the result as a `ScalarSolutionSet`, a
-float or a `SwitchingPoint`.  A scalar call does no numpy work (1.4-3.6 us
-on a 2-core x86 host) and gives the same bits as the array map's row.
+`_prox_switch` for the paired switching prox.  The cores are elementwise in
+every argument, parameters included (b = +inf is a `_clip` to +-inf, the
+identity), and use primitives that take a float or an ndarray alike: `abs`,
+the operators, `&`, and `_clip`, `_where`, `_minimum`, `_maximum`, `_sign`
+and `_sqrt`, which run plain Python on builtin floats (with numpy's NaN and
+signed-zero results) and call numpy on anything else.  The solver runs the
+cores over whole control fields through the array maps (`prox_l0_array`,
+`prox_l0_set_arrays`, `prox_l1_array`, `prox_switch_arrays`), which take
+scalar or per-cell parameters; `reference.check_prox` runs them on one
+parameter set per row.  The scalar API (`hard_threshold`,
+`box_hard_threshold`, `prox_l0`, `prox_l1`, `prox_switch`) validates its
+arguments, converts them to builtin floats, calls the same core and
+packages the result as a `ScalarSolutionSet`, a float or a
+`SwitchingPoint`.  A scalar call does no numpy work (1.4-3.6 us on a 2-core
+x86 host) and gives the same bits as the array map's row.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -94,8 +97,9 @@ def _box_bound(name, b):
 
 
 def _weight(L, alpha):
+    """L + alpha, after checking that it is positive in every row."""
     w = L + alpha
-    if w <= 0:
+    if (w <= 0) if type(w) is float else np.any(w <= 0):
         raise ValueError("L + alpha must be positive")
     return w
 
@@ -209,6 +213,13 @@ def _sign(x):
     return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x if x != x else 0.0
 
 
+def _sqrt(x):
+    """np.sqrt(x) for x >= 0: both round correctly, so the bits agree."""
+    if type(x) is not float:
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
 # ---------------------------------------------------------------------------
 # the cores: one elementwise implementation per map
 # ---------------------------------------------------------------------------
@@ -217,12 +228,10 @@ def _sign(x):
 def _zero_threshold(s, b):
     """The |q| up to which 0 competes with clip(q) in  -q*u + u^2/2 + s*|u|_0, |u| <= b.
 
-    sqrt(2s) when sqrt(2s) <= b (or b = +inf), b/2 + s/b otherwise.
+    sqrt(2s) when sqrt(2s) <= b (always when b = +inf), b/2 + s/b otherwise.
     """
-    root = math.sqrt(2.0 * s)
-    if math.isinf(b) or root <= b:
-        return root
-    return 0.5 * b + s / b
+    root = _sqrt(2.0 * s)
+    return _where(root <= b, root, 0.5 * b + s / b)
 
 
 def _l0_sets(q, zero_threshold, b):
@@ -234,7 +243,7 @@ def _l0_sets(q, zero_threshold, b):
     At least one of the two holds everywhere.
     """
     aq = abs(q)
-    v = q if math.isinf(b) else _clip(q, -b, b)
+    v = _clip(q, -b, b)
     zero_ok = aq <= zero_threshold + TIE_TOL
     v_ok = (aq >= zero_threshold - TIE_TOL) & (v != 0.0)
     return zero_ok, v, v_ok
@@ -245,7 +254,7 @@ def _prox_l1(g, u, L, alpha, gamma, bound):
     w = _weight(L, alpha)
     z = L * u - g
     out = _sign(z) * _maximum(abs(z) - gamma, 0.0) / w
-    return out if math.isinf(bound) else _clip(out, -bound, bound)
+    return _clip(out, -bound, bound)
 
 
 def _prox_switch(g1, g2, u1, u2, L, alpha, beta):
@@ -468,7 +477,7 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
 
 
 def prox_l0_set_arrays(g, u, L, alpha, beta, bound):
-    """Vectorized solution-set description of prox_l0 over arrays.
+    """Vectorized solution-set description of prox_l0 over arrays; scalar or per-cell parameters.
 
     Returns (zero_ok, v, v_ok): 0 belongs to the set where zero_ok, and the
     nonzero candidate v (the clipped shifted argument) belongs where v_ok.
@@ -485,11 +494,11 @@ def prox_l0_array(g, u, L, alpha, beta, bound):
 
 
 def prox_l1_array(g, u, L, alpha, gamma, bound):
-    """Soft-thresholding prox, vectorized over cells."""
+    """Soft-thresholding prox, vectorized over cells; scalar or per-cell parameters."""
     return _prox_l1(np.asarray(g, dtype=float), np.asarray(u, dtype=float), L, alpha, gamma, bound)
 
 
 def prox_switch_arrays(g1, g2, u1, u2, L, alpha, beta):
-    """Vectorized prox_switch over paired 1-D control arrays."""
+    """Vectorized prox_switch over paired 1-D control arrays; scalar or per-cell parameters."""
     g1, g2, u1, u2 = (np.asarray(x, dtype=float) for x in (g1, g2, u1, u2))
     return _prox_switch(g1, g2, u1, u2, L, alpha, beta)

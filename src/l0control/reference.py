@@ -3,8 +3,11 @@
 These routines are the ground truth the closed-form operators are validated
 against: the minimum over a fine grid (default step 1e-4) plus exact
 evaluation at the analytic candidate points {0, -b, b, quadratic vertices}.
-They are written from the objective functions alone and deliberately share
-no helpers with the closed-form module.
+The searches are written from the objective functions alone and share no
+helpers with the closed-form module.  The two meet in one place only,
+`check_prox`: per-row draws in, the array map the solver runs, every
+element of its prox set admitted against the batch search, and the failure
+mask and objective gaps out.  selftest and the acceptance suite both call it.
 
 There is one search per subproblem, batched over rows:
 `penalized_quadratic_batch` for a2*u^2 + a1*u + w_abs*|u| + w_supp*(u != 0)
@@ -35,6 +38,8 @@ callers should treat as a failure.
 from __future__ import annotations
 
 import numpy as np
+
+from . import prox
 
 GRID_STEP = 1e-4
 # the tolerances of the admission rule (see `admit`)
@@ -73,6 +78,43 @@ def admit(values, objective_values, min_values, candidates, candidate_values):
         dist = dist.max(axis=2)
     dist = np.where(_admitted(min_values, candidate_values), dist, np.inf)
     return (np.abs(objective_values - min_values) > OBJECTIVE_TOL) | (dist.min(axis=1) > ARGUMENT_TOL)
+
+
+def check_prox(penalty, g, u, L, alpha, weight, bound=np.inf):
+    """The solver's array prox map for one penalty against the batch search, on per-row draws.
+
+    penalty is "l0" (weight = beta), "l1" (weight = gamma) or "switching"
+    (weight = beta, g and u are pairs (first, second) of rows, no bound);
+    parameters are scalars or one value per row.  Each value the map returns,
+    every element of an l0 set included, is scored with g.v + (L/2)|v - u|^2
+    + (alpha/2)|v|^2 + penalty(v) against its row's minimum + (L/2)|u|^2.
+    Returns (fail, gap) per value: `admit`'s mask and |objective - minimum|.
+    """
+    if penalty == "switching":
+        g1, g2, u1, u2, L, alpha, beta = np.broadcast_arrays(*g, *u, L, alpha, weight)
+        v = np.stack(prox.prox_switch_arrays(g1, g2, u1, u2, L, alpha, beta), axis=1)
+        best, cands, cvals = switch_batch(g1, g2, u1, u2, L, alpha, beta)
+        p1, p2 = v.T
+        val = (g1 * p1 + g2 * p2 + 0.5 * L * ((p1 - u1) ** 2 + (p2 - u2) ** 2)
+               + 0.5 * alpha * (p1**2 + p2**2) + beta * ((p1 != 0.0) & (p2 != 0.0)))
+        return admit(v, val, best, cands, cvals), np.abs(val - best)
+
+    g, u, L, alpha, weight, bound = np.broadcast_arrays(g, u, L, alpha, weight, bound)
+    a2, a1, const = 0.5 * (L + alpha), g - L * u, 0.5 * L * u * u
+    if penalty == "l0":
+        abs_w, supp_w = 0.0, weight
+        zero_ok, cand, cand_ok = prox.prox_l0_set_arrays(g, u, L, alpha, weight, bound)
+        rows = np.concatenate([np.flatnonzero(zero_ok), np.flatnonzero(cand_ok)])
+        v = np.concatenate([np.zeros(np.count_nonzero(zero_ok)), cand[cand_ok]])
+    else:
+        abs_w, supp_w, rows = weight, 0.0, slice(None)
+        v = prox.prox_l1_array(g, u, L, alpha, weight, bound)
+    m, cands, cvals = penalized_quadratic_batch(a2, a1, abs_w, supp_w, search_radius(a2, a1, supp_w, bound))
+    best, cands, cvals = (m + const)[rows], cands[rows], (cvals + const[:, None])[rows]
+    g, u, L, alpha, weight = g[rows], u[rows], L[rows], alpha[rows], weight[rows]
+    pen = weight * (v != 0.0) if penalty == "l0" else weight * np.abs(v)
+    val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + pen
+    return admit(v, val, best, cands, cvals), np.abs(val - best)
 
 
 def _argmins(min_values, candidates, candidate_values, const=0.0):

@@ -22,12 +22,8 @@ from l0control.problem import (
 )
 from l0control.prox import (
     ProxParams,
-    SwitchingPoint,
-    box_hard_threshold,
     fp_membership,
     prox_l0,
-    prox_l1,
-    prox_switch,
     separation_threshold,
 )
 from l0control.solver import SolverOptions, StepStrategy, fp_residual, run
@@ -71,86 +67,32 @@ def draw_l0_instances(rng, n):
     return g, u, L, alpha, beta, b
 
 
-def _oracle_penalized(a2, a1, abs_w, supp_w, b):
-    """Batched reference minimum, candidates and their values."""
-    radius = reference.search_radius(a2, a1, supp_w, b)
-    return reference.penalized_quadratic_batch(a2, a1, abs_w, supp_w, radius)
-
-
 def test_criterion_1_prox_oracle_suite():
-    """10^4 randomized instances per operator match the brute-force reference."""
+    """10^4 randomized instances per operator: the solver's array maps match the brute-force reference."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     failures = {}
 
     # prox_l0 (set-valued; every element must be a global minimizer)
     g, u, L, alpha, beta, b = draw_l0_instances(rng, N_INSTANCES)
-    a2 = 0.5 * (L + alpha)
-    a1 = g - L * u
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, 0.0, beta, b)
-    elems = []
-    idx = []
-    for i in range(N_INSTANCES):
-        sol = prox_l0(g[i], u[i], ProxParams(L[i], alpha[i], beta[i], b[i]))
-        for v in sol.values:
-            elems.append(v)
-            idx.append(i)
-    elems = np.array(elems)
-    idx = np.array(idx)
-    obj = a2[idx] * elems**2 + a1[idx] * elems + beta[idx] * (elems != 0.0)
-    failures["prox_l0"] = int(reference.admit(elems, obj, oracle_min[idx], cands[idx], cvals[idx]).sum())
+    failures["prox_l0"] = int(reference.check_prox("l0", g, u, L, alpha, beta, b)[0].sum())
 
-    # box_hard_threshold: minimize -q*u + u^2/2 + s*(u != 0)
+    # box_hard_threshold: minimize -q*u + u^2/2 + s*(u != 0), which is prox_l0
+    # at g = -q, u = 0, L = 0, alpha = 1, beta = s
     q = rng.uniform(-3, 3, N_INSTANCES)
     s = rng.uniform(0, 2, N_INSTANCES)
     bb = rng.choice([0.6, 1.0, 1.4, math.inf], N_INSTANCES)
     q[np.isinf(bb)] = rng.uniform(-2.5, 2.5, int(np.isinf(bb).sum()))
-    a2 = np.full(N_INSTANCES, 0.5)
-    a1 = -q
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, 0.0, s, bb)
-    elems, idx = [], []
-    for i in range(N_INSTANCES):
-        for v in box_hard_threshold(q[i], s[i], bb[i]).values:
-            elems.append(v)
-            idx.append(i)
-    elems = np.array(elems)
-    idx = np.array(idx)
-    obj = 0.5 * elems**2 - q[idx] * elems + s[idx] * (elems != 0.0)
-    failures["box_hard_threshold"] = int(
-        reference.admit(elems, obj, oracle_min[idx], cands[idx], cvals[idx]).sum()
-    )
+    failures["box_hard_threshold"] = int(reference.check_prox("l0", -q, 0.0, 0.0, 1.0, s, bb)[0].sum())
 
     # prox_l1 (single-valued)
     g, u, L, alpha, gamma, b = draw_l0_instances(rng, N_INSTANCES)
-    a2 = 0.5 * (L + alpha)
-    a1 = g - L * u
-    oracle_min, cands, cvals = _oracle_penalized(a2, a1, gamma, 0.0, b)
-    vals = np.array([prox_l1(g[i], u[i], L[i], alpha[i], gamma[i], b[i]) for i in range(N_INSTANCES)])
-    obj = a2 * vals**2 + a1 * vals + gamma * np.abs(vals)
-    failures["prox_l1"] = int(reference.admit(vals, obj, oracle_min, cands, cvals).sum())
+    failures["prox_l1"] = int(reference.check_prox("l1", g, u, L, alpha, gamma, b)[0].sum())
 
     # prox_switch (paired)
-    g1 = rng.uniform(-2, 2, N_INSTANCES)
-    g2 = rng.uniform(-2, 2, N_INSTANCES)
-    u1 = rng.uniform(-1, 1, N_INSTANCES)
-    u2 = rng.uniform(-1, 1, N_INSTANCES)
-    L = rng.uniform(0, 2, N_INSTANCES)
-    alpha = rng.uniform(0.01, 1, N_INSTANCES)
-    beta = rng.uniform(0.01, 1, N_INSTANCES)
-    o_min, cands2, cvals2 = reference.switch_batch(g1, g2, u1, u2, L, alpha, beta)
-    p1 = np.empty(N_INSTANCES)
-    p2 = np.empty(N_INSTANCES)
-    for i in range(N_INSTANCES):
-        p = prox_switch(SwitchingPoint(g1[i], g2[i]), SwitchingPoint(u1[i], u2[i]),
-                        L[i], alpha[i], beta[i])
-        p1[i], p2[i] = p.u1, p.u2
-    obj = (
-        g1 * p1 + g2 * p2
-        + 0.5 * L * ((p1 - u1) ** 2 + (p2 - u2) ** 2)
-        + 0.5 * alpha * (p1**2 + p2**2)
-        + beta * ((p1 != 0.0) & (p2 != 0.0))
-    )
-    failures["prox_switch"] = int(reference.admit(np.stack([p1, p2], axis=1), obj, o_min, cands2, cvals2).sum())
+    g1, g2, u1, u2, L, alpha, beta = (rng.uniform(lo, hi, N_INSTANCES) for lo, hi in
+                                      ((-2, 2), (-2, 2), (-1, 1), (-1, 1), (0, 2), (0.01, 1), (0.01, 1)))
+    failures["prox_switch"] = int(reference.check_prox("switching", (g1, g2), (u1, u2), L, alpha, beta)[0].sum())
 
     elapsed = time.perf_counter() - t0
     assert failures == {k: 0 for k in failures}, failures

@@ -185,6 +185,14 @@ def test_sweep_rejects_a_bad_later_value_before_any_run(argv, message, tmp_path,
     assert list(out.iterdir()) == []
 
 
+def test_mesh_study_rejects_an_unallocatable_later_mesh_before_any_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("a run started before every mesh was checked"))
+    out = tmp_path / "out"
+    assert cli.main(["mesh-study", "--n-list", "64", str(10**18), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory:")
+    assert list(out.iterdir()) == []
+
+
 def test_readme_quick_start_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
@@ -334,6 +342,12 @@ def test_selftest_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+    # elementwise float arithmetic only, so the same lines on every host
+    assert out.splitlines()[:3] == [
+        "PASS prox_l0 vs brute force (n=300, worst objective gap 1.22e-15)",
+        "PASS prox_l1 vs brute force (n=300)",
+        "PASS prox_switch vs brute force",
+    ]
 
 
 def test_selftest_failure_exits_4(monkeypatch, tmp_path):

@@ -125,19 +125,6 @@ def test_box_hard_threshold_ties_at_both_thresholds():
     assert sorted(sol.values) == [-1.0, 0.0]
 
 
-def test_box_hard_threshold_matches_reference_randomized(rng):
-    for _ in range(400):
-        q = rng.uniform(-3, 3)
-        s = rng.uniform(0, 2)
-        b = float(rng.choice([0.5, 1.0, 2.0, math.inf]))
-        sol = box_hard_threshold(q, s, b)
-        best, argmins = reference.box_threshold_reference(q, s, b)
-        for v in sol.values:
-            val = -q * v + 0.5 * v * v + (s if v != 0.0 else 0.0)
-            assert abs(val - best) <= 1e-10
-            assert min(abs(v - a) for a in argmins) <= 1e-8
-
-
 def test_box_hard_threshold_monotone(rng):
     for _ in range(300):
         s = rng.uniform(0, 2)
@@ -205,24 +192,6 @@ def test_separation_threshold_values():
     assert separation_threshold(ProxParams(0.0, 0.01, 0.01, 4.0)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
-def test_prox_l0_matches_reference_randomized(rng):
-    for _ in range(400):
-        g = rng.uniform(-3, 3)
-        u_k = rng.uniform(-2, 2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 2)
-        beta = rng.uniform(0.01, 2)
-        b = float(rng.choice([0.5, 1.0, 2.0, math.inf]))
-        p = ProxParams(L=L, alpha=alpha, beta=beta, bound=b)
-        sol = prox_l0(g, u_k, p)
-        best, argmins = reference.prox_l0_reference(g, u_k, L, alpha, beta, b)
-        sigma = separation_threshold(p)
-        for v in sol.values:
-            assert abs(l0_objective(v, g, u_k, L, alpha, beta) - best) <= 1e-10
-            assert min(abs(v - a) for a in argmins) <= 1e-8
-            assert v == 0.0 or abs(v) >= sigma - 1e-12
-
-
 def test_prox_l0_variational_inequality(rng):
     # every nonzero output v satisfies (g + L(v-u_k) + alpha*v)(w - v) >= 0
     for _ in range(400):
@@ -274,21 +243,6 @@ def test_prox_l1_and_prox_switch_check_L_and_alpha_as_prox_params_does():
         prox_switch(g, u, 0.0, 0.0, 0.5)
 
 
-def test_prox_l1_matches_reference_randomized(rng):
-    for _ in range(400):
-        g = rng.uniform(-3, 3)
-        u_k = rng.uniform(-2, 2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 2)
-        gamma = rng.uniform(0.01, 2)
-        b = float(rng.choice([0.5, 1.0, 2.0, math.inf]))
-        v = prox_l1(g, u_k, L, alpha, gamma, b)
-        best, argmins = reference.prox_l1_reference(g, u_k, L, alpha, gamma, b)
-        val = g * v + 0.5 * L * (v - u_k) ** 2 + 0.5 * alpha * v * v + gamma * abs(v)
-        assert abs(val - best) <= 1e-10
-        assert min(abs(v - a) for a in argmins) <= 1e-8
-
-
 # ---------------------------------------------------------------------------
 # paired switching prox
 
@@ -305,25 +259,6 @@ def test_prox_switch_spec_values():
 def test_prox_switch_requires_positive_weight():
     with pytest.raises(ValueError):
         prox_switch(SwitchingPoint(1, 1), SwitchingPoint(0, 0), 0.0, 0.0, 1.0)
-
-
-def test_prox_switch_matches_reference_randomized(rng):
-    for _ in range(150):
-        g1, g2 = rng.uniform(-2, 2, size=2)
-        u1, u2 = rng.uniform(-1, 1, size=2)
-        L = rng.uniform(0, 2)
-        alpha = rng.uniform(0.01, 1)
-        beta = rng.uniform(0.01, 1)
-        p = prox_switch(SwitchingPoint(g1, g2), SwitchingPoint(u1, u2), L, alpha, beta)
-        best, argmins = reference.prox_switch_reference(g1, g2, u1, u2, L, alpha, beta)
-        val = (
-            g1 * p.u1 + g2 * p.u2
-            + 0.5 * L * ((p.u1 - u1) ** 2 + (p.u2 - u2) ** 2)
-            + 0.5 * alpha * (p.u1**2 + p.u2**2)
-            + (beta if p.u1 * p.u2 != 0.0 else 0.0)
-        )
-        assert abs(val - best) <= 1e-10
-        assert min(max(abs(p.u1 - a1), abs(p.u2 - a2)) for a1, a2 in argmins) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +445,17 @@ def with_rows(g, u, rows):
     return np.concatenate([g, extra_g]), np.concatenate([u, extra_u])
 
 
+def assert_per_cell_call_matches(array_map, calls):
+    """One array_map call on the rows of every (data columns, parameters, outputs) in calls,
+    with the parameters repeated per row, gives the bits of the scalar-parameter outputs."""
+    sizes = [data[0].size for data, _, _ in calls]
+    data = [np.concatenate(col) for col in zip(*(data for data, _, _ in calls))]
+    params = [np.repeat(col, sizes) for col in zip(*(params for _, params, _ in calls))]
+    got = array_map(*data, *params)
+    for g, want in zip(got if isinstance(got, tuple) else (got,), zip(*(out for _, _, out in calls))):
+        assert np.array_equal(bits(g), bits(np.concatenate(want)))
+
+
 def test_float_primitives_match_numpy_on_special_values():
     # the scalar API reaches NaN only through overflow, so the primitives are checked directly
     specials = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan, -math.nan]
@@ -527,6 +473,7 @@ def test_float_primitives_match_numpy_on_special_values():
 def test_array_prox_l0_matches_scalar(rng):
     g0 = rng.uniform(-4, 4, size=600)
     u0 = rng.uniform(-2, 2, size=600)
+    calls = []
     for b in (0.7, 2.0, math.inf):
         # w = 1 in the first two keeps the edge rows exact; L = 0 in the first
         for L, alpha, beta in [(0.0, 1.0, 0.3), (0.5, 0.5, 0.5), (1.2, 0.01, 0.02), (0.3, 1.0, 2.0)]:
@@ -534,6 +481,7 @@ def test_array_prox_l0_matches_scalar(rng):
             g, u = with_rows(g0, u0, l0_edge_rows(w, beta / w, b))
             out = prox_l0_array(g, u, L, alpha, beta, b)
             zero_ok, v, v_ok = prox_l0_set_arrays(g, u, L, alpha, beta, b)
+            calls.append(((g, u), (L, alpha, beta, b), (zero_ok, v, v_ok)))
             for cast in CASTS:
                 p = ProxParams(L=cast(L), alpha=cast(alpha), beta=cast(beta), bound=cast(b))
                 sols = [prox_l0(cast(g[i]), cast(u[i]), p) for i in range(g.size)]
@@ -542,6 +490,7 @@ def test_array_prox_l0_matches_scalar(rng):
                     assert_builtin_floats(sol.values + (sol.canonical,))
                     want = ((0.0,) if zero_ok[i] else ()) + ((v[i],) if v_ok[i] else ())
                     assert np.array_equal(bits(sol.values), bits(want))
+    assert_per_cell_call_matches(prox_l0_set_arrays, calls)
 
 
 def test_box_hard_threshold_matches_array_sets(rng):
@@ -575,6 +524,7 @@ def test_array_prox_l0_tie_selects_zero():
 def test_array_prox_l1_matches_scalar(rng):
     g0 = rng.uniform(-4, 4, size=400)
     u0 = rng.uniform(-2, 2, size=400)
+    calls = []
     for b in (0.7, math.inf):
         # gamma = 0 is plain projection; L = 0 drops u; w = 1 in all but the last
         for L, alpha, gamma in [(0.8, 0.2, 0.5), (0.0, 1.0, 0.5), (0.5, 0.5, 0.0), (1.2, 0.3, 0.7)]:
@@ -584,17 +534,20 @@ def test_array_prox_l1_matches_scalar(rng):
             rows = SIGNED_ZEROS + [(-sgn * z, 0.0) for z in kinks for sgn in (1.0, -1.0)]
             g, u = with_rows(g0, u0, rows)
             out = prox_l1_array(g, u, L, alpha, gamma, b)
+            calls.append(((g, u), (L, alpha, gamma, b), (out,)))
             for cast in CASTS:
                 vals = [prox_l1(cast(g[i]), cast(u[i]), cast(L), cast(alpha), cast(gamma), cast(b))
                         for i in range(g.size)]
                 assert_builtin_floats(vals)
                 assert np.array_equal(bits(vals), bits(out))
+    assert_per_cell_call_matches(prox_l1_array, calls)
 
 
 def test_array_prox_switch_matches_scalar(rng):
     n = 300
     g1, g2 = rng.uniform(-2, 2, size=n), rng.uniform(-2, 2, size=n)
     u1, u2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+    calls = []
     for L, alpha, beta in [(0.7, 0.1, 0.25), (0.0, 1.0, 0.5), (0.5, 0.5, 0.02)]:
         w = L + alpha
         # with u = 0, m = -g/w: (w/2)*m1^2 = beta ties the vertex with u1 = 0, and |m1| = |m2|
@@ -606,6 +559,7 @@ def test_array_prox_switch_matches_scalar(rng):
         rows += [(-w * (edge + d), 0.5, 0.0, 0.0) for d in NEAR]
         cols = [np.concatenate([x, extra]) for x, extra in zip((g1, g2, u1, u2), zip(*rows))]
         o1, o2 = prox_switch_arrays(*cols, L, alpha, beta)
+        calls.append((cols, (L, alpha, beta), (o1, o2)))
         for cast in CASTS:
             pts = [prox_switch(SwitchingPoint(cast(cols[0][i]), cast(cols[1][i])),
                                SwitchingPoint(cast(cols[2][i]), cast(cols[3][i])),
@@ -614,6 +568,25 @@ def test_array_prox_switch_matches_scalar(rng):
             assert_builtin_floats([x for p in pts for x in (p.u1, p.u2)])
             assert np.array_equal(bits([p.u1 for p in pts]), bits(o1))
             assert np.array_equal(bits([p.u2 for p in pts]), bits(o2))
+    assert_per_cell_call_matches(prox_switch_arrays, calls)
+
+
+def test_per_cell_weight_must_be_positive_in_every_row():
+    ones, L, alpha = np.ones(3), np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.0, 0.5])
+    for call in (lambda: prox_l0_set_arrays(ones, ones, L, alpha, 0.5, 1.0),
+                 lambda: prox_l1_array(ones, ones, L, alpha, 0.5, 1.0),
+                 lambda: prox_switch_arrays(ones, ones, ones, ones, L, alpha, 0.5)):
+        with pytest.raises(ValueError, match=r"L \+ alpha must be positive"):
+            call()
+
+
+def test_unbounded_rows_raise_no_floating_point_error(rng):
+    g, u = with_rows(rng.uniform(-4, 4, 50), rng.uniform(-2, 2, 50), l0_edge_rows(1.0, 0.5, math.inf))
+    L, alpha, weight = (rng.uniform(lo, hi, g.size) for lo, hi in ((0, 2), (0.01, 2), (0, 2)))
+    with np.errstate(all="raise"):
+        for b in (np.where(rng.random(g.size) < 0.5, math.inf, 0.7), np.full(g.size, math.inf), math.inf):
+            prox_l0_set_arrays(g, u, L, alpha, weight, b)
+            prox_l1_array(g, u, L, alpha, weight, b)
 
 
 def test_array_maps_give_same_result_for_0d_and_1_element_input():

@@ -1,6 +1,7 @@
 """The brute-force references: row independence, box safety, density, the
 exactness of the folded and windowed grid, the radius check, the admission
-rule, and the scalar references as one-row views of the batch search.
+rule, the one check of the closed forms, and the scalar references as
+one-row views of the batch search.
 
 Each row of `penalized_quadratic_batch` and `switch_batch` is searched on its
 own slice of one shared offset grid, so a row's result must not depend on
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from test_acceptance import N_INSTANCES, SEED, draw_l0_instances
 
-from l0control import reference
+from l0control import prox, reference
 
 H = reference.GRID_STEP
 
@@ -311,6 +312,23 @@ def test_admit_switching_uses_the_max_norm():
     assert one_row([2e-8, 0.5], 0.0, 0.0, cands, cvals)
     # the unadmitted candidate (0.5, 0.5) is ignored
     assert one_row([0.5, 0.5], 0.0, 0.0, cands, cvals)
+
+
+@pytest.mark.parametrize("penalty, name, wrong", [
+    ("l0", "prox_l0_set_arrays", lambda out: (out[0], 1.01 * out[1], out[2])),
+    ("l1", "prox_l1_array", lambda out: 1.01 * out),
+    ("switching", "prox_switch_arrays", lambda out: out[::-1]),
+])
+def test_check_prox_runs_the_solver_map_and_flags_a_wrong_one(penalty, name, wrong, monkeypatch):
+    # the solver's map with its nonzero values 1% off, or with the switching pair swapped
+    g, u, L, alpha, weight, b = draw_l0_instances(np.random.default_rng(7), 500)
+    args = (penalty, *(((g, u), (u, g)) if penalty == "switching" else (g, u)), L, alpha, weight, b)
+    fail, gap = reference.check_prox(*args)
+    assert fail.shape == gap.shape and fail.size >= 500 and not fail.any()
+    assert gap.max() <= reference.OBJECTIVE_TOL
+    right = getattr(prox, name)
+    monkeypatch.setattr(prox, name, lambda *a: wrong(right(*a)))
+    assert reference.check_prox(*args)[0].any()
 
 
 def test_search_radius_matches_the_criterion_1_formula():
