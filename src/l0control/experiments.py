@@ -176,11 +176,16 @@ _BLOCK = 2048
 
 
 def _column(col):
-    """(printf spec, values) of one column; float and int arrays skip _fmt."""
+    """(printf spec, values) of one column; float and int arrays skip _fmt.
+
+    An object array is taken as strings formatted already (see _formatted).
+    """
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         return "%s", _distinct_formatted(col)
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return "%d", col
+    if isinstance(col, np.ndarray) and col.dtype == object:
+        return "%s", col
     values = [_fmt(v) for v in col]
     for v in values:
         if any(c in v for c in _UNQUOTABLE):
@@ -188,18 +193,22 @@ def _column(col):
     return "%s", values
 
 
+def _formatted(values):
+    """The "%.12g" strings of a float array, as an object array of its shape."""
+    # no "%.12g" string holds a newline
+    strings = ("%.12g\n" * values.size % tuple(values.ravel().tolist())).split("\n")
+    return np.array(strings[:-1], dtype=object).reshape(values.shape)
+
+
 def _distinct_formatted(col):
     """The "%.12g" strings of a float array, each distinct value formatted once.
 
     Values are told apart by their float64 bit patterns, so -0.0 still prints
-    "-0"; every NaN prints "nan".  A mesh's centroid columns hold 2n distinct
-    values in 2n^2 rows.
+    "-0"; every NaN prints "nan".
     """
     bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    # no "%.12g" string holds a newline
-    strings = ("%.12g\n" * distinct.size % tuple(distinct.view(np.float64).tolist())).split("\n")
-    return np.array(strings[:-1], dtype=object)[inverse]
+    return _formatted(distinct.view(np.float64))[inverse]
 
 
 def _write_csv(path, header, columns):
@@ -239,8 +248,13 @@ def write_report_csv(path, report):
 
 def write_control_csv(path, control):
     if isinstance(control, fem.ControlField):
-        cent = control.mesh.centroids()
-        columns = [np.arange(control.mesh.num_triangles), cent[:, 0], cent[:, 1], control.values]
+        # 2n distinct values per centroid coordinate, formatted once each and
+        # spread over triangle 2 (n iy + ix) + t of square (ix, iy)
+        n = control.mesh.n
+        x, y = (_formatted(axis) for axis in control.mesh.centroid_axes())
+        cent_x = np.broadcast_to(x, (n, n, 2)).ravel()
+        cent_y = np.broadcast_to(y[:, None, :], (n, n, 2)).ravel()
+        columns = [np.arange(control.mesh.num_triangles), cent_x, cent_y, control.values]
         return _write_csv(path, ["triangle_index", "centroid_x", "centroid_y", "value"], columns)
     n = control.mesh.n
     centers = (np.arange(n) + 0.5) / n
@@ -261,7 +275,9 @@ def vertex_rule_objective(problem, u):
     r = y - problem.target
     if problem.spec.pde == fem.DIRICHLET_POISSON:
         r[problem.mesh.boundary_nodes] = 0.0
-    lump = np.asarray(problem.pde.mass.sum(axis=1)).ravel()
+    # the row sums of the CSR form: the diagonal storage sums a row in another
+    # order, which rounds some interior rows differently (n = 49, 98, 103, ...)
+    lump = np.asarray(problem.pde.mass.tocsr().sum(axis=1)).ravel()
     return 0.5 * float((r * r) @ lump) + problem.eval_g(u)
 
 

@@ -13,8 +13,11 @@ interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
 stiffness and the mass are 7-diagonal stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
-the triangle area a for the mass), so they are summed on the node grid and
-built as diagonal matrices.  Per-triangle values of nodal fields come from
+the triangle area a for the mass), so they are summed on the node grid into
+the rows of one diagonal-storage (DIA) array and kept in that layout; the
+load map keeps the columns it is built in (CSC).  Products with either sum
+each row in ascending column order, as CSR products do, so they have the
+bits of the CSR products.  Per-triangle values of nodal fields come from
 node-grid slices too, not from a gather through the triangle list.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
@@ -88,6 +91,19 @@ class Mesh:
     def centroids(self):
         return _per_triangle(self, self.nodes, _mean3)
 
+    def centroid_axes(self):
+        """Centroid x by (column, t) and centroid y by (row, t), t = 0 lower, 1 upper.
+
+        A node's x depends only on its column and its y only on its row, so
+        these (n, 2) arrays hold every value centroids() takes, summed as it
+        sums them.
+        """
+        n, k = self.n, self.n + 1
+        xs, ys = self.nodes[:k, 0], self.nodes[::k, 1]
+        x = np.stack([_mean3(*(xs[dx : dx + n] for dx, _ in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
+        y = np.stack([_mean3(*(ys[dy : dy + n] for _, dy in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
+        return x, y
+
 
 @dataclass(eq=False)
 class ControlField:
@@ -154,17 +170,30 @@ def build_mesh(n):
     check_mesh_fits(n)
     k = n + 1
     xs = np.linspace(0.0, 1.0, k)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    nodes = np.empty((k * k, 2))
+    node_grid = nodes.reshape(k, k, 2)
+    node_grid[:, :, 0] = xs
+    node_grid[:, :, 1] = xs[:, None]
 
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ll = (iy * k + ix).ravel()
-    corners = [ll + dx + k * dy for tri in _SQUARE_TRIANGLES for dx, dy in tri]
-    triangles = np.stack(corners, axis=1).reshape(2 * n * n, 3)
+    # triangles[square, t, i] is corner i of triangle t of the square; the
+    # squares run row-major, so this is the triangle list's own order
+    steps = np.arange(n)
+    triangles = np.empty((n, n, 2, 3), dtype=steps.dtype)
+    lower_left = triangles[:, :, 0, 0]
+    np.add((k * steps)[:, None], steps, out=lower_left)
+    for t, tri in enumerate(_SQUARE_TRIANGLES):
+        for i, (dx, dy) in enumerate(tri):
+            if (t, i) != (0, 0):
+                np.add(lower_left, dx + k * dy, out=triangles[:, :, t, i])
+    triangles = triangles.reshape(2 * n * n, 3)
 
-    gx, gy = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
-    on_boundary = (gx == 0) | (gx == n) | (gy == 0) | (gy == n)
-    boundary_nodes = np.flatnonzero(on_boundary.ravel())
+    # row-major: the bottom row, the first and last node of each middle row, the top row
+    boundary_nodes = np.empty(4 * n, dtype=np.intp)
+    boundary_nodes[:k] = np.arange(k)
+    boundary_nodes[-k:] = np.arange(n * k, k * k)
+    sides = boundary_nodes[k:-k].reshape(n - 1, 2)
+    sides[:, 0] = np.arange(k, n * k, k)
+    sides[:, 1] = sides[:, 0] + n
     return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_nodes=boundary_nodes)
 
 
@@ -182,7 +211,8 @@ def _stencil_matrix(mesh, local):
     the weight of an offset is summed on the node grid, one slice per triangle
     corner, in triangle-index order (squares to the lower left first, lower
     before upper).  The result is the 7-diagonal matrix that a COO scatter of
-    the element matrices gives, without the scatter.
+    the element matrices gives, without the scatter, kept in diagonal storage:
+    its products sum each row in ascending column order, as CSR's do.
     """
     import scipy.sparse as sp
 
@@ -191,19 +221,17 @@ def _stencil_matrix(mesh, local):
     # a node is corner (dx, dy) of the square (dx, dy) steps to its lower left,
     # so triangle-index order takes larger dy, then larger dx, then lower first
     corners.sort(key=lambda ct: (-ct[0][1], -ct[0][0], ct[1]))
-    weights = {}
+    offsets = sorted({(ex - dx) + k * (ey - dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri})
+    data = np.zeros((len(offsets), k, k))
     for (dx, dy), t, i in corners:
         for j, (ex, ey) in enumerate(_SQUARE_TRIANGLES[t]):
-            offset = (ex - dx) + k * (ey - dy)
-            grid = weights.setdefault(offset, np.zeros((k, k)))
-            grid[dy : dy + n, dx : dx + n] += local[t][i][j]
-    offsets = sorted(weights)
-    # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric, so
-    # that is A[c, c - off], the row-indexed weight of offset -off at node c
-    data = np.stack([weights[-off].ravel() for off in offsets])
-    # the conversion drops the zeros: stencil entries that vanish, and the
-    # offsets that would wrap around a grid row
-    return sp.dia_matrix((data, offsets), shape=(mesh.num_nodes, mesh.num_nodes)).tocsr()
+            # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric,
+            # so that is A[c, c - off]: the weight of offset -off at node c
+            d = offsets.index(-((ex - dx) + k * (ey - dy)))
+            data[d, dy : dy + n, dx : dx + n] += local[t][i][j]
+    # the stored zeros (stencil entries that vanish, offsets that would wrap
+    # around a grid row) add +-0 to a row sum, which is never -0.0
+    return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(mesh.num_nodes, mesh.num_nodes))
 
 
 def _load_map(mesh):
@@ -212,15 +240,15 @@ def _load_map(mesh):
 
     t = mesh.num_triangles
     data = np.full(3 * t, mesh.triangle_area / 3.0)
-    # column j holds triangle j's vertices; the conversion to rows lists each
-    # node's triangles in index order, in one pass
+    # column j holds triangle j's vertices, so a product adds each node's
+    # triangles in index order, as a row-wise (CSR) product would
     indptr = np.arange(0, 3 * t + 1, 3)
-    return sp.csc_matrix((data, mesh.triangles.ravel(), indptr), shape=(mesh.num_nodes, t)).tocsr()
+    return sp.csc_matrix((data, mesh.triangles.ravel(), indptr), shape=(mesh.num_nodes, t))
 
 
 @dataclass(eq=False)
 class AssembledPDE:
-    """Mass matrix, control-to-load map (both CSR) and the operator's solver on one mesh."""
+    """Mass matrix (DIA), control-to-load map (CSC) and the operator's solver on one mesh."""
 
     mesh: Mesh
     pde_kind: str

@@ -101,6 +101,20 @@ def test_vertex_rule_objective_reports_interior_misfit(tmp_path):
     assert fv < problem.eval_f(u)
 
 
+def test_vertex_rule_lumps_with_the_csr_row_sums():
+    # the diagonal mass sums a row in another order than the CSR row sum,
+    # which rounds some interior rows of the n = 49 mass differently
+    from l0control.problem import ControlProblem, ProblemSpec, default_target
+
+    spec = ProblemSpec(alpha=0.01, beta=0.01, bound=4.0, penalty="l0",
+                       pde=fem.DIRICHLET_POISSON, y_d=default_target, mesh_n=49)
+    problem = ControlProblem(spec)
+    yd = problem.target.copy()
+    yd[problem.mesh.boundary_nodes] = 0.0
+    lump = np.asarray(problem.pde.mass.tocsr().sum(axis=1)).ravel()
+    assert ex.vertex_rule_objective(problem, problem.zero_control()) == 0.5 * float((yd * yd) @ lump)
+
+
 def test_switching_profiles_align_with_strip_centers(tmp_path):
     config = RunConfig(mesh_n=8, out=str(tmp_path))
     ex.run_switching(config, betas=[0.05])

@@ -58,13 +58,14 @@ def interior_nodes(mesh):
 
 
 def stiffness_matrix(mesh):
-    return fem._stencil_matrix(mesh, fem._STIFFNESS_LOCAL)
+    """The stiffness in CSR, for the checks that index rows or read its fields."""
+    return fem._stencil_matrix(mesh, fem._STIFFNESS_LOCAL).tocsr()
 
 
 def system_matrix(pde):
-    """The matrix pde.solve inverts: the stiffness (Dirichlet, on its interior rows and columns) or K + M (Neumann)."""
+    """The matrix pde.solve inverts, in CSR: the stiffness (Dirichlet, on its interior rows and columns) or K + M (Neumann)."""
     stiffness = stiffness_matrix(pde.mesh)
-    return stiffness if pde.pde_kind == fem.DIRICHLET_POISSON else stiffness + pde.mass
+    return stiffness if pde.pde_kind == fem.DIRICHLET_POISSON else stiffness + pde.mass.tocsr()
 
 
 def solve_state(pde, u):
@@ -102,6 +103,30 @@ def test_build_mesh_fine_level():
     mesh = fem.build_mesh(500)
     assert mesh.num_triangles == 500_000
     assert mesh.mesh_size == pytest.approx(0.0028, abs=5e-5)
+
+
+def meshgrid_mesh(n):
+    """Nodes, triangles and boundary nodes built from meshgrids, corner array by corner array."""
+    k = n + 1
+    xs = np.linspace(0.0, 1.0, k)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    ll = (iy * k + ix).ravel()
+    lower = [ll, ll + 1, ll + k + 1]
+    upper = [ll, ll + k + 1, ll + k]
+    triangles = np.stack(lower + upper, axis=1).reshape(2 * n * n, 3)
+    gx, gy = np.meshgrid(np.arange(k), np.arange(k), indexing="xy")
+    boundary = np.flatnonzero(((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel())
+    return nodes, triangles, boundary
+
+
+def test_build_mesh_matches_meshgrid_reference():
+    for n in (1, 2, 3, 16, 320):
+        mesh = fem.build_mesh(n)
+        for got, want in zip((mesh.nodes, mesh.triangles, mesh.boundary_nodes), meshgrid_mesh(n)):
+            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert got.tobytes() == want.tobytes(), n
 
 
 def test_build_mesh_rejects_zero():
@@ -188,8 +213,8 @@ def stencil_build(n):
     # the matrix that the Neumann assemble hands its CG solver
     with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
         fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
-    assert (spy.call_args.args[0] != stiffness + pde.mass).nnz == 0
-    return mesh, (stiffness, pde.mass, pde.load_map)
+    assert (spy.call_args.args[0].tocsr() != stiffness + pde.mass.tocsr()).nnz == 0
+    return mesh, (stiffness, pde.mass.tocsr(), pde.load_map.tocsr())
 
 
 def same_pattern(a, b):
@@ -220,6 +245,46 @@ def test_stencil_build_near_coo_scatter_at_rounded_n():
             assert abs(new - old).max() <= 4 * n * eps * abs(old).max(), n
         # the load weights are area/3 in both builds
         assert same_pattern(load, load_old) and np.array_equal(load.data, load_old.data), n
+
+
+def test_assemble_converts_no_sparse_format():
+    # the mass stays in the diagonal storage it is built in, the load map in
+    # its columns, and K + M is the sum of two diagonal matrices
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{self.format} matrix converted")
+
+    for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
+        with mock.patch.multiple(sp.dia_matrix, tocsr=refuse, tocoo=refuse), mock.patch.multiple(
+            sp.csc_matrix, tocsr=refuse, tocoo=refuse
+        ):
+            pde = fem.assemble(fem.build_mesh(8), kind)
+        assert (pde.mass.format, pde.load_map.format) == ("dia", "csc"), kind
+
+
+def edge_vector(rng, size):
+    """Normal draws with +-0.0, subnormals and +-1e300 mixed in."""
+    x = rng.normal(size=size)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e300, -1e300])
+    pick = rng.random(size) < 0.5
+    x[pick] = rng.choice(edges, size=np.count_nonzero(pick))
+    return x
+
+
+def test_operator_products_match_csr_bitwise(rng):
+    # a DIA or CSC product adds each row's terms in ascending column order from
+    # +0.0, as a CSR product does; the stored zeros of the DIA add +-0 to a sum
+    # that is never -0.0
+    for n in (1, 2, 3, 16, 64):
+        mesh = fem.build_mesh(n)
+        pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
+        with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
+            fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
+        system = spy.call_args.args[0]
+        for draw in (lambda size: rng.normal(size=size), lambda size: edge_vector(rng, size), lambda size: np.full(size, -0.0)):
+            r, c = draw(mesh.num_nodes), draw(mesh.num_triangles)
+            for name, op, x in (("mass", pde.mass, r), ("system", system, r), ("load", pde.load_map, c)):
+                got, want = op @ x, op.tocsr() @ x
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, name)
 
 
 def test_dirichlet_assemble_builds_only_the_mass():
@@ -319,7 +384,9 @@ def test_assembled_matrices_exactly_symmetric():
         pde = fem.assemble(fem.build_mesh(9), kind)
         system = system_matrix(pde)
         assert (system - system.T).nnz == 0
-        assert (pde.mass - pde.mass.T).nnz == 0
+        # in CSR, which drops the zeros that the diagonal storage keeps
+        mass = pde.mass.tocsr()
+        assert (mass - mass.T).nnz == 0
 
 
 def test_solve_state_zero_control():
