@@ -4,10 +4,11 @@ The mesh is the uniform right-triangle triangulation of (0,1)^2 with n
 subdivisions per side: nodes are numbered row-major, every grid square is
 split along its lower-left to upper-right diagonal, and within a square the
 lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
-the longest edge is h = sqrt(2)/n.
+the longest edge is h = sqrt(2)/n.  A Mesh holds only n and builds its
+node, triangle and boundary arrays on access: a set-up stores only the mass,
+the load map and the solver.  States are P1 nodal fields, plain arrays of
+one value per node; controls are piecewise constants on triangles.
 
-States are P1 nodal fields, plain arrays of one value per node; controls
-are piecewise constants on triangles.
 Two operators are solved: the Dirichlet Laplacian (-lap y = u on the
 interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
@@ -15,10 +16,9 @@ stiffness and the mass are 7-diagonal stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
 the triangle area a for the mass), so they are summed on the node grid into
 the rows of one diagonal-storage (DIA) array and kept in that layout; the
-load map keeps the columns it is built in (CSC).  Products with either sum
-each row in ascending column order, as CSR products do, so they have the
-bits of the CSR products.  Per-triangle values of nodal fields come from
-node-grid slices too, not from a gather through the triangle list.
+load map's columns (CSC) are written on the node grid too, in the index
+dtype scipy keeps.  Products with either sum each row in ascending column
+order, as CSR products do, so they have the bits of the CSR products.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
 Poisson solver of Buzbee, Golub and Nielson, 1970), so the Dirichlet set-up
@@ -65,20 +65,35 @@ class SolverBreakdown(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform triangulation of the unit square with 2*n^2 triangles."""
+    """Uniform triangulation of the unit square with 2*n^2 triangles; its arrays are built afresh on each access."""
 
     n: int
-    nodes: np.ndarray
-    triangles: np.ndarray
-    boundary_nodes: np.ndarray
+
+    @property
+    def nodes(self):
+        """(x, y) of every node, row-major: (n+1)^2 x 2 floats."""
+        xs = np.linspace(0.0, 1.0, self.n + 1)
+        return np.stack(np.broadcast_arrays(xs, xs[:, None]), axis=-1).reshape(-1, 2)
+
+    @property
+    def triangles(self):
+        """Vertex indices of every triangle, 2n^2 x 3, in triangle order."""
+        return _vertex_grid(self.n, np.intp)
+
+    @property
+    def boundary_nodes(self):
+        """Indices of the nodes on the boundary, ascending."""
+        on_boundary = np.zeros((self.n + 1, self.n + 1), dtype=bool)
+        on_boundary[[0, -1]] = on_boundary[:, [0, -1]] = True
+        return np.flatnonzero(on_boundary)
 
     @property
     def num_nodes(self):
-        return self.nodes.shape[0]
+        return (self.n + 1) ** 2
 
     @property
     def num_triangles(self):
-        return self.triangles.shape[0]
+        return 2 * self.n * self.n
 
     @property
     def triangle_area(self):
@@ -88,21 +103,33 @@ class Mesh:
     def mesh_size(self):
         return math.sqrt(2.0) / self.n
 
-    def centroids(self):
-        return _per_triangle(self, self.nodes, _mean3)
-
     def centroid_axes(self):
         """Centroid x by (column, t) and centroid y by (row, t), t = 0 lower, 1 upper.
 
-        A node's x depends only on its column and its y only on its row, so
-        these (n, 2) arrays hold every value centroids() takes, summed as it
-        sums them.
+        A node's x depends only on its column and its y only on its row, both values of
+        one linspace, so these (n, 2) arrays hold every value of element_means(mesh, mesh.nodes).
         """
-        n, k = self.n, self.n + 1
-        xs, ys = self.nodes[:k, 0], self.nodes[::k, 1]
+        n, xs = self.n, np.linspace(0.0, 1.0, self.n + 1)
         x = np.stack([_mean3(*(xs[dx : dx + n] for dx, _ in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
-        y = np.stack([_mean3(*(ys[dy : dy + n] for _, dy in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
+        y = np.stack([_mean3(*(xs[dy : dy + n] for _, dy in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
         return x, y
+
+
+def _vertex_grid(n, dtype):
+    """Every triangle's vertex indices in an integer dtype, (2n^2, 3) in triangle order."""
+    # corner i of triangle t of each square, the squares row-major: the triangle list's own order
+    k, steps = n + 1, np.arange(n, dtype=dtype)
+    lower_left = (k * steps)[:, None] + steps
+    triangles = np.empty((n, n, 2, 3), dtype=dtype)
+    for t, tri in enumerate(_SQUARE_TRIANGLES):
+        for i, (dx, dy) in enumerate(tri):
+            np.add(lower_left, dx + k * dy, out=triangles[:, :, t, i])
+    return triangles.reshape(2 * n * n, 3)
+
+
+def _index_dtype(n):
+    """int32 while the load map's 6n^2 entries and (n+1)^2 rows fit in it, else int64, as scipy picks."""
+    return np.int32 if max(6 * n * n, (n + 1) ** 2) <= np.iinfo(np.int32).max else np.int64
 
 
 @dataclass(eq=False)
@@ -151,14 +178,13 @@ def _physical_memory():
 
 
 def check_mesh_fits(n):
-    """Raise MemoryError if the n-subdivision mesh's arrays exceed physical memory."""
-    # the float node array and the int64 triangle array, counted in Python ints
-    # before any of them is allocated (numpy's own shape product can overflow)
-    nbytes = 8 * (2 * (n + 1) ** 2 + 6 * n * n)
+    """Raise MemoryError if a set-up's mass diagonals and load map (data, indices, indptr) exceed physical memory."""
+    # 7 (n+1)^2 + 6n^2 doubles, 6n^2 + 2n^2 + 1 indices, in Python ints: numpy's shape product can overflow
+    nbytes = 8 * (7 * (n + 1) ** 2 + 6 * n * n) + np.dtype(_index_dtype(n)).itemsize * (8 * n * n + 1)
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise MemoryError(
-            f"cannot allocate the n={n} mesh: its node and triangle arrays take {nbytes} bytes, "
+            f"cannot allocate the n={n} mesh: its mass and load map take {nbytes} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
 
@@ -168,33 +194,7 @@ def build_mesh(n):
     if n < 1:
         raise ValueError(f"mesh subdivisions must be >= 1, got {n}")
     check_mesh_fits(n)
-    k = n + 1
-    xs = np.linspace(0.0, 1.0, k)
-    nodes = np.empty((k * k, 2))
-    node_grid = nodes.reshape(k, k, 2)
-    node_grid[:, :, 0] = xs
-    node_grid[:, :, 1] = xs[:, None]
-
-    # triangles[square, t, i] is corner i of triangle t of the square; the
-    # squares run row-major, so this is the triangle list's own order
-    steps = np.arange(n)
-    triangles = np.empty((n, n, 2, 3), dtype=steps.dtype)
-    lower_left = triangles[:, :, 0, 0]
-    np.add((k * steps)[:, None], steps, out=lower_left)
-    for t, tri in enumerate(_SQUARE_TRIANGLES):
-        for i, (dx, dy) in enumerate(tri):
-            if (t, i) != (0, 0):
-                np.add(lower_left, dx + k * dy, out=triangles[:, :, t, i])
-    triangles = triangles.reshape(2 * n * n, 3)
-
-    # row-major: the bottom row, the first and last node of each middle row, the top row
-    boundary_nodes = np.empty(4 * n, dtype=np.intp)
-    boundary_nodes[:k] = np.arange(k)
-    boundary_nodes[-k:] = np.arange(n * k, k * k)
-    sides = boundary_nodes[k:-k].reshape(n - 1, 2)
-    sides[:, 0] = np.arange(k, n * k, k)
-    sides[:, 1] = sides[:, 0] + n
-    return Mesh(n=n, nodes=nodes, triangles=triangles, boundary_nodes=boundary_nodes)
+    return Mesh(n)
 
 
 # exact P1 stiffness of the two triangles in that vertex order; it does not depend on h
@@ -238,12 +238,12 @@ def _load_map(mesh):
     """Sparse map from cell values to nodal loads: entries area/3 per vertex."""
     import scipy.sparse as sp
 
-    t = mesh.num_triangles
+    t, idx = mesh.num_triangles, _index_dtype(mesh.n)
     data = np.full(3 * t, mesh.triangle_area / 3.0)
     # column j holds triangle j's vertices, so a product adds each node's
     # triangles in index order, as a row-wise (CSR) product would
-    indptr = np.arange(0, 3 * t + 1, 3)
-    return sp.csc_matrix((data, mesh.triangles.ravel(), indptr), shape=(mesh.num_nodes, t))
+    indptr = np.arange(0, 3 * t + 1, 3, dtype=idx)
+    return sp.csc_matrix((data, _vertex_grid(mesh.n, idx).ravel(), indptr), shape=(mesh.num_nodes, t))
 
 
 @dataclass(eq=False)
@@ -342,9 +342,9 @@ def assemble(mesh, pde_kind):
 def _per_triangle(mesh, values, fn):
     """fn(a, b, c) of every triangle's vertex values, in triangle order.
 
-    The vertex values are node-grid slices, not a gather through
-    mesh.triangles; fn sees the vertices in the triangles' own order, so
-    sums over them round as the gathered rows do.
+    The vertex values are node-grid slices, not a gather through the
+    triangle list; fn sees them in the triangles' own vertex order, so sums
+    over them round as the gathered rows do.
     """
     n = mesh.n
     grid = values.reshape(n + 1, n + 1, *values.shape[1:])
@@ -364,7 +364,7 @@ def element_means(mesh, p):
 
 def interpolate_nodal(mesh, fun):
     """Nodal values of a callable (x1, x2) -> value."""
-    return np.asarray(fun(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
+    return np.asarray(fun(*mesh.nodes.T), dtype=float)
 
 
 def l2_norm_state(mesh, y):

@@ -75,7 +75,7 @@ def solve_state(pde, u):
 def manufactured_error(n):
     mesh = fem.build_mesh(n)
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    cent = mesh.centroids()
+    cent = fem.element_means(mesh, mesh.nodes)
     u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
     y = solve_state(pde, u)
     exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
@@ -144,6 +144,73 @@ def test_unallocatable_mesh_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def setup_arrays_nbytes(pde):
+    """Bytes of the mass diagonals and of the load map's data, indices and indptr."""
+    load = pde.load_map
+    return pde.mass.data.nbytes + load.data.nbytes + load.indices.nbytes + load.indptr.nbytes
+
+
+def test_mesh_gate_counts_the_setup_arrays():
+    # the gate lets a mesh through on exactly the bytes its set-up allocates
+    for n in (1, 16, 320):
+        need = setup_arrays_nbytes(fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON))
+        with mock.patch.object(fem, "_physical_memory", return_value=need):
+            assert fem.build_mesh(n).n == n
+        with mock.patch.object(fem, "_physical_memory", return_value=need - 1):
+            with pytest.raises(MemoryError, match="allocate"):
+                fem.build_mesh(n)
+
+
+def test_index_dtype_holds_the_load_map_indptr():
+    # 6n^2 (the load map's last indptr entry) fits in int32 up to n = 18,918;
+    # the sizes are arithmetic, nothing is allocated
+    int32_max = np.iinfo(np.int32).max
+    assert 6 * 18_918**2 <= int32_max < 6 * 18_919**2
+    assert fem._index_dtype(18_918) is np.int32 and fem._index_dtype(18_919) is np.int64
+    for n in (1, 320, 18_918, 18_919, 10**8):
+        assert fem._index_dtype(n) is sp.get_index_dtype(maxval=6 * n * n), n
+
+
+def test_setup_allocates_only_its_arrays():
+    n = 320
+    fem.assemble(fem.build_mesh(4), fem.DIRICHLET_POISSON)  # scipy imported outside the trace
+    tracemalloc.start()
+    try:
+        fem.build_mesh(n)
+        _, mesh_peak = tracemalloc.get_traced_memory()
+        pde = fem.assemble(fem.build_mesh(n), fem.DIRICHLET_POISSON)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh_peak < 4096
+    # the set-up arrays plus the (n-1)^2 Dirichlet eigenvalue grid: 14.78 MB at n = 320
+    arrays = setup_arrays_nbytes(pde) + pde.mass.offsets.nbytes + 8 * (n - 1) ** 2
+    assert peak <= arrays + 2**20, (peak, arrays)
+
+
+def test_load_map_arrays_equal_the_coo_scatter():
+    for n in (1, 2, 3, 16):
+        mesh = fem.build_mesh(n)
+        got = fem.assemble(mesh, fem.DIRICHLET_POISSON).load_map
+        want = coo_assembly(mesh)[2].tocsc()
+        # column j lists triangle j's vertices in their own order; the
+        # converted scatter lists them ascending
+        assert np.array_equal(got.indices, mesh.triangles.ravel()), n
+        ours = (got.indptr, np.sort(got.indices.reshape(-1, 3), axis=1).ravel(), got.data)
+        for name, a, b in zip(("indptr", "indices", "data"), ours, (want.indptr, want.indices, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
+
+
+def test_mesh_arrays_are_fresh_on_each_access():
+    mesh = fem.build_mesh(4)
+    for name in ("nodes", "triangles", "boundary_nodes"):
+        first, second = getattr(mesh, name), getattr(mesh, name)
+        assert first is not second and not np.shares_memory(first, second), name
+    mesh.nodes[:] = 7.0
+    target = fem.interpolate_nodal(mesh, lambda x1, x2: x1 + 2 * x2)
+    assert np.array_equal(target, fem.interpolate_nodal(fem.build_mesh(4), lambda x1, x2: x1 + 2 * x2))
 
 
 def test_triangle_areas_positive_and_uniform():
@@ -493,7 +560,7 @@ def test_grid_views_match_the_triangle_gather(rng):
         y = rng.normal(size=mesh.num_nodes)
         gathered = y[mesh.triangles]
         assert np.array_equal(fem.element_means(mesh, y), gathered.mean(axis=1)), n
-        assert np.array_equal(mesh.centroids(), mesh.nodes[mesh.triangles].mean(axis=1)), n
+        assert np.array_equal(fem.element_means(mesh, mesh.nodes), mesh.nodes[mesh.triangles].mean(axis=1)), n
         sq = (gathered * gathered).sum(axis=1) + gathered.sum(axis=1) ** 2
         assert fem.l2_norm_state(mesh, y) == math.sqrt(mesh.triangle_area / 12.0 * sq.sum()), n
         if n % 4 == 0:
@@ -552,7 +619,7 @@ def test_support_measure_exact_zero_test():
 
 def centroid_bands(mesh):
     """Strip index and (band 1, band 2) masks of every triangle, read off its centroid."""
-    cent = mesh.centroids()
+    cent = fem.element_means(mesh, mesh.nodes)
     strip = np.minimum((cent[:, 0] * mesh.n).astype(np.int64), mesh.n - 1)
     return strip, (cent[:, 1] < 0.25, cent[:, 1] > 0.75)
 
