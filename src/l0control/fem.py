@@ -39,20 +39,6 @@ import numpy as np
 DIRICHLET_POISSON = "dirichlet_poisson"
 NEUMANN_HELMHOLTZ = "neumann_helmholtz"
 
-__all__ = [
-    "DIRICHLET_POISSON",
-    "NEUMANN_HELMHOLTZ",
-    "Mesh",
-    "ControlField",
-    "AssembledPDE",
-    "SolverBreakdown",
-    "build_mesh",
-    "assemble",
-    "element_means",
-    "interpolate_nodal",
-    "l2_norm_state",
-]
-
 
 # a grid square's corners as (dx, dy) steps from its lower-left node, in the
 # vertex order of its lower (ll, lr, ur) and upper (ll, ur, ul) triangle
@@ -160,13 +146,13 @@ class ControlField:
         """Area of the union of the triangles where mask is set."""
         return float(np.count_nonzero(mask)) * self.mesh.triangle_area
 
-    def support_measure(self):
-        """Area of {u != 0}; the zero test is exact since prox outputs exact zeros."""
-        return self.measure(self.values)
+    def support_mask(self):
+        """The support {u != 0}, one bool per triangle (exact: the prox outputs exact zeros)."""
+        return self.values != 0.0
 
-    def indicator(self):
-        """Characteristic function of the support {u != 0}."""
-        return ControlField(self.mesh, (self.values != 0.0).astype(float))
+    def support_measure(self):
+        """Area of the support."""
+        return self.measure(self.support_mask())
 
 
 def _physical_memory():

@@ -3,8 +3,8 @@
 A problem owns the mesh, the assembled operator and the interpolated target,
 and exposes the handful of evaluations the thresholding loop needs: f, its
 adjoint-based gradient (self-adjoint operator, so one extra solve) and the
-penalty g.  The control types carry their own support measure and
-indicator.  A per-problem counter tracks PDE solves: one per state or
+penalty g.  The control types carry their own support mask (a bool array)
+and its measure.  A per-problem counter tracks PDE solves: one per state or
 adjoint solve, so a gradient costs 2 and every line-search trial costs 1.
 """
 
@@ -23,21 +23,6 @@ L1 = "l1"
 SWITCHING = "switching"
 
 PENALTY_KINDS = (L0, L1, SWITCHING)
-
-__all__ = [
-    "L0",
-    "L1",
-    "SWITCHING",
-    "ProblemSpec",
-    "EvaluationBudget",
-    "ControlProblem",
-    "SwitchingControl",
-    "make_problem",
-    "default_target",
-    "zero_target",
-    "switching_target",
-    "unsolvable_target",
-]
 
 
 def default_target(x1, x2):
@@ -211,8 +196,8 @@ class SwitchingControl:
     by n.  Control k acts on band k: band 1 is (0,1) x (0, 1/4), band 2 is
     (0,1) x (3/4, 1), each n/4 rows of grid squares (4 | n).  Triangles are
     numbered by row, column, then lower before upper, so both maps read the
-    bands and strips off the numbering.  An indicator (`indicator()`) is a
-    single row of n values on the strip grid.
+    bands and strips off the numbering.  The support mask (`support_mask()`)
+    is one bool per strip: the overlap set, where both controls act.
     """
 
     mesh: fem.Mesh
@@ -264,13 +249,13 @@ class SwitchingControl:
         """Length of the union of the strips where mask is set."""
         return float(np.count_nonzero(mask)) / self.mesh.n
 
-    def support_measure(self):
-        """Length of the overlap set {u1*u2 != 0}, the set the switching penalty charges."""
-        return self.measure(self.u1 * self.u2 != 0.0)
+    def support_mask(self):
+        """The overlap set {u1*u2 != 0}, the set the switching penalty charges, one bool per strip."""
+        return self.u1 * self.u2 != 0.0
 
-    def indicator(self):
-        """Characteristic function of the overlap set, one row on the strip grid."""
-        return SwitchingControl(self.mesh, (self.u1 * self.u2 != 0.0).astype(float))
+    def support_measure(self):
+        """Length of the overlap set."""
+        return self.measure(self.support_mask())
 
 
 # kept only because perfbench/spans.py hooks methods through this name

@@ -43,26 +43,6 @@ import numpy as np
 
 TIE_TOL = 1e-12
 
-__all__ = [
-    "TIE_TOL",
-    "ScalarSolutionSet",
-    "ProxParams",
-    "SwitchingPoint",
-    "hard_threshold",
-    "box_hard_threshold",
-    "prox_l0",
-    "prox_l1",
-    "prox_switch",
-    "separation_threshold",
-    "fp_membership",
-    "convex_envelope_value",
-    "convexified_not_fixed_point_check",
-    "prox_l0_array",
-    "prox_l0_set_arrays",
-    "prox_l1_array",
-    "prox_switch_arrays",
-]
-
 
 def _finite(name, x):
     """x as a builtin float, after checking that it is finite."""

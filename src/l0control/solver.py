@@ -10,7 +10,9 @@ condition
 holds.  Rejection multiplies L by 1/theta (a smaller step), widening
 multiplies an accepted initial weight by theta while the condition keeps
 holding.  Every trial costs one PDE solve (the f evaluation at the trial
-point) on top of the two solves per iteration for the gradient.
+point) on top of the two solves per iteration for the gradient.  A trial,
+the fixed weight's one included, is evaluated in one place, f, g and F
+together, and the step hands the accepted point's f and g to the loop.
 """
 
 from __future__ import annotations
@@ -39,26 +41,6 @@ MAX_ITERATIONS = "max_iterations"
 # a descent failure surviving this many weight increases signals an
 # inconsistent gradient, since the condition holds for every L > L_f
 MAX_INCREASES = 200
-
-__all__ = [
-    "FIXED",
-    "BT",
-    "BT_W",
-    "BT_0",
-    "TOLERANCE",
-    "MAX_ITERATIONS",
-    "StepStrategy",
-    "SolverOptions",
-    "IterationRecord",
-    "SolveReport",
-    "StepSearchError",
-    "NonFiniteError",
-    "descent_ok",
-    "iht_step",
-    "select_step",
-    "fp_residual",
-    "run",
-]
 
 
 class StepSearchError(RuntimeError):
@@ -181,8 +163,11 @@ def iht_step(problem, u_k, grad, L):
 def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
     """Pick the prox weight for one iteration.
 
-    Returns (L, u_next, f_next, trials).  FIXED applies its weight without a
-    test.  BT starts at L_hat0 and multiplies by 1/theta until the decrease
+    Returns (L, u_next, f_next, g_next, trials): the accepted weight, point,
+    tracking value and penalty.  Every trial, FIXED's one included, is
+    evaluated once, f and g together, and a trial whose objective is NaN
+    raises NonFiniteError at once.  FIXED applies its weight without a test.
+    BT starts at L_hat0 and multiplies by 1/theta until the decrease
     condition holds.  BT-W additionally widens an accepted initial weight by
     theta up to I_max times, keeping the last accepted value.  BT-0 tries
     L = 0 before falling back to BT-W.
@@ -193,62 +178,57 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
     rounding along it (the iterate is numerically stationary), or gradient
     and objective are inconsistent.  The first case is detected through
     flat_tol (a trial whose objective matches F_k within flat_tol) and
-    reported as a zero step at the current point; the second raises
-    StepSearchError.  A trial whose objective is NaN raises NonFiniteError
-    at once.
+    reported as a zero step that returns u_k itself, at the last weight
+    tried; the second raises StepSearchError.
     """
     trials = 0
     flattest = math.inf
 
     def attempt(L):
+        """(L, u_t, f_t, g_t) of the trial at weight L, and whether it passes the decrease test."""
         nonlocal trials, flattest
         u_t = iht_step(problem, u_k, grad, L)
         f_t = problem.eval_f(u_t)
         trials += 1
-        F_t = f_t + problem.eval_g(u_t)
+        g_t = problem.eval_g(u_t)
+        F_t = f_t + g_t
         if math.isnan(F_t):
             # an infinite trial is an ordinary rejection; NaN means the objective is broken
             raise NonFiniteError(f"objective F=nan at trial weight L={L:g}")
         flattest = min(flattest, abs(F_t - F_k))
-        ok = descent_ok(F_k, F_t, u_k, u_t, strategy.eta)
-        return u_t, f_t, ok
+        return (L, u_t, f_t, g_t), descent_ok(F_k, F_t, u_k, u_t, strategy.eta)
 
     if strategy.kind == FIXED:
-        u_t = iht_step(problem, u_k, grad, strategy.L_fixed)
-        f_t = problem.eval_f(u_t)
-        return strategy.L_fixed, u_t, f_t, 1
+        return attempt(strategy.L_fixed)[0] + (trials,)
 
     # the pointwise prox divides by L + alpha, so the zero-weight trial
     # needs alpha > 0 no matter the bound
     if strategy.kind == BT_0 and problem.spec.alpha > 0:
-        u_t, f_t, ok = attempt(0.0)
+        step, ok = attempt(0.0)
         if ok:
-            return 0.0, u_t, f_t, trials
+            return step + (trials,)
 
     L = strategy.L_hat0
-    u_t, f_t, ok = attempt(L)
+    step, ok = attempt(L)
     if ok:
-        if strategy.kind == BT:
-            return L, u_t, f_t, trials
-        # widening: decrease L while the condition keeps holding
-        accepted = (L, u_t, f_t)
-        for _ in range(strategy.I_max):
-            L_try = accepted[0] * strategy.theta
-            u_w, f_w, ok_w = attempt(L_try)
-            if not ok_w:
+        # widening (BT-W, BT-0): decrease L while the condition keeps holding
+        for _ in range(0 if strategy.kind == BT else strategy.I_max):
+            wider, ok = attempt(step[0] * strategy.theta)
+            if not ok:
                 break
-            accepted = (L_try, u_w, f_w)
-        return accepted + (trials,)
+            step = wider
+        return step + (trials,)
 
     for _ in range(MAX_INCREASES):
         L = L / strategy.theta
-        u_t, f_t, ok = attempt(L)
+        step, ok = attempt(L)
         if ok:
-            return L, u_t, f_t, trials
+            return step + (trials,)
     if flattest <= flat_tol:
         # numerically stationary: no tested weight moves the objective
         # beyond the stopping tolerance, so stay put and let the stop rule fire
-        return L, u_k, F_k - problem.eval_g(u_k), trials
+        g_k = problem.eval_g(u_k)
+        return L, u_k, F_k - g_k, g_k, trials
     raise StepSearchError(
         f"descent condition failed for every L up to {L:g}; gradient and objective disagree"
     )
@@ -276,10 +256,13 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     """Iterate until |F_{k+1} - F_k| <= stop_tol or the iteration budget is hit.
 
     Every iteration is logged (accepted weight, trials, f, g, F, support
-    measure, step norm, indicator distance, cumulative PDE solves).  The
-    reported solve count covers gradients and trials; the final stationarity
-    residual is computed with the counter paused.  A NaN or infinite
-    objective or gradient raises NonFiniteError.
+    measure, step norm, support-mask distance, cumulative PDE solves); f and
+    g are the accepted trial's, so the penalty is evaluated afresh only at the
+    start point.  The reported solve count covers gradients and trials.  The
+    final stationarity residual is computed with the counter paused, at the
+    weight of the last step that moved the control (L_hat0, or L_fixed for
+    FIXED, if none did): a flat exit's weight is only the top of a rejected
+    ladder.  A NaN or infinite objective or gradient raises NonFiniteError.
     """
     options = options or SolverOptions()
     strategy = options.strategy
@@ -288,26 +271,25 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     f_k, grad = problem.value_and_grad(u)
     F_k = f_k + problem.eval_g(u)
     initial_F = F_k
-    chi_prev = u.indicator()
+    mask_prev = u.support_mask()
 
     records = []
     termination = MAX_ITERATIONS
     violations = 0
-    final_L = strategy.L_fixed if strategy.kind == FIXED else 0.0
+    residual_L = strategy.L_fixed if strategy.kind == FIXED else strategy.L_hat0
 
     for k in range(1, options.max_iterations + 1):
-        if grad is None:
+        if k > 1:
             _, grad = problem.value_and_grad(u)
         if not (math.isfinite(F_k) and np.isfinite(grad.values).all()):
             raise NonFiniteError(f"objective F={F_k:g} or its gradient is not finite at iteration {k}")
-        L_k, u_next, f_next, trials = select_step(
+        L_k, u_next, f_next, g_next, trials = select_step(
             problem, strategy, u, grad, F_k, flat_tol=options.stop_tol
         )
-        g_next = problem.eval_g(u_next)
         F_next = f_next + g_next
         if not math.isfinite(F_next):
             raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
-        chi_next = u_next.indicator()
+        mask_next = u_next.support_mask()
         records.append(
             IterationRecord(
                 k=k,
@@ -316,9 +298,9 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 f=f_next,
                 g=g_next,
                 F=F_next,
-                support=u_next.support_measure(),
+                support=u_next.measure(mask_next),
                 step_norm=u_next.diff_norm(u),
-                chi_dist=chi_prev.measure(chi_prev.values != chi_next.values),
+                chi_dist=u.measure(mask_prev != mask_next),
                 pde_solves=problem.budget.count,
             )
         )
@@ -329,9 +311,10 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 "the fixed weight is below the gradient Lipschitz constant",
                 k, strategy.L_fixed, F_next - F_k,
             )
+        if u_next is not u:
+            residual_L = L_k
         stop = abs(F_next - F_k) <= options.stop_tol
-        u, F_k, chi_prev, final_L = u_next, F_next, chi_next, L_k
-        grad = None
+        u, F_k, mask_prev = u_next, F_next, mask_next
         if stop:
             termination = TOLERANCE
             break
@@ -349,6 +332,6 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     )
     if compute_fp_residual:
         with problem.budget.paused():
-            report.fp_residual = fp_residual(problem, u, final_L)
-            report.fp_residual_L = final_L
+            report.fp_residual = fp_residual(problem, u, residual_L)
+            report.fp_residual_L = residual_L
     return report

@@ -135,7 +135,8 @@ def test_build_mesh_rejects_zero():
 
 
 def test_unallocatable_mesh_allocates_nothing():
-    # (10^8 + 1)^2 nodes: the node coordinates alone would take 1.6e17 bytes
+    # (10^8 + 1)^2 nodes: the mass diagonals alone would take 5.6e17 bytes,
+    # 1.68e18 with the load map
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="allocate"):

@@ -192,14 +192,15 @@ def test_support_measure_and_chi():
     assert zero.support_measure() == 0.0
     full = fem.ControlField(p.mesh, np.ones(p.mesh.num_triangles))
     assert full.support_measure() == pytest.approx(1.0)
-    chi = full.indicator()
-    assert set(np.unique(chi.values)) == {1.0}
+    chi = full.support_mask()
+    assert chi.dtype == bool and chi.shape == (2 * 4 * 4,)
+    assert set(np.unique(chi)) == {1.0}
     half = np.zeros(p.mesh.num_triangles)
     half[::2] = 1.0
-    c1 = fem.ControlField(p.mesh, half).indicator()
-    c2 = fem.ControlField(p.mesh, 1.0 - half).indicator()
-    assert c1.measure(c1.values != c2.values) == pytest.approx(1.0)
-    assert c1.measure(c1.values != c1.values) == 0.0
+    c1 = fem.ControlField(p.mesh, half).support_mask()
+    c2 = fem.ControlField(p.mesh, 1.0 - half).support_mask()
+    assert full.measure(c1 != c2) == pytest.approx(1.0)
+    assert full.measure(c1 != c1) == 0.0
 
 
 def test_l1_equivalence_check():
@@ -349,7 +350,8 @@ def test_switching_chi_distance():
     p = ControlProblem(switching_spec())
     a = np.zeros((2, 8)); a[0, :] = 1.0; a[1, :4] = 1.0
     b = np.zeros((2, 8)); b[0, :] = 1.0; b[1, 2:6] = 1.0
-    ca = SwitchingControl(p.mesh, a).indicator()
-    cb = SwitchingControl(p.mesh, b).indicator()
-    assert ca.values.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
-    assert ca.measure(ca.values != cb.values) == pytest.approx(4 / 8)
+    ua = SwitchingControl(p.mesh, a)
+    ca, cb = ua.support_mask(), SwitchingControl(p.mesh, b).support_mask()
+    assert ca.dtype == bool and ca.shape == (8,)
+    assert ca.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+    assert ua.measure(ca != cb) == pytest.approx(4 / 8)

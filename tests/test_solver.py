@@ -282,8 +282,10 @@ def test_select_step_fixed_applies_without_test():
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
     strat = StepStrategy(kind="fixed", L_fixed=2.0)
-    L, u_next, f_next, trials = select_step(p, strat, u, grad, F)
+    L, u_next, f_next, g_next, trials = select_step(p, strat, u, grad, F)
     assert L == 2.0 and trials == 1
+    # the one trial is evaluated, f and g, and handed back
+    assert f_next == p.eval_f(u_next) and g_next == p.eval_g(u_next)
     expect = prox_l0(grad.values[0], 0.0, ProxParams(2.0, 1.0, 1.0, 2.0)).canonical
     assert u_next.values == pytest.approx([expect, expect])
 
@@ -294,7 +296,7 @@ def test_select_step_bt_accepts_initial_when_descending():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F)
+    L, _, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F)
     assert L == 0.01 and trials == 1
 
 
@@ -304,7 +306,7 @@ def test_select_step_bt_doubles_until_accepted():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=1.0), u, grad, F)
+    L, _, _, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=1.0), u, grad, F)
     assert L > 1.0
     assert trials == int(round(math.log2(L / 1.0))) + 1
     # the accepted weight survives its own descent test by construction
@@ -320,7 +322,7 @@ def test_select_step_widening_keeps_last_accepted():
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
     strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=1)
-    L, _, _, trials = select_step(p, strat, u, grad, F)
+    L, _, _, _, trials = select_step(p, strat, u, grad, F)
     assert L == pytest.approx(0.005)
     assert trials == 2
 
@@ -331,7 +333,7 @@ def test_select_step_widening_runs_all_imax_when_everything_descends():
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
     strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=5)
-    L, _, _, trials = select_step(p, strat, u, grad, F)
+    L, _, _, _, trials = select_step(p, strat, u, grad, F)
     assert L == pytest.approx(0.01 * 0.5**5)
     assert trials == 6
 
@@ -341,7 +343,7 @@ def test_select_step_zero_first_accepts_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=0.01), u, grad, F)
+    L, _, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=0.01), u, grad, F)
     assert L == 0.0 and trials == 1
 
 
@@ -351,7 +353,7 @@ def test_select_step_zero_first_skips_illegal_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     F = p.eval_f(u) + p.eval_g(u)
-    L, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=1.0), u, grad, F)
+    L, _, _, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=1.0), u, grad, F)
     assert L > 0.0
 
 
@@ -381,7 +383,7 @@ def test_select_step_flat_objective_accepts_zero_move_at_large_weight():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     F = 7.0 + p.eval_g(u)
-    L, u_next, f_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
+    L, u_next, f_next, g_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
     assert np.all(u_next.values == u.values)
     assert trials < solver.MAX_INCREASES
 
@@ -398,9 +400,10 @@ def test_select_step_stagnation_returns_zero_move():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     F = 7.0 + p.eval_g(u)
-    L, u_next, f_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
+    L, u_next, f_next, g_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-12)
     assert u_next is u
     assert f_next + p.eval_g(u) == F
+    assert g_next == p.eval_g(u)
     assert trials == solver.MAX_INCREASES + 1
     with pytest.raises(StepSearchError):
         select_step(p, StepStrategy(kind="bt", L_hat0=0.01), u, grad, F, flat_tol=1e-16)
@@ -453,12 +456,12 @@ def test_run_sigma_separation_every_iteration():
     _, grad = problem.value_and_grad(u)
     F = problem.eval_f(u) + problem.eval_g(u)
     for _ in range(6):
-        L, u_next, f_next, _ = select_step(problem, options.strategy, u, grad, F)
+        L, u_next, f_next, g_next, _ = select_step(problem, options.strategy, u, grad, F)
         sigma = separation_threshold(ProxParams(L, problem.spec.alpha, problem.spec.beta, problem.spec.bound))
         nz = u_next.values[u_next.values != 0.0]
         if nz.size:
             assert np.abs(nz).min() >= sigma - 1e-12
-        F = f_next + problem.eval_g(u_next)
+        F = f_next + g_next
         u = u_next
         _, grad = problem.value_and_grad(u)
 
@@ -485,11 +488,40 @@ class NaNObjectiveProblem(ToyProblem):
                                       StepStrategy(kind="bt0", L_hat0=0.01)])
 def test_run_stops_on_non_finite_objective(strategy):
     problem = NaNObjectiveProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="trial weight"):
         run(problem, SolverOptions(strategy=strategy, max_iterations=50))
-    # the first NaN objective ends the run: no 50 iterations of F=nan for the
-    # fixed weight, no walk up the whole weight ladder for BT-0
+    # the first NaN trial ends the run, whatever the step rule: no 50
+    # iterations of F=nan for the fixed weight, no walk up the whole weight
+    # ladder for BT-0
     assert problem.budget.count == 3
+
+
+def test_run_evaluates_g_once_per_trial_and_at_the_start_point():
+    # the loop takes the accepted trial's f and g: it evaluates g itself only at the start
+    class CountingG(ToyProblem):
+        g_calls = 0
+
+        def eval_g(self, u):
+            self.g_calls += 1
+            return super().eval_g(u)
+
+    p = CountingG(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
+    report = run(p, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
+    assert report.termination == solver.TOLERANCE and report.iterations > 1
+    assert p.g_calls == 1 + sum(report.column("trials"))
+
+
+def test_run_flat_exit_takes_the_residual_at_the_last_moving_weight():
+    # at tol = 1e-16 the run reaches a stationary iterate whose whole weight
+    # ladder is rejected: the last step stays put at the ladder's top weight,
+    # so the residual is taken at the weight that produced the final control
+    problem = ControlProblem(benchmark_spec(mesh_n=16))
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), stop_tol=1e-16))
+    last, moved = report.records[-1], report.records[-2]
+    assert last.step_norm == 0.0 and last.trials > solver.MAX_INCREASES
+    assert report.termination == solver.TOLERANCE
+    assert report.fp_residual_L == moved.L < last.L
+    assert report.fp_residual <= 1e-6
 
 
 def test_run_stops_on_non_finite_gradient():
