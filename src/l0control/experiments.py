@@ -268,11 +268,9 @@ def vertex_rule_objective(problem, u):
     the misfit, i.e. the FD-style norm h^2 * sum over interior nodes, the
     metric FD-based implementations of this problem report.  Emitted as a
     supplementary CSV column for cross-code comparison; not used anywhere in
-    the iteration, so its state solve runs with the counter paused.
+    the iteration, so its state solve is not in a report's pde_solves.
     """
-    with problem.budget.paused():
-        y = problem.state(u)
-    r = y - problem.target
+    r = problem.state(u) - problem.target
     if problem.spec.pde == fem.DIRICHLET_POISSON:
         r[problem.mesh.boundary_nodes] = 0.0
     # the row sums of the CSR form: the diagonal storage sums a row in another
@@ -413,10 +411,9 @@ def run_unsolvable(config: RunConfig, out=None):
     problem = problemmod.make_problem(spec)
 
     u_bar = fem.ControlField(problem.mesh, np.full(problem.mesh.num_triangles, math.sqrt(beta / alpha)))
-    with problem.budget.paused():
-        grad_bar = problem.value_and_grad(u_bar)[1]
-        grad_dev = float(np.abs(grad_bar.values + math.sqrt(2 * alpha * beta)).max())
-        fp_rows = [(L, solvermod.fp_residual(problem, u_bar, L, grad=grad_bar)) for L in UNSOLVABLE_WEIGHTS]
+    grad_bar = problem.value_and_grad(u_bar)[1]
+    grad_dev = float(np.abs(grad_bar.values + math.sqrt(2 * alpha * beta)).max())
+    fp_rows = [(L, solvermod.fp_residual(problem, u_bar, L, grad=grad_bar)) for L in UNSOLVABLE_WEIGHTS]
     _write_csv(out / "unsolvable_fp.csv", ["L", "fp_residual"], list(zip(*fp_rows)))
 
     report = solvermod.run(problem, build_options(cfg))

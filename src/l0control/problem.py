@@ -4,14 +4,13 @@ A problem owns the mesh, the assembled operator and the interpolated target,
 and exposes the handful of evaluations the thresholding loop needs: f, its
 adjoint-based gradient (self-adjoint operator, so one extra solve) and the
 penalty g.  The control types carry their own support mask (a bool array)
-and its measure.  A per-problem counter tracks PDE solves: one per state or
-adjoint solve, so a gradient costs 2 and every line-search trial costs 1.
+and its measure.  A state or an adjoint is one PDE solve, so f costs 1
+and its gradient 2; the solver tallies the paper's count from that rule.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,25 +88,6 @@ class ProblemSpec:
                 raise ValueError(f"the switching problem takes no bound (bound = inf), got {self.bound}")
 
 
-class EvaluationBudget:
-    """PDE-solve counter (one increment per state or adjoint solve)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n=1):
-        self.count += n
-
-    @contextmanager
-    def paused(self):
-        """Leave the count as it was on entry, e.g. for post-run diagnostics."""
-        count = self.count
-        try:
-            yield
-        finally:
-            self.count = count
-
-
 class ControlProblem:
     """Tracking problem 0.5*||y_u - y_d||^2 + g(u) for the l0, l1 and switching penalties.
 
@@ -136,7 +116,6 @@ class ControlProblem:
         self.target = fem.interpolate_nodal(self.mesh, spec.y_d)
         if not np.all(np.isfinite(self.target)):
             raise ValueError("the target y_d has non-finite values on the mesh nodes")
-        self.budget = EvaluationBudget()
 
     # -- evaluations ------------------------------------------------------
 
@@ -147,9 +126,7 @@ class ControlProblem:
 
     def state(self, u):
         """Nodal state y_u: one PDE solve for the control's load."""
-        y = self.pde.solve(self.pde.load_map @ u.cells())
-        self.budget.add(1)
-        return y
+        return self.pde.solve(self.pde.load_map @ u.cells())
 
     def _tracking(self, y):
         r = y - self.target
@@ -168,7 +145,6 @@ class ControlProblem:
         """
         f, mr = self._tracking(self.state(u))
         p = self.pde.solve(mr)
-        self.budget.add(1)
         return f, u.restrict(fem.element_means(self.mesh, p))
 
     def eval_g(self, u):

@@ -258,17 +258,20 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     Every iteration is logged (accepted weight, trials, f, g, F, support
     measure, step norm, support-mask distance, cumulative PDE solves); f and
     g are the accepted trial's, so the penalty is evaluated afresh only at the
-    start point.  The reported solve count covers gradients and trials.  The
-    final stationarity residual is computed with the counter paused, at the
-    weight of the last step that moved the control (L_hat0, or L_fixed for
-    FIXED, if none did): a flat exit's weight is only the top of a rejected
-    ladder.  A NaN or infinite objective or gradient raises NonFiniteError.
+    start point.  The solve count is the paper's, tallied here: 2 per
+    gradient and 1 per trial, so diagnostics run after the loop are not in
+    it.  A flat exit's top weight belongs to a rejected ladder, so its step
+    is logged at the weight of the last step that moved the control (L_hat0
+    if none did), and the final stationarity residual is taken at the last
+    logged weight.  A NaN or infinite objective or gradient raises
+    NonFiniteError.
     """
     options = options or SolverOptions()
     strategy = options.strategy
     u = problem.zero_control()
 
     f_k, grad = problem.value_and_grad(u)
+    solves = 2
     F_k = f_k + problem.eval_g(u)
     initial_F = F_k
     mask_prev = u.support_mask()
@@ -276,16 +279,20 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     records = []
     termination = MAX_ITERATIONS
     violations = 0
-    residual_L = strategy.L_fixed if strategy.kind == FIXED else strategy.L_hat0
 
     for k in range(1, options.max_iterations + 1):
         if k > 1:
             _, grad = problem.value_and_grad(u)
+            solves += 2
         if not (math.isfinite(F_k) and np.isfinite(grad.values).all()):
             raise NonFiniteError(f"objective F={F_k:g} or its gradient is not finite at iteration {k}")
         L_k, u_next, f_next, g_next, trials = select_step(
             problem, strategy, u, grad, F_k, flat_tol=options.stop_tol
         )
+        solves += trials
+        if u_next is u:
+            # a flat exit: the top of the rejected ladder produced nothing
+            L_k = records[-1].L if records else strategy.L_hat0
         F_next = f_next + g_next
         if not math.isfinite(F_next):
             raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
@@ -301,7 +308,7 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 support=u_next.measure(mask_next),
                 step_norm=u_next.diff_norm(u),
                 chi_dist=u.measure(mask_prev != mask_next),
-                pde_solves=problem.budget.count,
+                pde_solves=solves,
             )
         )
         if strategy.kind == FIXED and F_next > F_k + 1e-14:
@@ -311,8 +318,6 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 "the fixed weight is below the gradient Lipschitz constant",
                 k, strategy.L_fixed, F_next - F_k,
             )
-        if u_next is not u:
-            residual_L = L_k
         stop = abs(F_next - F_k) <= options.stop_tol
         u, F_k, mask_prev = u_next, F_next, mask_next
         if stop:
@@ -327,11 +332,10 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
         final_g=records[-1].g,
         final_F=F_k,
         termination=termination,
-        pde_solves=problem.budget.count,
+        pde_solves=solves,
         monotonicity_violations=violations,
     )
     if compute_fp_residual:
-        with problem.budget.paused():
-            report.fp_residual = fp_residual(problem, u, residual_L)
-            report.fp_residual_L = residual_L
+        report.fp_residual_L = records[-1].L
+        report.fp_residual = fp_residual(problem, u, report.fp_residual_L)
     return report

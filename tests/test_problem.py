@@ -1,4 +1,4 @@
-"""Tracking functional, penalties, gradients and the budget counter."""
+"""Tracking functional, penalties, gradients and their PDE-solve costs."""
 
 import math
 
@@ -224,20 +224,20 @@ def test_l1_equivalence_check():
 
 
 # ---------------------------------------------------------------------------
-# budget accounting
+# PDE-solve costs
 
 
-def test_budget_one_iteration_three_solves(rng):
+def test_budget_one_iteration_three_solves(rng, solve_calls):
     p = ControlProblem(benchmark_spec(mesh_n=6))
-    assert p.budget.count == 0
+    assert len(solve_calls) == 0
     u = p.zero_control()
     _, grad = p.value_and_grad(u)     # state + adjoint
-    assert p.budget.count == 2
+    assert len(solve_calls) == 2
     trial = random_control(p, rng)
     p.eval_f(trial)                   # one trial evaluation
-    assert p.budget.count == 3
+    assert len(solve_calls) == 3
     p.eval_g(trial)                   # penalty is PDE-free
-    assert p.budget.count == 3
+    assert len(solve_calls) == 3
 
 
 def test_preassembled_operator_is_shared():
@@ -247,14 +247,13 @@ def test_preassembled_operator_is_shared():
     shared = ControlProblem(spec2, pde=base.pde)
     assert shared.pde is base.pde
     assert shared.mesh is base.mesh
-    assert shared.budget is not base.budget
     with pytest.raises(ValueError):
         ControlProblem(benchmark_spec(mesh_n=8), pde=base.pde)
     with pytest.raises(ValueError):
         ControlProblem(benchmark_spec(mesh_n=6, pde=fem.NEUMANN_HELMHOLTZ), pde=base.pde)
 
 
-def test_shared_operator_budget_for_l0_and_switching(rng):
+def test_shared_operator_budget_for_l0_and_switching(rng, solve_calls):
     pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON)
     l0 = ControlProblem(benchmark_spec(mesh_n=8), pde=pde)
     sw = ControlProblem(switching_spec(), pde=pde)
@@ -265,48 +264,23 @@ def test_shared_operator_budget_for_l0_and_switching(rng):
         "switching": (sw, SwitchingControl(sw.mesh, rng.normal(size=(2, 8)))),
     }
     for penalty, (p, u) in controls.items():
+        solve_calls.clear()
         p.eval_f(u)
-        assert p.budget.count == 1, penalty
+        assert len(solve_calls) == 1, penalty
         _, grad = p.value_and_grad(u)
-        assert p.budget.count == 3, penalty
+        assert len(solve_calls) == 3, penalty
         assert type(grad) is type(u) and grad.values.shape == u.values.shape
 
 
-def test_budget_paused(rng):
-    p = ControlProblem(benchmark_spec(mesh_n=6))
-    with p.budget.paused():
-        p.eval_f(p.zero_control())
-        with p.budget.paused():
-            p.eval_f(p.zero_control())
-        p.eval_f(p.zero_control())  # the outer pause still holds
-    assert p.budget.count == 0
-    p.eval_f(p.zero_control())
-    assert p.budget.count == 1
-    # a pause whose block raises still restores the count on exit, nested too
-    with pytest.raises(RuntimeError):
-        with p.budget.paused():
-            p.eval_f(p.zero_control())
-            with p.budget.paused():
-                p.eval_f(p.zero_control())
-                raise RuntimeError
-    assert p.budget.count == 1
-    with p.budget.paused():
-        with pytest.raises(RuntimeError):
-            with p.budget.paused():
-                p.eval_f(p.zero_control())
-                raise RuntimeError
-        p.eval_f(p.zero_control())
-    assert p.budget.count == 1
-
-
-def test_state_is_one_counted_solve_of_the_load(rng):
+def test_state_is_one_counted_solve_of_the_load(rng, solve_calls):
     for spec in (benchmark_spec(mesh_n=8),
                  benchmark_spec(penalty="switching", mesh_n=8, y_d=switching_target, bound=math.inf)):
         p = ControlProblem(spec)
         u = random_control(p, rng) if spec.penalty == "l0" else SwitchingControl(p.mesh, rng.normal(size=(2, 8)))
         cells = u.cells()
+        solve_calls.clear()
         y = p.state(u)
-        assert p.budget.count == 1, spec.penalty
+        assert len(solve_calls) == 1, spec.penalty
         assert np.array_equal(y, p.pde.solve(p.pde.load_map @ cells)), spec.penalty
 
 
