@@ -5,9 +5,9 @@ subdivisions per side: nodes are numbered row-major, every grid square is
 split along its lower-left to upper-right diagonal, and within a square the
 lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
 the longest edge is h = sqrt(2)/n.  A Mesh holds only n and builds its
-node, triangle and boundary arrays on access: a set-up stores only the mass,
-the load map and the solver.  States are P1 nodal fields, plain arrays of
-one value per node; controls are piecewise constants on triangles.
+node, triangle and boundary arrays on access: a set-up stores only the mass
+and the solver.  States are P1 nodal fields, plain arrays of one value per
+node; controls are piecewise constants on triangles, loaded by `nodal_load`.
 
 Two operators are solved: the Dirichlet Laplacian (-lap y = u on the
 interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
@@ -15,10 +15,9 @@ interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 stiffness and the mass are 7-diagonal stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
 the triangle area a for the mass), so they are summed on the node grid into
-the rows of one diagonal-storage (DIA) array and kept in that layout; the
-load map's columns (CSC) are written on the node grid too, in the index
-dtype scipy keeps.  Products with either sum each row in ascending column
-order, as CSR products do, so they have the bits of the CSR products.
+the rows of one diagonal-storage (DIA) array and kept in that layout.  Its
+products and the node-grid load sum each row in ascending column order, as
+CSR products do, so they have the bits of the CSR products.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
 Poisson solver of Buzbee, Golub and Nielson, 1970), so the Dirichlet set-up
@@ -44,6 +43,12 @@ NEUMANN_HELMHOLTZ = "neumann_helmholtz"
 # vertex order of its lower (ll, lr, ur) and upper (ll, ur, ul) triangle
 _SQUARE_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
+# ((dx, dy), t, i): corner (dx, dy) is vertex i of triangle t.  A node is corner (dx, dy) of the square
+# (dx, dy) steps to its lower left, so by larger dy, larger dx, then lower first, its triangles come in index order
+_NODE_CORNERS = sorted(((c, t, i) for t, tri in enumerate(_SQUARE_TRIANGLES) for i, c in enumerate(tri)),
+                       key=lambda ct: (-ct[0][1], -ct[0][0], ct[1]))
+BLOCK_CELLS = 32768  # cells per pass of a blocked elementwise loop: it stays in cache, its temporaries in the heap
+
 
 class SolverBreakdown(RuntimeError):
     """Raised when a linear solve does not reach the requested accuracy."""
@@ -63,8 +68,10 @@ class Mesh:
 
     @property
     def triangles(self):
-        """Vertex indices of every triangle, 2n^2 x 3, in triangle order."""
-        return _vertex_grid(self.n, np.intp)
+        """Vertex indices of every triangle, 2n^2 x 3, in triangle order (squares row-major, lower first)."""
+        k, steps = self.n + 1, np.arange(self.n)
+        corners = [k * steps[:, None] + steps + (dx + k * dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri]
+        return np.stack(corners, axis=-1).reshape(-1, 3)
 
     @property
     def boundary_nodes(self):
@@ -99,23 +106,6 @@ class Mesh:
         x = np.stack([_mean3(*(xs[dx : dx + n] for dx, _ in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
         y = np.stack([_mean3(*(xs[dy : dy + n] for _, dy in tri)) for tri in _SQUARE_TRIANGLES], axis=1)
         return x, y
-
-
-def _vertex_grid(n, dtype):
-    """Every triangle's vertex indices in an integer dtype, (2n^2, 3) in triangle order."""
-    # corner i of triangle t of each square, the squares row-major: the triangle list's own order
-    k, steps = n + 1, np.arange(n, dtype=dtype)
-    lower_left = (k * steps)[:, None] + steps
-    triangles = np.empty((n, n, 2, 3), dtype=dtype)
-    for t, tri in enumerate(_SQUARE_TRIANGLES):
-        for i, (dx, dy) in enumerate(tri):
-            np.add(lower_left, dx + k * dy, out=triangles[:, :, t, i])
-    return triangles.reshape(2 * n * n, 3)
-
-
-def _index_dtype(n):
-    """int32 while the load map's 6n^2 entries and (n+1)^2 rows fit in it, else int64, as scipy picks."""
-    return np.int32 if max(6 * n * n, (n + 1) ** 2) <= np.iinfo(np.int32).max else np.int64
 
 
 @dataclass(eq=False)
@@ -164,13 +154,13 @@ def _physical_memory():
 
 
 def check_mesh_fits(n):
-    """Raise MemoryError if a set-up's mass diagonals and load map (data, indices, indptr) exceed physical memory."""
-    # 7 (n+1)^2 + 6n^2 doubles, 6n^2 + 2n^2 + 1 indices, in Python ints: numpy's shape product can overflow
-    nbytes = 8 * (7 * (n + 1) ** 2 + 6 * n * n) + np.dtype(_index_dtype(n)).itemsize * (8 * n * n + 1)
+    """Raise MemoryError if a set-up's mass diagonals and Dirichlet eigenvalue grid exceed physical memory."""
+    # 7 (n+1)^2 + (n-1)^2 doubles, in Python ints: numpy's shape product can overflow
+    nbytes = 8 * (7 * (n + 1) ** 2 + (n - 1) ** 2)
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise MemoryError(
-            f"cannot allocate the n={n} mesh: its mass and load map take {nbytes} bytes, "
+            f"cannot allocate the n={n} mesh: its mass and eigenvalue grid take {nbytes} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
 
@@ -195,21 +185,16 @@ def _stencil_matrix(mesh, local):
 
     Each row is a node's stencil over its (dx, dy) neighbours, dx, dy in {-1, 0, 1};
     the weight of an offset is summed on the node grid, one slice per triangle
-    corner, in triangle-index order (squares to the lower left first, lower
-    before upper).  The result is the 7-diagonal matrix that a COO scatter of
-    the element matrices gives, without the scatter, kept in diagonal storage:
+    corner, in triangle-index order.  The result is the 7-diagonal matrix that
+    a COO scatter of the element matrices gives, kept in diagonal storage:
     its products sum each row in ascending column order, as CSR's do.
     """
     import scipy.sparse as sp
 
     n, k = mesh.n, mesh.n + 1
-    corners = [(c, t, i) for t, tri in enumerate(_SQUARE_TRIANGLES) for i, c in enumerate(tri)]
-    # a node is corner (dx, dy) of the square (dx, dy) steps to its lower left,
-    # so triangle-index order takes larger dy, then larger dx, then lower first
-    corners.sort(key=lambda ct: (-ct[0][1], -ct[0][0], ct[1]))
     offsets = sorted({(ex - dx) + k * (ey - dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri})
     data = np.zeros((len(offsets), k, k))
-    for (dx, dy), t, i in corners:
+    for (dx, dy), t, i in _NODE_CORNERS:
         for j, (ex, ey) in enumerate(_SQUARE_TRIANGLES[t]):
             # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric,
             # so that is A[c, c - off]: the weight of offset -off at node c
@@ -220,26 +205,13 @@ def _stencil_matrix(mesh, local):
     return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(mesh.num_nodes, mesh.num_nodes))
 
 
-def _load_map(mesh):
-    """Sparse map from cell values to nodal loads: entries area/3 per vertex."""
-    import scipy.sparse as sp
-
-    t, idx = mesh.num_triangles, _index_dtype(mesh.n)
-    data = np.full(3 * t, mesh.triangle_area / 3.0)
-    # column j holds triangle j's vertices, so a product adds each node's
-    # triangles in index order, as a row-wise (CSR) product would
-    indptr = np.arange(0, 3 * t + 1, 3, dtype=idx)
-    return sp.csc_matrix((data, _vertex_grid(mesh.n, idx).ravel(), indptr), shape=(mesh.num_nodes, t))
-
-
 @dataclass(eq=False)
 class AssembledPDE:
-    """Mass matrix (DIA), control-to-load map (CSC) and the operator's solver on one mesh."""
+    """Mass matrix (DIA) and the operator's solver on one mesh; loads are summed by nodal_load."""
 
     mesh: Mesh
     pde_kind: str
     mass: object
-    load_map: object
     _solver: object
 
     def solve(self, rhs):
@@ -308,7 +280,7 @@ def _neumann_helmholtz_solver(system, n):
 
 
 def assemble(mesh, pde_kind):
-    """Assemble the mass and the load map and prepare a reusable solver for the operator.
+    """Assemble the mass and prepare a reusable solver for the operator.
 
     Only the Neumann operator assembles its stiffness: the CG multiplies by
     K + M.  The Dirichlet solve is a transform and reads no matrix.
@@ -322,7 +294,7 @@ def assemble(mesh, pde_kind):
         solver = _dirichlet_poisson_solver(mesh.n)
     else:
         solver = _neumann_helmholtz_solver(_stencil_matrix(mesh, _STIFFNESS_LOCAL) + mass, mesh.n)
-    return AssembledPDE(mesh=mesh, pde_kind=pde_kind, mass=mass, load_map=_load_map(mesh), _solver=solver)
+    return AssembledPDE(mesh=mesh, pde_kind=pde_kind, mass=mass, _solver=solver)
 
 
 def _per_triangle(mesh, values, fn):
@@ -346,6 +318,33 @@ def _mean3(a, b, c):
 def element_means(mesh, p):
     """Per-triangle averages of the nodal field p (exact mean for P1)."""
     return _per_triangle(mesh, p, _mean3)
+
+
+def nodal_load(mesh, cells):
+    """Nodal load of the per-triangle values cells: each node sums area/3 times its triangles' values.
+
+    The twin of element_means: area/3 * cells go into a zero-ringed grid (a plane per triangle of a square)
+    and each node adds its six shifted windows in triangle-index order from +0.0, as a sparse load map's
+    product does.  A missing triangle reads the ring, which adds +0.0 to a sum that is never -0.0, so every
+    node gets that product's bits.  The grid holds the square rows r0-1..r1-1 of a band of node rows r0..r1-1.
+    """
+    n, k, planes = mesh.n, mesh.n + 1, cells.reshape(mesh.n, mesh.n, 2).transpose(2, 0, 1)
+    rows = min(k, max(1, BLOCK_CELLS // (n + 2)))
+    grid, out = np.empty((2, rows + 1, n + 2)), np.empty((k, k))
+    grid[:, :, [0, -1]] = 0.0
+    for r0 in range(0, k, rows):
+        r1 = min(r0 + rows, k)
+        band = grid[:, : r1 - r0 + 1]
+        lo, hi = max(r0 - 1, 0), min(r1, n)
+        # the ring's bottom row in the first band and its top row in the last, the squares between
+        band[:, : lo - r0 + 1] = band[:, hi - r0 + 1 :] = 0.0
+        np.multiply(planes[:, lo:hi], mesh.triangle_area / 3.0, out=band[:, lo - r0 + 1 : hi - r0 + 1, 1:-1])
+        windows = [band[t, 1 - dy : 1 - dy + r1 - r0, 1 - dx : k + 1 - dx] for (dx, dy), t, _ in _NODE_CORNERS]
+        out_band = out[r0:r1]
+        np.add(windows[0], 0.0, out=out_band)
+        for window in windows[1:]:
+            out_band += window
+    return out.ravel()
 
 
 def interpolate_nodal(mesh, fun):

@@ -125,8 +125,8 @@ class ControlProblem:
         return fem.ControlField(self.mesh, np.zeros(self.mesh.num_triangles))
 
     def state(self, u):
-        """Nodal state y_u: one PDE solve for the control's load."""
-        return self.pde.solve(self.pde.load_map @ u.cells())
+        """Nodal state y_u: one PDE solve (AssembledPDE.solve) of the control's load, summed on the node grid."""
+        return self.pde.solve(fem.nodal_load(self.mesh, u.cells()))
 
     def _tracking(self, y):
         r = y - self.target

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fem
 from . import problem as problemmod
 from . import prox as proxmod
 
@@ -131,33 +132,36 @@ def descent_ok(F_k, F_next, u_k, u_next, eta):
     return eta * u_next.diff_norm(u_k) ** 2 <= F_k - F_next
 
 
-def _prox_sets(spec, u, grad, L):
-    """Prox set at weight L of every cell of u, as (zero_ok, v, v_ok) in u's value layout.
+def _prox_sets(spec, u, g, L):
+    """Prox set at weight L of every cell of the control values u (gradient values g), as (zero_ok, v, v_ok).
 
     0 belongs to a cell's set where zero_ok, the candidate v where v_ok.  The
     support penalty's prox is set-valued at the threshold; the l1 and
     switching maps are single-valued, so their set is {v} everywhere.
     """
     if spec.penalty == problemmod.L0:
-        return proxmod.prox_l0_set_arrays(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+        return proxmod.prox_l0_set_arrays(g, u, L, spec.alpha, spec.beta, spec.bound)
     if spec.penalty == problemmod.L1:
-        v = proxmod.prox_l1_array(grad.values, u.values, L, spec.alpha, spec.beta, spec.bound)
+        v = proxmod.prox_l1_array(g, u, L, spec.alpha, spec.beta, spec.bound)
     else:
-        v = np.stack(proxmod.prox_switch_arrays(grad.u1, grad.u2, u.u1, u.u2, L, spec.alpha, spec.beta))
+        v = np.stack(proxmod.prox_switch_arrays(g[0], g[1], u[0], u[1], L, spec.alpha, spec.beta))
     return False, v, True
 
 
 def iht_step(problem, u_k, grad, L):
     """Exact global solution of the pointwise subproblem at prox weight L.
 
-    Takes the canonical (tie -> 0) element of the prox set per cell: hard
-    thresholding for the support penalty, soft thresholding in l1 mode, the
-    2-vector prox per strip in switching mode.
+    Takes the canonical (tie -> 0) element of the prox set per cell: hard thresholding for the support
+    penalty, soft thresholding in l1 mode, the 2-vector prox per strip in switching mode.  The map is
+    elementwise, so it runs over fem.BLOCK_CELLS cells (strips) at a time, with the bits of one pass.
     """
     if L < 0:
         raise ValueError(f"prox weight must be nonnegative, got {L}")
-    zero_ok, v, _ = _prox_sets(problem.spec, u_k, grad, L)
-    return replace(u_k, values=np.where(zero_ok, 0.0, v))
+    u, g, out = u_k.values, grad.values, np.empty_like(u_k.values)
+    for a in range(0, u.shape[-1], fem.BLOCK_CELLS):
+        zero_ok, v, _ = _prox_sets(problem.spec, u[..., a : a + fem.BLOCK_CELLS], g[..., a : a + fem.BLOCK_CELLS], L)
+        out[..., a : a + fem.BLOCK_CELLS] = np.where(zero_ok, 0.0, v)
+    return replace(u_k, values=out)
 
 
 def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
@@ -246,7 +250,7 @@ def fp_residual(problem, u, L, grad=None):
     s = problem.spec
     if grad is None:
         grad = problem.value_and_grad(u)[1]
-    zero_ok, v, v_ok = _prox_sets(s, u, grad, L)
+    zero_ok, v, v_ok = _prox_sets(s, u.values, grad.values, L)
     dist = np.minimum(np.where(zero_ok, np.abs(u.values), np.inf),
                       np.where(v_ok, np.abs(u.values - v), np.inf))
     return (L + s.alpha) * float(dist.max(initial=0.0))

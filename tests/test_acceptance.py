@@ -166,7 +166,7 @@ def test_criterion_4_fem_convergence_order():
         pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
         cent = fem.element_means(mesh, mesh.nodes)
         u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
-        y = pde.solve(pde.load_map @ u.values)
+        y = pde.solve(fem.nodal_load(mesh, u.values))
         exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
         errs.append(fem.l2_norm_state(mesh, y - exact))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]

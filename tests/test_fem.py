@@ -1,5 +1,6 @@
 """Mesh construction, assembly, solves and transfer operators."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -69,7 +70,7 @@ def system_matrix(pde):
 
 
 def solve_state(pde, u):
-    return pde.solve(pde.load_map @ u.values)
+    return pde.solve(fem.nodal_load(pde.mesh, u.values))
 
 
 def manufactured_error(n):
@@ -136,7 +137,7 @@ def test_build_mesh_rejects_zero():
 
 def test_unallocatable_mesh_allocates_nothing():
     # (10^8 + 1)^2 nodes: the mass diagonals alone would take 5.6e17 bytes,
-    # 1.68e18 with the load map
+    # 6.4e17 with the Dirichlet eigenvalue grid
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="allocate"):
@@ -148,9 +149,8 @@ def test_unallocatable_mesh_allocates_nothing():
 
 
 def setup_arrays_nbytes(pde):
-    """Bytes of the mass diagonals and of the load map's data, indices and indptr."""
-    load = pde.load_map
-    return pde.mass.data.nbytes + load.data.nbytes + load.indices.nbytes + load.indptr.nbytes
+    """Bytes of the mass diagonals and of the (n-1)^2 Dirichlet eigenvalue grid."""
+    return pde.mass.data.nbytes + 8 * (pde.mesh.n - 1) ** 2
 
 
 def test_mesh_gate_counts_the_setup_arrays():
@@ -162,16 +162,6 @@ def test_mesh_gate_counts_the_setup_arrays():
         with mock.patch.object(fem, "_physical_memory", return_value=need - 1):
             with pytest.raises(MemoryError, match="allocate"):
                 fem.build_mesh(n)
-
-
-def test_index_dtype_holds_the_load_map_indptr():
-    # 6n^2 (the load map's last indptr entry) fits in int32 up to n = 18,918;
-    # the sizes are arithmetic, nothing is allocated
-    int32_max = np.iinfo(np.int32).max
-    assert 6 * 18_918**2 <= int32_max < 6 * 18_919**2
-    assert fem._index_dtype(18_918) is np.int32 and fem._index_dtype(18_919) is np.int64
-    for n in (1, 320, 18_918, 18_919, 10**8):
-        assert fem._index_dtype(n) is sp.get_index_dtype(maxval=6 * n * n), n
 
 
 def test_setup_allocates_only_its_arrays():
@@ -186,22 +176,9 @@ def test_setup_allocates_only_its_arrays():
     finally:
         tracemalloc.stop()
     assert mesh_peak < 4096
-    # the set-up arrays plus the (n-1)^2 Dirichlet eigenvalue grid: 14.78 MB at n = 320
-    arrays = setup_arrays_nbytes(pde) + pde.mass.offsets.nbytes + 8 * (n - 1) ** 2
+    # the mass diagonals and the Dirichlet eigenvalue grid: 6.58 MB at n = 320
+    arrays = setup_arrays_nbytes(pde) + pde.mass.offsets.nbytes
     assert peak <= arrays + 2**20, (peak, arrays)
-
-
-def test_load_map_arrays_equal_the_coo_scatter():
-    for n in (1, 2, 3, 16):
-        mesh = fem.build_mesh(n)
-        got = fem.assemble(mesh, fem.DIRICHLET_POISSON).load_map
-        want = coo_assembly(mesh)[2].tocsc()
-        # column j lists triangle j's vertices in their own order; the
-        # converted scatter lists them ascending
-        assert np.array_equal(got.indices, mesh.triangles.ravel()), n
-        ours = (got.indptr, np.sort(got.indices.reshape(-1, 3), axis=1).ravel(), got.data)
-        for name, a, b in zip(("indptr", "indices", "data"), ours, (want.indptr, want.indices, want.data)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
 
 def test_mesh_arrays_are_fresh_on_each_access():
@@ -282,7 +259,13 @@ def stencil_build(n):
     with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
         fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
     assert (spy.call_args.args[0].tocsr() != stiffness + pde.mass.tocsr()).nnz == 0
-    return mesh, (stiffness, pde.mass.tocsr(), pde.load_map.tocsr())
+    return mesh, (stiffness, pde.mass.tocsr())
+
+
+def same_load(mesh, load, rng):
+    """The node-grid load gives the bits of the scatter's load map product, on ones and on a normal draw."""
+    return all(np.array_equal(fem.nodal_load(mesh, c).view(np.int64), (load @ c).view(np.int64))
+               for c in (np.ones(mesh.num_triangles), rng.normal(size=mesh.num_triangles)))
 
 
 def same_pattern(a, b):
@@ -291,42 +274,43 @@ def same_pattern(a, b):
     return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
 
-def test_stencil_build_equals_coo_scatter_at_dyadic_n():
+def test_stencil_build_equals_coo_scatter_at_dyadic_n(rng):
     # dyadic node coordinates make every element entry exact, and every entry
     # of the scatter sums equal or exactly representable terms
     for n in (1, 2, 4, 8, 16, 64, 128):
         mesh, built = stencil_build(n)
-        for name, new, old in zip(("stiffness", "mass", "load"), built, coo_assembly(mesh)):
+        scattered = coo_assembly(mesh)
+        for name, new, old in zip(("stiffness", "mass"), built, scattered):
             assert same_pattern(new, old), (n, name)
             assert np.array_equal(new.data, old.data[old.data != 0]), (n, name)
+        assert same_load(mesh, scattered[2], rng), (n, "load")
 
 
-def test_stencil_build_near_coo_scatter_at_rounded_n():
+def test_stencil_build_near_coo_scatter_at_rounded_n(rng):
     # the scatter's element entries carry the rounding of the linspace node
     # coordinates: edge vectors with relative error O(n eps)
     eps = np.finfo(float).eps
     for n in [n for n in range(3, 41) if n & (n - 1)] + [320]:
-        mesh, (stiffness, mass, load) = stencil_build(n)
+        mesh, (stiffness, mass) = stencil_build(n)
         k_old, m_old, load_old = coo_assembly(mesh)
         for new, old in ((stiffness, k_old), (mass, m_old)):
             assert same_pattern(new, old), n
             assert abs(new - old).max() <= 4 * n * eps * abs(old).max(), n
         # the load weights are area/3 in both builds
-        assert same_pattern(load, load_old) and np.array_equal(load.data, load_old.data), n
+        assert same_load(mesh, load_old, rng), n
 
 
 def test_assemble_converts_no_sparse_format():
-    # the mass stays in the diagonal storage it is built in, the load map in
-    # its columns, and K + M is the sum of two diagonal matrices
+    # the mass stays in the diagonal storage it is built in, K + M is the sum
+    # of two diagonal matrices, and the mass is the one matrix a set-up keeps
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{self.format} matrix converted")
 
     for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
-        with mock.patch.multiple(sp.dia_matrix, tocsr=refuse, tocoo=refuse), mock.patch.multiple(
-            sp.csc_matrix, tocsr=refuse, tocoo=refuse
-        ):
+        with mock.patch.multiple(sp.dia_matrix, tocsr=refuse, tocoo=refuse):
             pde = fem.assemble(fem.build_mesh(8), kind)
-        assert (pde.mass.format, pde.load_map.format) == ("dia", "csc"), kind
+        assert pde.mass.format == "dia", kind
+        assert [f.name for f in dataclasses.fields(pde)] == ["mesh", "pde_kind", "mass", "_solver"], kind
 
 
 def edge_vector(rng, size):
@@ -339,9 +323,8 @@ def edge_vector(rng, size):
 
 
 def test_operator_products_match_csr_bitwise(rng):
-    # a DIA or CSC product adds each row's terms in ascending column order from
-    # +0.0, as a CSR product does; the stored zeros of the DIA add +-0 to a sum
-    # that is never -0.0
+    # a DIA product adds each row's terms in ascending column order from +0.0,
+    # as a CSR product does; its stored zeros add +-0 to a sum that is never -0.0
     for n in (1, 2, 3, 16, 64):
         mesh = fem.build_mesh(n)
         pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
@@ -349,10 +332,47 @@ def test_operator_products_match_csr_bitwise(rng):
             fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
         system = spy.call_args.args[0]
         for draw in (lambda size: rng.normal(size=size), lambda size: edge_vector(rng, size), lambda size: np.full(size, -0.0)):
-            r, c = draw(mesh.num_nodes), draw(mesh.num_triangles)
-            for name, op, x in (("mass", pde.mass, r), ("system", system, r), ("load", pde.load_map, c)):
-                got, want = op @ x, op.tocsr() @ x
+            r = draw(mesh.num_nodes)
+            for name, op in (("mass", pde.mass), ("system", system)):
+                got, want = op @ r, op.tocsr() @ r
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, name)
+
+
+def test_nodal_load_equals_the_coo_scatter_product_bitwise(rng):
+    # each node adds area/3 times its triangles' values in triangle-index order
+    # from +0.0, as the scattered load map's CSR product does; a boundary
+    # node's missing triangles add +0.0 to a sum that is never -0.0
+    def with_inf(size):
+        x = edge_vector(rng, size)
+        x[rng.random(size) < 0.1] = rng.choice([np.inf, -np.inf])
+        return x
+
+    for n in (1, 2, 3, 16, 64):
+        mesh = fem.build_mesh(n)
+        load = coo_assembly(mesh)[2]
+        t = mesh.num_triangles
+        # one band of rows (the default up to n = 179), and bands of 1, 2 and 5 rows
+        for band_cells in (fem.BLOCK_CELLS, n + 2, 2 * (n + 2), 5 * (n + 2)):
+            for c in (rng.normal(size=t), edge_vector(rng, t), with_inf(t), np.full(t, -0.0)):
+                with mock.patch.object(fem, "BLOCK_CELLS", band_cells), np.errstate(invalid="ignore"):
+                    got = fem.nodal_load(mesh, c)  # inf - inf is NaN in both
+                    want = load @ c
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, band_cells)
+
+
+def test_load_map_arrays_equal_the_coo_scatter():
+    # the control-to-load map, read column by column off the node-grid load,
+    # has the scattered load map's CSC arrays bit for bit
+    for n in (1, 2, 3, 16):
+        mesh = fem.build_mesh(n)
+        t = mesh.num_triangles
+        got = sp.csc_matrix(np.column_stack([fem.nodal_load(mesh, e) for e in np.eye(t)]))
+        want = coo_assembly(mesh)[2].tocsc()
+        # column j holds triangle j's three vertices, and nothing else
+        assert np.array_equal(got.indices.reshape(-1, 3), np.sort(mesh.triangles, axis=1)), n
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
 
 def test_dirichlet_assemble_builds_only_the_mass():
@@ -441,7 +461,7 @@ def test_dirichlet_solve_does_not_load_sparse_linalg():
     code = (
         "import sys, numpy as np; from l0control import fem; "
         "pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON); "
-        "y = pde.solve(pde.load_map @ np.ones(128)); "
+        "y = pde.solve(fem.nodal_load(pde.mesh, np.ones(128))); "
         "assert y.max() > 0; sys.exit('scipy.sparse.linalg' in sys.modules)"
     )
     assert run_fresh(code) == 0
@@ -497,7 +517,7 @@ def test_solve_relative_residual(rng):
         pde = fem.assemble(fem.build_mesh(24), kind)
         u = fem.ControlField(pde.mesh, rng.normal(size=pde.mesh.num_triangles))
         y = solve_state(pde, u)
-        rhs = pde.load_map @ u.values
+        rhs = fem.nodal_load(pde.mesh, u.values)
         fr = interior_nodes(pde.mesh) if kind == fem.DIRICHLET_POISSON else np.arange(pde.mesh.num_nodes)
         res = np.linalg.norm(system_matrix(pde)[fr][:, fr] @ y[fr] - rhs[fr])
         assert res <= 1e-12 * np.linalg.norm(rhs[fr])
@@ -506,7 +526,7 @@ def test_solve_relative_residual(rng):
 def test_neumann_cg_solve_matches_lu(rng):
     for n in (1, 2, 3, 8, 40, 160):
         pde = fem.assemble(fem.build_mesh(n), fem.NEUMANN_HELMHOLTZ)
-        rhs = pde.load_map @ rng.normal(size=pde.mesh.num_triangles)
+        rhs = fem.nodal_load(pde.mesh, rng.normal(size=pde.mesh.num_triangles))
         y = pde.solve(rhs)
         system = system_matrix(pde)
         direct = spla.splu(system.tocsc()).solve(rhs)
@@ -519,7 +539,7 @@ def test_neumann_cg_breakdown_raises_and_exits_3(rng, monkeypatch, tmp_path, cap
     monkeypatch.setattr("scipy.sparse.linalg.cg", lambda a, b, **kw: (np.zeros_like(b), 1))
     pde = fem.assemble(fem.build_mesh(4), fem.NEUMANN_HELMHOLTZ)
     with pytest.raises(fem.SolverBreakdown, match="info=1"):
-        pde.solve(pde.load_map @ rng.normal(size=pde.mesh.num_triangles))
+        pde.solve(fem.nodal_load(pde.mesh, rng.normal(size=pde.mesh.num_triangles)))
     assert cli.main(["solve", "--pde", "neumann", "--mesh-n", "4", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("solver failure: CG failed to converge")
 
@@ -541,7 +561,7 @@ def test_adjoint_consistency_identity(rng):
         w = rng.normal(size=pde.mesh.num_nodes)
         lhs = solve_state(pde, u) @ (pde.mass @ w)
         p = pde.solve(pde.mass @ w)
-        rhs = (pde.load_map @ u.values) @ p
+        rhs = fem.nodal_load(pde.mesh, u.values) @ p
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
 
 
@@ -601,9 +621,8 @@ def test_inner_product_and_diff_norm(rng):
 
 def test_mass_conservation_of_load(rng):
     mesh = fem.build_mesh(14)
-    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
     u = rng.normal(size=mesh.num_triangles)
-    total = (pde.load_map @ u).sum()
+    total = fem.nodal_load(mesh, u).sum()
     assert abs(total - mesh.triangle_area * u.sum()) <= 1e-14
 
 
@@ -646,8 +665,7 @@ def centroid_restrict(mesh, means):
 
 def switching_load(mesh, u1, u2):
     """Nodal load of chi_band1 * u1(x1) + chi_band2 * u2(x1), as the problem builds it."""
-    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    return pde.load_map @ SwitchingControl(mesh, np.stack([u1, u2])).cells()
+    return fem.nodal_load(mesh, SwitchingControl(mesh, np.stack([u1, u2])).cells())
 
 
 def wide_draw(rng, size):

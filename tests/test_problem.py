@@ -106,7 +106,7 @@ def test_eval_f_quadratic_identity(rng):
     u = random_control(p, rng)
     u2 = fem.ControlField(p.mesh, 2.0 * u.values)
     lhs = p.eval_f(u2) - 4 * p.eval_f(u) + 3 * p.eval_f(p.zero_control())
-    y = p.pde.solve(p.pde.load_map @ u.values)
+    y = p.pde.solve(fem.nodal_load(p.mesh, u.values))
     rhs = 2.0 * float(y @ (p.pde.mass @ p.target))
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -120,7 +120,8 @@ def test_grad_zero_when_state_matches_target(rng):
     p = ControlProblem(spec)
     fr = np.setdiff1d(np.arange(p.mesh.num_nodes), p.mesh.boundary_nodes)
     system = fem._stencil_matrix(p.mesh, fem._STIFFNESS_LOCAL).tocsr()[fr][:, fr].toarray()
-    loads = p.pde.load_map.toarray()[fr]
+    # the load map's columns: the node-grid load of each unit control
+    loads = np.stack([fem.nodal_load(p.mesh, e) for e in np.eye(p.mesh.num_triangles)], axis=1)[fr]
     u_vals, *_ = np.linalg.lstsq(loads, system @ p.target[fr], rcond=None)
     u = fem.ControlField(p.mesh, u_vals)
     f, grad = p.value_and_grad(u)
@@ -281,7 +282,7 @@ def test_state_is_one_counted_solve_of_the_load(rng, solve_calls):
         solve_calls.clear()
         y = p.state(u)
         assert len(solve_calls) == 1, spec.penalty
-        assert np.array_equal(y, p.pde.solve(p.pde.load_map @ cells)), spec.penalty
+        assert np.array_equal(y, p.pde.solve(fem.nodal_load(p.mesh, cells))), spec.penalty
 
 
 # ---------------------------------------------------------------------------

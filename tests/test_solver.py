@@ -268,6 +268,32 @@ def test_prox_dispatch_matches_per_penalty_branches_bit_for_bit(penalty, L, alph
             assert residuals_agree(replace(at, values=values[cell]), replace(grad, values=grad.values[cell])), c
 
 
+@pytest.mark.parametrize("n", [128, 129, 181])  # 2n^2 cells: exactly one block, one cell over, several blocks
+@pytest.mark.parametrize("penalty", ["l0", "l1", "switching"])
+def test_iht_step_in_blocks_equals_the_whole_field_selection(penalty, n):
+    rng = np.random.default_rng(n)
+    L, alpha, beta, bound = 0.75, 0.25, 0.3, 0.5
+    spec = ProblemSpec(alpha=alpha, beta=beta, bound=math.inf if penalty == "switching" else bound,
+                       penalty=penalty, mesh_n=4)
+    # the edge cells (threshold ties and their neighbours) spread over every block, random cells between
+    cells = 2 * n * n
+    u, g = rng.normal(size=(2, 2, cells))
+    edge_u, edge_g = _edge_cells(L, alpha, beta, bound, rng)
+    at = rng.choice(cells, size=(2, edge_u.size), replace=False)
+    u[:, at], g[:, at] = edge_u, edge_g
+    if penalty == "switching":
+        # 2n^2 strips per control: the step never reads the mesh
+        u_k, grad = SwitchingControl(None, u), SwitchingControl(None, g)
+    else:
+        u_k, grad = fem.ControlField(None, u[0]), fem.ControlField(None, g[0])
+    zero_ok, v, _ = solver._prox_sets(spec, u_k.values, grad.values, L)
+    whole = np.where(zero_ok, 0.0, v)
+    assert (cells == fem.BLOCK_CELLS) == (n == 128)
+    step = iht_step(SimpleNamespace(spec=spec), u_k, grad, L)
+    assert type(step) is type(u_k)
+    np.testing.assert_array_equal(_bits(step.values), _bits(whole))
+
+
 # ---------------------------------------------------------------------------
 # step-size selection traces (hand-run on the toy problem)
 
