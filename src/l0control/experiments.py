@@ -496,7 +496,8 @@ def run_selftest(config: RunConfig):
             up = fem.ControlField(problem.mesh, u.values + eps * du.values)
             um = fem.ControlField(problem.mesh, u.values - eps * du.values)
             fd = (problem.eval_f(up) - problem.eval_f(um)) / (2 * eps)
-            worst = max(worst, abs(pair - fd) / max(abs(fd), 1e-14))  # a NaN ratio leaves worst as it is
+            # np.maximum keeps a NaN ratio (max() would drop it), so a NaN gradient or difference fails
+            worst = float(np.maximum(worst, abs(pair - fd) / max(abs(fd), 1e-14)))
     check("adjoint gradient vs finite differences", worst <= 1e-6, f"(worst rel {worst:.2e})")
 
     mesh = fem.build_mesh(8)

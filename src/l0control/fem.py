@@ -14,10 +14,14 @@ interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
 stiffness and the mass are 7-diagonal stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
-the triangle area a for the mass), so they are summed on the node grid into
-the rows of one diagonal-storage (DIA) array and kept in that layout.  Its
-products and the node-grid load sum each row in ascending column order, as
-CSR products do, so they have the bits of the CSR products.
+the triangle area a for the mass).  A node's stencil depends only on its
+class, (first, interior, last) row by (first, interior, last) column, so
+the stencils are summed once per class on a grid of at most 3 x 3 nodes
+and the seven diagonals of one diagonal-storage (DIA) array are filled from
+those nine rows; the Neumann K + M is filled once from the sum of its two
+class tables.  The matrices are kept in that layout.  Their products and the
+node-grid load sum each row in ascending column order, as CSR products do,
+so they have the bits of the CSR products.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
 Poisson solver of Buzbee, Golub and Nielson, 1970), so the Dirichlet set-up
@@ -47,6 +51,10 @@ _SQUARE_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 # (dx, dy) steps to its lower left, so by larger dy, larger dx, then lower first, its triangles come in index order
 _NODE_CORNERS = sorted(((c, t, i) for t, tri in enumerate(_SQUARE_TRIANGLES) for i, c in enumerate(tri)),
                        key=lambda ct: (-ct[0][1], -ct[0][0], ct[1]))
+# the seven (dx, dy) steps from a node to its stencil neighbours, in the order of their offsets dx + k*dy
+# for every row length k >= 2 (that is, by dy, then dx)
+_STENCIL_STEPS = sorted({(ex - dx, ey - dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri},
+                        key=lambda step: (step[1], step[0]))
 BLOCK_CELLS = 32768  # cells per pass of a blocked elementwise loop: it stays in cache, its temporaries in the heap
 
 
@@ -180,29 +188,47 @@ _STIFFNESS_LOCAL = (
 )
 
 
-def _stencil_matrix(mesh, local):
-    """Sum the element matrices local[t] of every lower (t=0) and upper (t=1) triangle.
+def _class_sums(n, local):
+    """Weight of each stencil step at each node class: a (7, 3, 3) table, (7, 2, 2) at n = 1.
 
-    Each row is a node's stencil over its (dx, dy) neighbours, dx, dy in {-1, 0, 1};
-    the weight of an offset is summed on the node grid, one slice per triangle
-    corner, in triangle-index order.  The result is the 7-diagonal matrix that
-    a COO scatter of the element matrices gives, kept in diagonal storage:
-    its products sum each row in ascending column order, as CSR's do.
+    A node's row sums the element entries local[t] of the lower (t=0) and upper
+    (t=1) triangles around it, and which of them exist depends only on whether
+    its row and its column are the first, an interior or the last.  The sums
+    are taken on a grid of k x k nodes, k = min(n+1, 3), one slice per triangle
+    corner in triangle-index order, so each class gets the bits that the same
+    slices summed over the whole node grid give it.
     """
-    import scipy.sparse as sp
-
-    n, k = mesh.n, mesh.n + 1
-    offsets = sorted({(ex - dx) + k * (ey - dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri})
-    data = np.zeros((len(offsets), k, k))
+    k = min(n + 1, 3)
+    sums = np.zeros((len(_STENCIL_STEPS), k, k))
     for (dx, dy), t, i in _NODE_CORNERS:
         for j, (ex, ey) in enumerate(_SQUARE_TRIANGLES[t]):
             # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric,
-            # so that is A[c, c - off]: the weight of offset -off at node c
-            d = offsets.index(-((ex - dx) + k * (ey - dy)))
-            data[d, dy : dy + n, dx : dx + n] += local[t][i][j]
+            # so that is A[c, c - off]: the weight of step (dx - ex, dy - ey) at node c
+            d = _STENCIL_STEPS.index((dx - ex, dy - ey))
+            sums[d, dy : dy + k - 1, dx : dx + k - 1] += local[t][i][j]
+    return sums
+
+
+def _class_matrix(n, sums):
+    """The 7-diagonal matrix whose node rows are their classes' rows of sums, in diagonal storage.
+
+    The diagonals are filled, not summed: the first, interior and last column
+    values make one row per row class, and those rows are broadcast into the
+    first, the interior and the last node row.  This is the matrix that a COO
+    scatter of the element matrices gives; its products sum each row in
+    ascending column order, as CSR's do.
+    """
+    import scipy.sparse as sp
+
+    k = n + 1
+    rows = np.empty((len(_STENCIL_STEPS), sums.shape[1], k))
+    rows[..., 0], rows[..., 1:-1], rows[..., -1] = sums[..., 0], sums[..., 1:2], sums[..., -1]
+    data = np.empty((len(_STENCIL_STEPS), k, k))
+    data[:, 0], data[:, 1:-1], data[:, -1] = rows[:, 0], rows[:, 1:2], rows[:, -1]
     # the stored zeros (stencil entries that vanish, offsets that would wrap
     # around a grid row) add +-0 to a row sum, which is never -0.0
-    return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(mesh.num_nodes, mesh.num_nodes))
+    offsets = [sx + k * sy for sx, sy in _STENCIL_STEPS]
+    return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(k * k, k * k))
 
 
 @dataclass(eq=False)
@@ -289,11 +315,14 @@ def assemble(mesh, pde_kind):
         raise ValueError(f"unknown pde kind {pde_kind!r}")
     # the P1 mass matrix (1 + delta_ij) a/12 is the same on both triangles
     m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
-    mass = _stencil_matrix(mesh, (m_local, m_local))
+    mass_sums = _class_sums(mesh.n, (m_local, m_local))
+    mass = _class_matrix(mesh.n, mass_sums)
     if pde_kind == DIRICHLET_POISSON:
         solver = _dirichlet_poisson_solver(mesh.n)
     else:
-        solver = _neumann_helmholtz_solver(_stencil_matrix(mesh, _STIFFNESS_LOCAL) + mass, mesh.n)
+        # K + M entry by entry, each the sum of a stiffness and a mass entry
+        system = _class_matrix(mesh.n, _class_sums(mesh.n, _STIFFNESS_LOCAL) + mass_sums)
+        solver = _neumann_helmholtz_solver(system, mesh.n)
     return AssembledPDE(mesh=mesh, pde_kind=pde_kind, mass=mass, _solver=solver)
 
 
@@ -302,12 +331,14 @@ def _per_triangle(mesh, values, fn):
 
     The vertex values are node-grid slices, not a gather through the
     triangle list; fn sees them in the triangles' own vertex order, so sums
-    over them round as the gathered rows do.
+    over them round as the gathered rows do.  Each triangle's plane of
+    squares is written into one output, in triangle order.
     """
-    n = mesh.n
-    grid = values.reshape(n + 1, n + 1, *values.shape[1:])
-    per_square = [fn(*(grid[dy : dy + n, dx : dx + n] for dx, dy in tri)) for tri in _SQUARE_TRIANGLES]
-    return np.stack(per_square, axis=2).reshape(-1, *values.shape[1:])
+    n, rest = mesh.n, values.shape[1:]
+    grid, out = values.reshape(n + 1, n + 1, *rest), np.empty((n, n, 2, *rest))
+    for t, tri in enumerate(_SQUARE_TRIANGLES):
+        out[:, :, t] = fn(*(grid[dy : dy + n, dx : dx + n] for dx, dy in tri))
+    return out.reshape(-1, *rest)
 
 
 def _mean3(a, b, c):

@@ -1,6 +1,7 @@
 """Command-line interface and experiment file outputs."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import l0control
@@ -352,6 +354,24 @@ def test_selftest_passes(tmp_path, capsys):
 def test_selftest_failure_exits_4(monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "run_selftest", lambda config: False)
     assert cli.main(["selftest", "--out", str(tmp_path)]) == 4
+
+
+def test_selftest_nan_gradient_fails_the_adjoint_check(monkeypatch, tmp_path, capsys):
+    # one NaN gradient among the eight: the relative error is NaN, and a NaN
+    # is not dropped by the finite errors around it; the solves stay finite
+    value_and_grad, calls = problem.ControlProblem.value_and_grad, []
+
+    def nan_first(self, u):
+        f, grad = value_and_grad(self, u)
+        calls.append(None)
+        return f, (dataclasses.replace(grad, values=np.full_like(grad.values, np.nan)) if len(calls) == 1 else grad)
+
+    monkeypatch.setattr(problem.ControlProblem, "value_and_grad", nan_first)
+    assert cli.main(["selftest", "--out", str(tmp_path)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL adjoint gradient vs finite differences (worst rel nan)"
+    ]
 
 
 def test_selftest_switch_reference_without_argmins_fails(monkeypatch, tmp_path, capsys):

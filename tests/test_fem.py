@@ -60,7 +60,23 @@ def interior_nodes(mesh):
 
 def stiffness_matrix(mesh):
     """The stiffness in CSR, for the checks that index rows or read its fields."""
-    return fem._stencil_matrix(mesh, fem._STIFFNESS_LOCAL).tocsr()
+    return fem._class_matrix(mesh.n, fem._class_sums(mesh.n, fem._STIFFNESS_LOCAL)).tocsr()
+
+
+def slice_sum_matrix(mesh, local):
+    """The stencil matrix summed over the whole node grid, one slice per triangle corner and offset.
+
+    The reference of the class fill: the zero-filled diagonals take every
+    element entry of every triangle, in triangle-index order.
+    """
+    n, k = mesh.n, mesh.n + 1
+    offsets = sorted({(ex - dx) + k * (ey - dy) for tri in fem._SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri})
+    data = np.zeros((len(offsets), k, k))
+    for (dx, dy), t, i in fem._NODE_CORNERS:
+        for j, (ex, ey) in enumerate(fem._SQUARE_TRIANGLES[t]):
+            d = offsets.index(-((ex - dx) + k * (ey - dy)))
+            data[d, dy : dy + n, dx : dx + n] += local[t][i][j]
+    return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(mesh.num_nodes, mesh.num_nodes))
 
 
 def system_matrix(pde):
@@ -178,7 +194,7 @@ def test_setup_allocates_only_its_arrays():
     assert mesh_peak < 4096
     # the mass diagonals and the Dirichlet eigenvalue grid: 6.58 MB at n = 320
     arrays = setup_arrays_nbytes(pde) + pde.mass.offsets.nbytes
-    assert peak <= arrays + 2**20, (peak, arrays)
+    assert peak <= arrays + 2**18, (peak, arrays)
 
 
 def test_mesh_arrays_are_fresh_on_each_access():
@@ -301,8 +317,8 @@ def test_stencil_build_near_coo_scatter_at_rounded_n(rng):
 
 
 def test_assemble_converts_no_sparse_format():
-    # the mass stays in the diagonal storage it is built in, K + M is the sum
-    # of two diagonal matrices, and the mass is the one matrix a set-up keeps
+    # the mass stays in the diagonal storage it is built in, K + M is filled
+    # in diagonal storage too, and the mass is the one matrix a set-up keeps
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{self.format} matrix converted")
 
@@ -378,9 +394,27 @@ def test_load_map_arrays_equal_the_coo_scatter():
 def test_dirichlet_assemble_builds_only_the_mass():
     # the Dirichlet transform reads no stiffness; the Neumann CG reads K + M
     for kind, stiffness_built in ((fem.DIRICHLET_POISSON, [False]), (fem.NEUMANN_HELMHOLTZ, [False, True])):
-        with mock.patch.object(fem, "_stencil_matrix", wraps=fem._stencil_matrix) as spy:
+        with mock.patch.object(fem, "_class_sums", wraps=fem._class_sums) as spy:
             fem.assemble(fem.build_mesh(8), kind)
         assert [call.args[1] is fem._STIFFNESS_LOCAL for call in spy.call_args_list] == stiffness_built, kind
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 57, 128, 320])
+def test_class_fill_equals_the_slice_sums_bitwise(n):
+    # n = 1 has no interior class and n = 2 a single interior node; the
+    # Neumann K + M is the sum of the two slice-summed DIA matrices
+    mesh = fem.build_mesh(n)
+    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
+    with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
+        fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
+    m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
+    mass, stiffness = slice_sum_matrix(mesh, (m_local, m_local)), slice_sum_matrix(mesh, fem._STIFFNESS_LOCAL)
+    built = (pde.mass, fem._class_matrix(n, fem._class_sums(n, fem._STIFFNESS_LOCAL)), spy.call_args.args[0])
+    for name, got, want in zip(("mass", "stiffness", "K + M"), built, (mass, stiffness, stiffness + mass)):
+        assert got.format == want.format == "dia", name
+        assert np.array_equal(got.offsets, want.offsets), name
+        assert got.data.shape == want.data.shape, name
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
 
 
 def gather_scatter_solve(mesh, rhs):

@@ -294,6 +294,49 @@ def test_iht_step_in_blocks_equals_the_whole_field_selection(penalty, n):
     np.testing.assert_array_equal(_bits(step.values), _bits(whole))
 
 
+def _one_pass_fp_residual(spec, u, grad, L):
+    """Oracle: the residual's one formula over the whole field at once."""
+    zero_ok, v, v_ok = solver._prox_sets(spec, u.values, grad.values, L)
+    dist = np.minimum(np.where(zero_ok, np.abs(u.values), np.inf), np.where(v_ok, np.abs(u.values - v), np.inf))
+    return (L + spec.alpha) * float(dist.max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", [4, 40, 320])  # 2n^2 cells: 32 and 3,200 in one block, 204,800 in 7
+@pytest.mark.parametrize("penalty", ["l0", "l1", "switching"])
+def test_fp_residual_in_blocks_equals_the_one_pass_formula(penalty, n, monkeypatch):
+    rng = np.random.default_rng(n)
+    L, alpha, beta, bound = 0.75, 0.25, 0.3, 0.5
+    spec = ProblemSpec(alpha=alpha, beta=beta, bound=math.inf if penalty == "switching" else bound,
+                       penalty=penalty, mesh_n=4)
+    problem = SimpleNamespace(spec=spec)
+    cells = 2 * n * n
+    u, g = rng.normal(size=(2, 2, cells))
+    edge_u, edge_g = _edge_cells(L, alpha, beta, bound, rng)
+    # as many edge cells as the field holds, at distinct cells in both rows
+    m = min(edge_u.size, cells // 2)
+    at = rng.choice(cells, size=(2, m), replace=False)
+    u[:, at], g[:, at] = edge_u[:m], edge_g[:m]
+    make = SwitchingControl if penalty == "switching" else lambda mesh, v: fem.ControlField(mesh, v[0])
+    u_k, grad = make(None, u), make(None, g)
+    # the controls: the edge cells, their prox step (residual 0 at the cells it keeps) and each with
+    # one cell of its largest distance in the first, a middle and the last block
+    controls = [u_k, iht_step(problem, u_k, grad, L)]
+    for c in (0, cells // 2, cells - 1):
+        values = u_k.values.copy()
+        values[..., c] = 50.0
+        controls.append(replace(u_k, values=values))
+    # and a NaN gradient in the last cell, whose residual (inf or NaN by penalty) the blocks must keep
+    nan_grad = replace(grad, values=grad.values.copy())
+    nan_grad.values[..., cells - 1] = np.nan
+    # the default blocks, and blocks of a fifth of the field so that every field takes five
+    for block in (fem.BLOCK_CELLS, cells // 5 + 1):
+        monkeypatch.setattr(fem, "BLOCK_CELLS", block)
+        for at_u, g_at in [(c, grad) for c in controls] + [(u_k, nan_grad)]:
+            with np.errstate(invalid="ignore"):
+                got, want = fp_residual(problem, at_u, L, grad=g_at), _one_pass_fp_residual(spec, at_u, g_at, L)
+            assert _bits(got) == _bits(want) or (math.isnan(got) and math.isnan(want)), (block, got, want)
+
+
 # ---------------------------------------------------------------------------
 # step-size selection traces (hand-run on the toy problem)
 
