@@ -99,32 +99,27 @@ def main(argv=None):
         return ex.EXIT_CONFIG
 
     try:
+        if args.command == "selftest":
+            return ex.EXIT_OK if ex.run_selftest(config) else ex.EXIT_SELFTEST
         if args.command == "solve":
-            report = ex.run_solve(config)
-            print(ex.summary_line(report))
+            reports = [ex.run_solve(config)]
         elif args.command == "table1":
             reports = ex.run_table1(config)
-            for r in reports:
-                print(ex.summary_line(r))
         elif args.command == "beta-sweep":
             result = ex.run_beta_sweep(config, betas=args.betas, pareto=args.pareto)
-            reports = result["l0"] + result["l1"] if isinstance(result, dict) else result
-            for r in reports:
-                print(ex.summary_line(r))
+            reports = result["l0"] + result["l1"] if args.pareto else result
         elif args.command == "mesh-study":
-            for r in ex.run_mesh_study(config, n_list=args.n_list):
-                print(ex.summary_line(r))
+            reports = ex.run_mesh_study(config, n_list=args.n_list)
+        elif args.command == "switching":
+            reports = ex.run_switching(config, betas=args.betas)
         elif args.command == "unsolvable":
             report, fp_rows, dist = ex.run_unsolvable(config)
             for L, res in fp_rows:
                 print(f"fp_residual(L={L:g}) = {res:.6e}")
             print(f"distance to smooth minimizer = {dist:.6e}")
-            print(ex.summary_line(report))
-        elif args.command == "switching":
-            for r in ex.run_switching(config, betas=args.betas):
-                print(ex.summary_line(r))
-        elif args.command == "selftest":
-            return ex.EXIT_OK if ex.run_selftest(config) else ex.EXIT_SELFTEST
+            reports = [report]
+        for r in reports:
+            print(ex.summary_line(r))
         # a reader that closed the pipe shows here, not in the flush at exit
         sys.stdout.flush()
     except BrokenPipeError:

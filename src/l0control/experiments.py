@@ -160,12 +160,6 @@ def build_options(config: RunConfig):
     )
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
 # a field holding one of these would need csv quoting, which the writer never does
 _UNQUOTABLE = (",", '"', "\r", "\n")
 
@@ -176,21 +170,22 @@ _BLOCK = 2048
 
 
 def _column(col):
-    """(printf spec, values) of one column; float and int arrays skip _fmt.
+    """(printf spec, values array) of one column, read through np.asarray.
 
-    An object array is taken as strings formatted already (see _formatted).
+    An object array is taken as strings formatted already (see _formatted);
+    any other array that is neither float nor integer holds labels.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+    col = np.asarray(col)
+    if col.dtype.kind == "f":
         return "%s", _distinct_formatted(col)
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+    if col.dtype.kind in "iu":
         return "%d", col
-    if isinstance(col, np.ndarray) and col.dtype == object:
+    if col.dtype == object:
         return "%s", col
-    values = [_fmt(v) for v in col]
-    for v in values:
+    for v in col.astype(str).tolist():
         if any(c in v for c in _UNQUOTABLE):
             raise ValueError(f"CSV field {v!r} would need quoting")
-    return "%s", values
+    return "%s", col
 
 
 def _formatted(values):
@@ -227,7 +222,7 @@ def _write_csv(path, header, columns):
             block = [values[start : start + _BLOCK] for _, values in formatted]
             flat = [None] * (len(block[0]) * len(block))
             for j, values in enumerate(block):
-                flat[j :: len(block)] = values.tolist() if isinstance(values, np.ndarray) else values
+                flat[j :: len(block)] = values.tolist()
             fh.write((row * len(block[0])) % tuple(flat))
     return path
 
@@ -300,46 +295,51 @@ def _summary_payload(report):
     }
 
 
+def _write_run(out, report, **extra):
+    """A run's report.csv, final_control.csv and summary.json (its summary plus `extra`)."""
+    write_report_csv(out / "report.csv", report)
+    write_control_csv(out / "final_control.csv", report.final_control)
+    _write_json(out / "summary.json", {**_summary_payload(report), **extra})
+
+
 def run_solve(config: RunConfig, out=None):
     """Single configured run; writes report.csv, final_control.csv, summary.json."""
     out = Path(out if out is not None else config.out)
-    spec = build_spec(config)
-    problem = problemmod.make_problem(spec)
+    problem = problemmod.make_problem(build_spec(config))
     report = solvermod.run(problem, build_options(config))
-    write_report_csv(out / "report.csv", report)
-    write_control_csv(out / "final_control.csv", report.final_control)
-    _write_json(out / "summary.json", _summary_payload(report))
+    _write_run(out, report)
     return report
 
 
 def _assemble_once(cache, mesh_n, pde_kind):
+    """The operator of (mesh_n, pde_kind); the cache keeps only the last one assembled."""
     key = (mesh_n, pde_kind)
     if key not in cache:
+        cache.clear()
         cache[key] = fem.assemble(fem.build_mesh(mesh_n), pde_kind)
     return cache[key]
 
 
-def _sweep_specs(cfgs, y_d=None):
-    """(config, ProblemSpec) of every run of a sweep, all built before the first run.
+def _sweep(cfgs, y_d=None):
+    """Yield (config, problem, report) of each run of a sweep, run without fp residual.
 
-    A bad later value then fails before any run solves or writes anything.
+    Every spec is built before the first run, so a bad later value fails
+    before any run solves or writes anything.  Consecutive runs on one mesh
+    and operator share it through _assemble_once.
     """
-    return [(cfg, build_spec(cfg, y_d=y_d)) for cfg in cfgs]
-
-
-def _sweep_run(cfg, spec, pde_cache):
-    """One run of a sweep on the operator shared through pde_cache, without fp residual."""
-    problem = problemmod.make_problem(spec, pde=_assemble_once(pde_cache, spec.mesh_n, spec.pde))
-    return problem, solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
+    runs = [(cfg, build_spec(cfg, y_d=y_d)) for cfg in cfgs]
+    cache = {}
+    for cfg, spec in runs:
+        problem = problemmod.make_problem(spec, pde=_assemble_once(cache, spec.mesh_n, spec.pde))
+        yield cfg, problem, solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
 
 
 def run_table1(config: RunConfig, out=None):
     """Line-search strategy comparison: 8 BT weights plus BT-W and BT-0."""
     out = Path(out if out is not None else config.out)
-    rows, reports, pde_cache = [], [], {}
+    rows, reports = [], []
     cases = [("bt", w) for w in TABLE1_BT_WEIGHTS] + [("btw", 0.01), ("bt0", 0.01)]
-    for cfg, spec in _sweep_specs([replace(config, strategy=kind, lhat0=lhat0) for kind, lhat0 in cases]):
-        problem, report = _sweep_run(cfg, spec, pde_cache)
+    for cfg, problem, report in _sweep([replace(config, strategy=kind, lhat0=lhat0) for kind, lhat0 in cases]):
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((report.final_F, support, report.pde_solves, cfg.lhat0, cfg.strategy, F_vertex))
         reports.append(report)
@@ -356,22 +356,18 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
     grid, emitting (beta, f, support) series for each.
     """
     out = Path(out if out is not None else config.out)
-    pde_cache = {}
     if pareto:
         betas = tuple(betas) if betas else PARETO_BETAS
-        all_reports = {}
-        sweeps = {kind: _sweep_specs([replace(config, penalty=kind, beta=b) for b in betas])
-                  for kind in ("l0", "l1")}
-        for kind, runs in sweeps.items():
-            reports = [_sweep_run(cfg, spec, pde_cache)[1] for cfg, spec in runs]
-            columns = [betas, [r.final_f for r in reports], [r.records[-1].support for r in reports]]
+        cfgs = [replace(config, penalty=kind, beta=b) for kind in ("l0", "l1") for b in betas]
+        reports = [report for _, _, report in _sweep(cfgs)]
+        all_reports = {"l0": reports[: len(betas)], "l1": reports[len(betas) :]}
+        for kind, runs in all_reports.items():
+            columns = [betas, [r.final_f for r in runs], [r.records[-1].support for r in runs]]
             _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], columns)
-            all_reports[kind] = reports
         return all_reports
 
     betas = tuple(betas) if betas else TABLE2_BETAS
-    runs = _sweep_specs([replace(config, beta=b, bound=math.inf) for b in betas])
-    reports = [_sweep_run(cfg, spec, pde_cache)[1] for cfg, spec in runs]
+    reports = [report for _, _, report in _sweep([replace(config, beta=b, bound=math.inf) for b in betas])]
     supports = [r.records[-1].support for r in reports]
     _write_csv(out / "beta_sweep.csv", ["beta", "support"], [betas, supports])
     return reports
@@ -386,8 +382,7 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
         fem.check_mesh_fits(int(n))
-    for cfg, spec in _sweep_specs([replace(config, mesh_n=int(n)) for n in n_list]):
-        problem, report = _sweep_run(cfg, spec, {})
+    for _, problem, report in _sweep([replace(config, mesh_n=int(n)) for n in n_list]):
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)
@@ -421,18 +416,8 @@ def run_unsolvable(config: RunConfig, out=None):
     dist = math.sqrt(
         problem.mesh.triangle_area * float(((report.final_control.values - smooth_min) ** 2).sum())
     )
-    write_report_csv(out / "report.csv", report)
-    write_control_csv(out / "final_control.csv", report.final_control)
-    payload = _summary_payload(report)
-    payload.update(
-        {
-            "grad_at_ubar_dev": grad_dev,
-            "smooth_minimizer": smooth_min,
-            "distance_to_smooth_minimizer": dist,
-            "fp_residuals": {str(L): r for L, r in fp_rows},
-        }
-    )
-    _write_json(out / "summary.json", payload)
+    _write_run(out, report, grad_at_ubar_dev=grad_dev, smooth_minimizer=smooth_min,
+               distance_to_smooth_minimizer=dist, fp_residuals={str(L): r for L, r in fp_rows})
     return report, fp_rows, dist
 
 
@@ -440,12 +425,15 @@ def run_switching(config: RunConfig, betas=None, out=None):
     """Two-band switching runs over a beta grid; emits overlap table and profiles."""
     out = Path(out if out is not None else config.out)
     betas = tuple(betas) if betas else SWITCHING_BETAS
-    rows, reports, pde_cache = [], [], {}
+    # each run's profile file is named by its beta's "%.12g" spelling
+    spelled = [f"{b:.12g}" for b in betas]
+    if len(set(spelled)) < len(spelled):
+        raise ConfigError(f"switching betas must differ in 12 significant digits, got {' '.join(spelled)}")
+    rows, reports = [], []
     cfgs = [replace(config, penalty="switching", pde="dirichlet", beta=b, bound=math.inf) for b in betas]
-    for cfg, spec in _sweep_specs(cfgs, y_d=problemmod.switching_target):
-        _, report = _sweep_run(cfg, spec, pde_cache)
+    for cfg, _, report in _sweep(cfgs, y_d=problemmod.switching_target):
         rows.append((cfg.beta, report.final_F, report.records[-1].support))
-        write_control_csv(out / f"switching_controls_beta{_fmt(cfg.beta)}.csv", report.final_control)
+        write_control_csv(out / f"switching_controls_beta{cfg.beta:.12g}.csv", report.final_control)
         reports.append(report)
     _write_csv(out / "switching.csv", ["beta", "F", "overlap"], list(zip(*rows)))
     return reports

@@ -174,6 +174,9 @@ def test_unusable_out_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     (["mesh-study", "--n-list", "8", "2"], "mesh study needs n >= 4, got 2"),
     (["mesh-study", "--penalty", "switching", "--bound", "inf", "--n-list", "8", "10"],
      "the switching problem needs 4 | mesh_n, got 10"),
+    # both profiles would be written to switching_controls_beta0.1.csv
+    (["switching", "--mesh-n", "8", "--betas", "0.1", "0.1000000000001"],
+     "switching betas must differ in 12 significant digits, got 0.1 0.1"),
 ])
 def test_sweep_rejects_a_bad_later_value_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):

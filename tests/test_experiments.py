@@ -28,17 +28,26 @@ def test_table1_rows_monotone_and_large_weight_collapses(tmp_path):
     assert np.all(big.final_control.values == 0.0)
 
 
-def test_table1_shares_one_factorization(tmp_path, monkeypatch):
+def test_sweeps_assemble_each_operator_once(tmp_path, monkeypatch):
     calls = []
     real_assemble = fem.assemble
 
     def counting_assemble(mesh, kind):
-        calls.append(kind)
+        calls.append((mesh.n, kind))
         return real_assemble(mesh, kind)
 
     monkeypatch.setattr(fem, "assemble", counting_assemble)
-    ex.run_table1(RunConfig(mesh_n=6, out=str(tmp_path)))
-    assert len(calls) == 1
+    config = RunConfig(mesh_n=8, out=str(tmp_path))
+    for sweep, count in [
+        (lambda: ex.run_table1(config), 1),
+        # both penalties on one operator
+        (lambda: ex.run_beta_sweep(config, betas=[0.5, 0.05], pareto=True), 1),
+        (lambda: ex.run_switching(config, betas=[0.1, 0.01]), 1),
+        (lambda: ex.run_mesh_study(config, n_list=[4, 8]), 2),
+    ]:
+        calls.clear()
+        sweep()
+        assert len(calls) == count, calls
 
 
 def test_pareto_large_beta_points_coincide_at_zero(tmp_path):

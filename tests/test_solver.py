@@ -1,5 +1,6 @@
 """Thresholding iteration: steps, strategies, logging, diagnostics."""
 
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -696,3 +697,54 @@ def test_fp_residual_monotone_in_weight_at_converged_control():
     if r0 <= 1e-10:
         for L2 in (2 * base_L, 10 * base_L):
             assert fp_residual(problem, u, L2, grad=grad) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# whole problem against brute force
+
+
+def dense_objective(problem):
+    """(G, M, F): the dense control-to-state map, the dense mass and F(u) built from them.
+
+    G is built column by column from the states of the unit controls; F
+    charges alpha/2 and beta on the cell area, independently of the
+    problem's own tracking and penalty code.
+    """
+    mesh, spec = problem.mesh, problem.spec
+    G = np.column_stack([problem.state(fem.ControlField(mesh, e)) for e in np.eye(mesh.num_triangles)])
+    M = problem.pde.mass.toarray()
+
+    def F(u):
+        r = G @ u - problem.target
+        g = 0.5 * spec.alpha * (u @ u) + spec.beta * np.count_nonzero(u)
+        return 0.5 * (r @ M @ r) + mesh.triangle_area * g
+
+    return G, M, F
+
+
+@pytest.mark.parametrize("pde, beta", [
+    (fem.DIRICHLET_POISSON, 1e-4),
+    (fem.DIRICHLET_POISSON, 1e-3),
+    (fem.DIRICHLET_POISSON, 1e-2),
+    (fem.DIRICHLET_POISSON, 3e-2),
+    # the Neumann runs take hundreds to thousands of solves at n = 2; this is the fastest
+    (fem.NEUMANN_HELMHOLTZ, 3e-2),
+])
+def test_run_against_the_brute_force_minimum(pde, beta):
+    # n = 2: 8 cells and 256 supports A; with b = inf the best control on A solves
+    # (G_A^T M G_A + alpha area I) u_A = G_A^T M y_d
+    problem = ControlProblem(benchmark_spec(mesh_n=2, bound=math.inf, beta=beta, pde=pde))
+    report = run(problem, SolverOptions())
+    G, M, F = dense_objective(problem)
+    shift = problem.spec.alpha * problem.mesh.triangle_area
+    F_min = math.inf
+    for support in itertools.product([False, True], repeat=problem.mesh.num_triangles):
+        A = np.array(support)
+        u = np.zeros(A.size)
+        u[A] = np.linalg.solve(G[:, A].T @ M @ G[:, A] + shift * np.eye(A.sum()), G[:, A].T @ M @ problem.target)
+        F_min = min(F_min, F(u))
+    assert abs(F(report.final_control.values) - report.final_F) <= 1e-12
+    # the method is proven to reach a stationary point only, so a positive gap is
+    # not a failure: the Neumann run at beta = 3e-2 stops 2.7e-3 above the minimum
+    assert report.final_F >= F_min - 1e-12
+    print(f"{pde} beta={beta:g}: F_run - F_min = {report.final_F - F_min:.3g}")
