@@ -268,9 +268,9 @@ def vertex_rule_objective(problem, u):
     r = problem.state(u) - problem.target
     if problem.spec.pde == fem.DIRICHLET_POISSON:
         r[problem.mesh.boundary_nodes] = 0.0
-    # the row sums of the CSR form: the diagonal storage sums a row in another
-    # order, which rounds some interior rows differently (n = 49, 98, 103, ...)
-    lump = np.asarray(problem.pde.mass.tocsr().sum(axis=1)).ravel()
+    # the row sums as CSR's sum(axis=1) rounds them; mass @ ones adds a row in
+    # another order, which rounds some interior rows differently (n = 49, 98, 103, ...)
+    lump = problem.pde.mass.row_sums()
     return 0.5 * float((r * r) @ lump) + problem.eval_g(u)
 
 

@@ -5,30 +5,32 @@ subdivisions per side: nodes are numbered row-major, every grid square is
 split along its lower-left to upper-right diagonal, and within a square the
 lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
 the longest edge is h = sqrt(2)/n.  A Mesh holds only n and builds its
-node, triangle and boundary arrays on access: a set-up stores only the mass
-and the solver.  States are P1 nodal fields, plain arrays of one value per
-node; controls are piecewise constants on triangles, loaded by `nodal_load`.
+node, triangle and boundary arrays on access.  States are P1 nodal fields,
+plain arrays of one value per node; controls are piecewise constants on
+triangles, loaded by `nodal_load`.
 
 Two operators are solved: the Dirichlet Laplacian (-lap y = u on the
 interior nodes, y = 0 on the boundary) and the Neumann Helmholtz operator
 (-lap y + y = u with natural boundary conditions).  On this mesh the
-stiffness and the mass are 7-diagonal stencils with fixed element entries
+stiffness and the mass are 7-point stencils with fixed element entries
 (the exact P1 values 1, 1/2, -1/2, 0 for the stiffness; 2a/12 and a/12 with
 the triangle area a for the mass).  A node's stencil depends only on its
 class, (first, interior, last) row by (first, interior, last) column, so
-the stencils are summed once per class on a grid of at most 3 x 3 nodes
-and the seven diagonals of one diagonal-storage (DIA) array are filled from
-those nine rows; the Neumann K + M is filled once from the sum of its two
-class tables.  The matrices are kept in that layout.  Their products and the
-node-grid load sum each row in ascending column order, as CSR products do,
-so they have the bits of the CSR products.
+the stencils are summed once per class on a grid of at most 3 x 3 nodes,
+and a ClassStencil applies those nine rows on the node grid: no matrix is
+stored.  The Neumann K + M is the same operator on the sum of the two class
+tables.  A set-up holds the class sums, O(n) boundary tables and the
+solver.  The operator products and the node-grid load sum each row in
+ascending column order, as CSR products do, so they have the bits of the
+CSR products.
 Both operators are solved by transforms; nothing is factorized.  A type-I
 sine transform solves the interior Dirichlet 5-point stencil exactly (the fast
 Poisson solver of Buzbee, Golub and Nielson, 1970), so the Dirichlet set-up
-builds no stiffness matrix.  A type-I cosine transform inverts the Neumann
+reads no stiffness.  A type-I cosine transform inverts the Neumann
 stiffness plus the lumped mass, K + W(x)W/n^2 with W = diag(1/2, 1, ..., 1, 1/2),
 exactly; that preconditions CG on K + M.  scipy is imported inside the
-functions that use it, so importing the package loads none of it.
+functions that use it, so importing the package loads none of it, and the
+Dirichlet path loads only scipy.fft.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ class Mesh:
 
     @property
     def boundary_nodes(self):
-        """Indices of the nodes on the boundary, ascending."""
-        on_boundary = np.zeros((self.n + 1, self.n + 1), dtype=bool)
-        on_boundary[[0, -1]] = on_boundary[:, [0, -1]] = True
-        return np.flatnonzero(on_boundary)
+        """Indices of the boundary nodes, ascending: the first row, both ends of each row between, the last row."""
+        k = self.n + 1
+        ends = k * np.arange(1, k - 1)[:, None] + [0, k - 1]
+        return np.concatenate([np.arange(k), ends.ravel(), np.arange(k * (k - 1), k * k)])
 
     @property
     def num_nodes(self):
@@ -162,13 +164,14 @@ def _physical_memory():
 
 
 def check_mesh_fits(n):
-    """Raise MemoryError if a set-up's mass diagonals and Dirichlet eigenvalue grid exceed physical memory."""
-    # 7 (n+1)^2 + (n-1)^2 doubles, in Python ints: numpy's shape product can overflow
-    nbytes = 8 * (7 * (n + 1) ** 2 + (n - 1) ** 2)
+    """Raise MemoryError if a set-up's Dirichlet eigenvalue grid and mass boundary tables exceed physical memory."""
+    # (n-1)^2 doubles, and per boundary node (4n of them) its index and 7 neighbour indices, flags and
+    # coefficients: Python ints, as numpy's shape product can overflow
+    nbytes = 8 * (n - 1) ** 2 + 4 * n * (8 + 7 * (8 + 1 + 8))
     memory = _physical_memory()
     if memory is not None and nbytes > memory:
         raise MemoryError(
-            f"cannot allocate the n={n} mesh: its mass and eigenvalue grid take {nbytes} bytes, "
+            f"cannot allocate the n={n} mesh: its eigenvalue grid and mass boundary tables take {nbytes} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
 
@@ -202,38 +205,89 @@ def _class_sums(n, local):
     sums = np.zeros((len(_STENCIL_STEPS), k, k))
     for (dx, dy), t, i in _NODE_CORNERS:
         for j, (ex, ey) in enumerate(_SQUARE_TRIANGLES[t]):
-            # dia_matrix keeps A[c - off, c] in data[d, c]; the matrix is symmetric,
-            # so that is A[c, c - off]: the weight of step (dx - ex, dy - ey) at node c
+            # A[c, c - off]: the weight at node c of its neighbour one step (dx - ex, dy - ey) back
             d = _STENCIL_STEPS.index((dx - ex, dy - ey))
             sums[d, dy : dy + k - 1, dx : dx + k - 1] += local[t][i][j]
     return sums
 
 
-def _class_matrix(n, sums):
-    """The 7-diagonal matrix whose node rows are their classes' rows of sums, in diagonal storage.
+def _classes(k):
+    """The class of each of k node rows (or columns): 0 first, 1 interior, 2 last (1 last at k = 2)."""
+    cls = np.ones(k, dtype=np.intp)
+    cls[0], cls[-1] = 0, min(k - 1, 2)
+    return cls
 
-    The diagonals are filled, not summed: the first, interior and last column
-    values make one row per row class, and those rows are broadcast into the
-    first, the interior and the last node row.  This is the matrix that a COO
-    scatter of the element matrices gives; its products sum each row in
-    ascending column order, as CSR's do.
+
+class ClassStencil:
+    """The symmetric 7-point operator whose node rows are their classes' rows of sums, applied on the node grid.
+
+    No matrix is stored.  sums[d] holds the weight of step -_STENCIL_STEPS[d] and the steps are listed symmetric
+    about the centre, so the reversed table gives each row class its neighbours' coefficients (an off-diagonal
+    entry sums at most two triangles, so it has the same bits in its row and in its column).  Each row adds
+    coefficient times value over its real neighbours in ascending offset order from +0.0, as a CSR product
+    does, so every product has the CSR product's bits, on non-finite input too.  The nodes from (1, 1) to
+    (n-1, n-1) are one flat range, taken BLOCK_CELLS at a time.  Each distinct interior coefficient (two for
+    the mass, three for K + M) multiplies the band and the k + 1 nodes on either side once, and each step adds
+    its shifted slice of that product: a term is the same double whichever step reads it.  The boundary column
+    nodes in the range read neighbours across a row end, and the boundary pass overwrites them.  That pass
+    gathers each boundary node's neighbours through (7, 4n) tables, and an absent neighbour adds +0.0.
     """
-    import scipy.sparse as sp
 
-    k = n + 1
-    rows = np.empty((len(_STENCIL_STEPS), sums.shape[1], k))
-    rows[..., 0], rows[..., 1:-1], rows[..., -1] = sums[..., 0], sums[..., 1:2], sums[..., -1]
-    data = np.empty((len(_STENCIL_STEPS), k, k))
-    data[:, 0], data[:, 1:-1], data[:, -1] = rows[:, 0], rows[:, 1:2], rows[:, -1]
-    # the stored zeros (stencil entries that vanish, offsets that would wrap
-    # around a grid row) add +-0 to a row sum, which is never -0.0
-    offsets = [sx + k * sy for sx, sy in _STENCIL_STEPS]
-    return sp.dia_matrix((data.reshape(len(offsets), k * k), offsets), shape=(k * k, k * k))
+    def __init__(self, n, sums):
+        k = n + 1
+        coef = sums[::-1]
+        self.n, self.shape, self._coef = n, (k * k, k * k), coef
+        # the interior class's distinct coefficients, as 0-d arrays (cheaper to multiply by than Python floats),
+        # and for each step in ascending offset order its start in a product that begins k + 1 nodes before
+        # the band, and the index of its coefficient
+        values = coef[:, 1, 1].tolist()
+        distinct = list(dict.fromkeys(values))
+        self._scales = [np.array(c) for c in distinct]
+        self._first, *self._rest = [(k + 1 + sx + k * sy, distinct.index(c))
+                                    for (sx, sy), c in zip(_STENCIL_STEPS, values)]
+        # each boundary node's neighbour along each step; an absent one is the node itself, with coefficient 0
+        self._nodes = Mesh(n).boundary_nodes
+        y, x = np.divmod(self._nodes, k)
+        steps = np.array(_STENCIL_STEPS)[:, :, None]
+        nx, ny = x + steps[:, 0], y + steps[:, 1]
+        self._absent = (nx < 0) | (nx >= k) | (ny < 0) | (ny >= k)
+        self._neighbours = np.where(self._absent, self._nodes, nx + k * ny)
+        cls = _classes(k)
+        self._edge_coef = coef[:, cls[y], cls[x]]
+
+    def __matmul__(self, x):
+        k = self.n + 1
+        x, out = x.ravel(), np.empty(k * k)
+        start, stop = k + 1, k * k - k - 1
+        # a band's products reach k + 1 = start nodes past either end of it
+        products = [np.empty(max(0, min(BLOCK_CELLS, stop - start)) + 2 * start) for _ in self._scales]
+        (first, g0), rest = self._first, self._rest
+        for a in range(start, stop, BLOCK_CELLS):
+            b = min(a + BLOCK_CELLS, stop)
+            for p, c in zip(products, self._scales):
+                np.multiply(x[a - start : b + start], c, out=p[: b - a + 2 * start])
+            band = out[a:b]
+            np.add(products[g0][first : first + b - a], 0.0, out=band)  # the sum starts from +0.0
+            for off, g in rest:
+                band += products[g][off : off + b - a]
+        terms = x[self._neighbours]
+        np.copyto(terms, 0.0, where=self._absent)
+        terms *= self._edge_coef
+        # an outer-axis reduction adds the seven rows in order
+        out[self._nodes] = np.add.reduce(terms, axis=0, initial=0.0)
+        return out
+
+    def row_sums(self):
+        """Each row's sum as a CSR row sum takes it: np.add.reduceat over its nonzero entries in column order."""
+        rows = self._coef.transpose(1, 2, 0)
+        table = np.array([[np.add.reduceat(c[c != 0.0], [0])[0] for c in row] for row in rows])
+        cls = _classes(self.n + 1)
+        return table[np.ix_(cls, cls)].ravel()
 
 
 @dataclass(eq=False)
 class AssembledPDE:
-    """Mass matrix (DIA) and the operator's solver on one mesh; loads are summed by nodal_load."""
+    """The mass (a ClassStencil) and the operator's solver on one mesh; loads are summed by nodal_load."""
 
     mesh: Mesh
     pde_kind: str
@@ -294,10 +348,11 @@ def _neumann_helmholtz_solver(system, n):
     eigenvalues = line[:, None] + line[None, :] + 1.0 / (n * n)
     precond = spla.LinearOperator(system.shape, matvec=lambda r: idctn(
         dctn(r.reshape(n + 1, n + 1) / weights, type=1) / eigenvalues, type=1).ravel())
+    operator = spla.LinearOperator(system.shape, matvec=system.__matmul__, dtype=float)
 
     # the Neumann operator has an unknown at every node, so CG's solution is the nodal result
     def cg_solve(rhs):
-        sol, info = spla.cg(system, rhs, rtol=1e-13, atol=0.0, M=precond)
+        sol, info = spla.cg(operator, rhs, rtol=1e-13, atol=0.0, M=precond)
         if info != 0:
             raise SolverBreakdown(f"CG failed to converge (info={info}, n={n})")
         return sol
@@ -306,22 +361,22 @@ def _neumann_helmholtz_solver(system, n):
 
 
 def assemble(mesh, pde_kind):
-    """Assemble the mass and prepare a reusable solver for the operator.
+    """Prepare the mass and a reusable solver for the operator.
 
-    Only the Neumann operator assembles its stiffness: the CG multiplies by
-    K + M.  The Dirichlet solve is a transform and reads no matrix.
+    Only the Neumann operator reads its stiffness: the CG multiplies by
+    K + M.  The Dirichlet solve is a transform and reads no operator.
     """
     if pde_kind not in (DIRICHLET_POISSON, NEUMANN_HELMHOLTZ):
         raise ValueError(f"unknown pde kind {pde_kind!r}")
     # the P1 mass matrix (1 + delta_ij) a/12 is the same on both triangles
     m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
     mass_sums = _class_sums(mesh.n, (m_local, m_local))
-    mass = _class_matrix(mesh.n, mass_sums)
+    mass = ClassStencil(mesh.n, mass_sums)
     if pde_kind == DIRICHLET_POISSON:
         solver = _dirichlet_poisson_solver(mesh.n)
     else:
         # K + M entry by entry, each the sum of a stiffness and a mass entry
-        system = _class_matrix(mesh.n, _class_sums(mesh.n, _STIFFNESS_LOCAL) + mass_sums)
+        system = ClassStencil(mesh.n, _class_sums(mesh.n, _STIFFNESS_LOCAL) + mass_sums)
         solver = _neumann_helmholtz_solver(system, mesh.n)
     return AssembledPDE(mesh=mesh, pde_kind=pde_kind, mass=mass, _solver=solver)
 

@@ -141,7 +141,7 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
 
 
 def test_unallocatable_mesh_exits_2(tmp_path, capsys):
-    # the set-up's mass diagonals alone would take 5.6e37 bytes, beyond the
+    # the set-up's eigenvalue grid alone would take 8.0e36 bytes, beyond the
     # virtual address space of any 64-bit host (at most 2^57 bytes), so the
     # request fails at once and nothing is allocated
     assert cli.main(["solve", "--mesh-n", str(10**18), "--out", str(tmp_path)]) == 2

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from test_fem import mass_matrix
 
 from l0control import experiments as ex
 from l0control import fem
@@ -106,23 +107,27 @@ def test_vertex_rule_objective_reports_interior_misfit(tmp_path):
     fv = ex.vertex_rule_objective(problem, u)
     yd = problem.target.copy()
     yd[problem.mesh.boundary_nodes] = 0.0
-    lump = np.asarray(problem.pde.mass.sum(axis=1)).ravel()
+    lump = problem.pde.mass @ np.ones(problem.mesh.num_nodes)
     assert fv == pytest.approx(0.5 * (yd * yd) @ lump, rel=1e-12)
     assert fv < problem.eval_f(u)
 
 
 def test_vertex_rule_lumps_with_the_csr_row_sums():
-    # the diagonal mass sums a row in another order than the CSR row sum,
-    # which rounds some interior rows of the n = 49 mass differently
+    # the lump is the CSR row sum of the slice-summed mass, bit for bit; the
+    # product mass @ ones adds a row in another order, which rounds some
+    # interior rows of these meshes differently
     from l0control.problem import ControlProblem, ProblemSpec, default_target
 
-    spec = ProblemSpec(alpha=0.01, beta=0.01, bound=4.0, penalty="l0",
-                       pde=fem.DIRICHLET_POISSON, y_d=default_target, mesh_n=49)
-    problem = ControlProblem(spec)
-    yd = problem.target.copy()
-    yd[problem.mesh.boundary_nodes] = 0.0
-    lump = np.asarray(problem.pde.mass.tocsr().sum(axis=1)).ravel()
-    assert ex.vertex_rule_objective(problem, problem.zero_control()) == 0.5 * float((yd * yd) @ lump)
+    for n in (49, 98, 103):
+        spec = ProblemSpec(alpha=0.01, beta=0.01, bound=4.0, penalty="l0",
+                           pde=fem.DIRICHLET_POISSON, y_d=default_target, mesh_n=n)
+        problem = ControlProblem(spec)
+        lump = np.asarray(mass_matrix(problem.mesh).sum(axis=1)).ravel()
+        assert np.array_equal(problem.pde.mass.row_sums().view(np.int64), lump.view(np.int64)), n
+        assert not np.array_equal(problem.pde.mass @ np.ones(problem.mesh.num_nodes), lump), n
+        yd = problem.target.copy()
+        yd[problem.mesh.boundary_nodes] = 0.0
+        assert ex.vertex_rule_objective(problem, problem.zero_control()) == 0.5 * float((yd * yd) @ lump), n
 
 
 def test_switching_profiles_align_with_strip_centers(tmp_path):

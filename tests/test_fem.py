@@ -58,16 +58,28 @@ def interior_nodes(mesh):
     return np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_nodes)
 
 
+def mass_local(mesh):
+    """The P1 element mass (1 + delta_ij) a/12, the same on both triangles of a square."""
+    m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
+    return m_local, m_local
+
+
 def stiffness_matrix(mesh):
-    """The stiffness in CSR, for the checks that index rows or read its fields."""
-    return fem._class_matrix(mesh.n, fem._class_sums(mesh.n, fem._STIFFNESS_LOCAL)).tocsr()
+    """The stiffness in CSR (the slice-summed reference), for the checks that index rows or read its fields."""
+    return slice_sum_matrix(mesh, fem._STIFFNESS_LOCAL).tocsr()
+
+
+def mass_matrix(mesh):
+    """The mass in CSR (the slice-summed reference)."""
+    return slice_sum_matrix(mesh, mass_local(mesh)).tocsr()
 
 
 def slice_sum_matrix(mesh, local):
     """The stencil matrix summed over the whole node grid, one slice per triangle corner and offset.
 
-    The reference of the class fill: the zero-filled diagonals take every
-    element entry of every triangle, in triangle-index order.
+    The reference of the class stencils: the zero-filled diagonals take every
+    element entry of every triangle, in triangle-index order.  Its CSR form
+    drops the zeros stored for absent neighbours.
     """
     n, k = mesh.n, mesh.n + 1
     offsets = sorted({(ex - dx) + k * (ey - dy) for tri in fem._SQUARE_TRIANGLES for dx, dy in tri for ex, ey in tri})
@@ -82,7 +94,49 @@ def slice_sum_matrix(mesh, local):
 def system_matrix(pde):
     """The matrix pde.solve inverts, in CSR: the stiffness (Dirichlet, on its interior rows and columns) or K + M (Neumann)."""
     stiffness = stiffness_matrix(pde.mesh)
-    return stiffness if pde.pde_kind == fem.DIRICHLET_POISSON else stiffness + pde.mass.tocsr()
+    return stiffness if pde.pde_kind == fem.DIRICHLET_POISSON else stiffness + mass_matrix(pde.mesh)
+
+
+def stiffness_stencil(n):
+    """The stiffness as a class stencil, which no set-up builds: the Neumann one reads it only inside K + M."""
+    return fem.ClassStencil(n, fem._class_sums(n, fem._STIFFNESS_LOCAL))
+
+
+def neumann_system(mesh):
+    """The K + M operator that the Neumann assemble hands its CG solver."""
+    with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
+        fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
+    return spy.call_args.args[0]
+
+
+def probes(n):
+    """Seven 0/1 node fields, node (x, y) set in field (x + 2y) mod 7.
+
+    The seven stencil steps change x + 2y by -3..3, so each field sets at
+    most one of a row's neighbours: a row of op @ probe is that one entry,
+    and the seven products read every entry of the operator.
+    """
+    k = n + 1
+    y, x = np.divmod(np.arange(k * k), k)
+    return [((x + 2 * y) % 7 == c).astype(float) for c in range(7)]
+
+
+def operator_matrix(op):
+    """The CSR matrix of a class stencil, its entries read off the seven probe products; zeros are dropped."""
+    k = op.n + 1
+    y, x = np.divmod(np.arange(k * k), k)
+    products = np.array([op @ p for p in probes(op.n)])
+    rows, cols = [], []
+    for sx, sy in fem._STENCIL_STEPS:
+        real = np.flatnonzero((0 <= x + sx) & (x + sx < k) & (0 <= y + sy) & (y + sy < k))
+        rows.append(real)
+        cols.append(real + sx + k * sy)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = products[(x[cols] + 2 * y[cols]) % 7, rows]
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=op.shape).tocsr()
+    matrix.eliminate_zeros()
+    matrix.sort_indices()
+    return matrix
 
 
 def solve_state(pde, u):
@@ -152,8 +206,7 @@ def test_build_mesh_rejects_zero():
 
 
 def test_unallocatable_mesh_allocates_nothing():
-    # (10^8 + 1)^2 nodes: the mass diagonals alone would take 5.6e17 bytes,
-    # 6.4e17 with the Dirichlet eigenvalue grid
+    # the Dirichlet eigenvalue grid alone would take 8.0e16 bytes
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match="allocate"):
@@ -165,8 +218,9 @@ def test_unallocatable_mesh_allocates_nothing():
 
 
 def setup_arrays_nbytes(pde):
-    """Bytes of the mass diagonals and of the (n-1)^2 Dirichlet eigenvalue grid."""
-    return pde.mass.data.nbytes + 8 * (pde.mesh.n - 1) ** 2
+    """Bytes of the (n-1)^2 Dirichlet eigenvalue grid and of the mass's boundary tables."""
+    tables = (pde.mass._nodes, pde.mass._neighbours, pde.mass._absent, pde.mass._edge_coef)
+    return 8 * (pde.mesh.n - 1) ** 2 + sum(t.nbytes for t in tables)
 
 
 def test_mesh_gate_counts_the_setup_arrays():
@@ -192,8 +246,8 @@ def test_setup_allocates_only_its_arrays():
     finally:
         tracemalloc.stop()
     assert mesh_peak < 4096
-    # the mass diagonals and the Dirichlet eigenvalue grid: 6.58 MB at n = 320
-    arrays = setup_arrays_nbytes(pde) + pde.mass.offsets.nbytes
+    # the Dirichlet eigenvalue grid and the mass's boundary tables: 0.98 MB at n = 320
+    arrays = setup_arrays_nbytes(pde)
     assert peak <= arrays + 2**18, (peak, arrays)
 
 
@@ -268,14 +322,12 @@ def test_dirichlet_stiffness_is_five_point_stencil():
 
 
 def stencil_build(n):
+    """The stiffness and the assembled mass, read off their class stencils into CSR."""
     mesh = fem.build_mesh(n)
     pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    stiffness = stiffness_matrix(mesh)
-    # the matrix that the Neumann assemble hands its CG solver
-    with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
-        fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
-    assert (spy.call_args.args[0].tocsr() != stiffness + pde.mass.tocsr()).nnz == 0
-    return mesh, (stiffness, pde.mass.tocsr())
+    stiffness, mass = operator_matrix(stiffness_stencil(n)), operator_matrix(pde.mass)
+    assert (operator_matrix(neumann_system(mesh)) != stiffness + mass).nnz == 0
+    return mesh, (stiffness, mass)
 
 
 def same_load(mesh, load, rng):
@@ -317,41 +369,48 @@ def test_stencil_build_near_coo_scatter_at_rounded_n(rng):
 
 
 def test_assemble_converts_no_sparse_format():
-    # the mass stays in the diagonal storage it is built in, K + M is filled
-    # in diagonal storage too, and the mass is the one matrix a set-up keeps
+    # no sparse matrix is built, in any format: the mass and K + M are class
+    # stencils, and the mass is the one operator a set-up keeps
     def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{self.format} matrix converted")
+        raise AssertionError(f"{type(self).__name__} built")
 
     for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
-        with mock.patch.multiple(sp.dia_matrix, tocsr=refuse, tocoo=refuse):
-            pde = fem.assemble(fem.build_mesh(8), kind)
-        assert pde.mass.format == "dia", kind
+        mesh = fem.build_mesh(8)
+        with mock.patch.object(sp._base._spbase, "__init__", refuse):
+            pde = fem.assemble(mesh, kind)
+            pde.solve(pde.mass @ fem.nodal_load(mesh, np.ones(mesh.num_triangles)))
+        assert type(pde.mass) is fem.ClassStencil, kind
         assert [f.name for f in dataclasses.fields(pde)] == ["mesh", "pde_kind", "mass", "_solver"], kind
 
 
 def edge_vector(rng, size):
-    """Normal draws with +-0.0, subnormals and +-1e300 mixed in."""
+    """Normal draws with +-0.0, subnormals, +-1e300 and +-inf mixed in."""
     x = rng.normal(size=size)
-    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e300, -1e300])
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e300, -1e300, np.inf, -np.inf])
     pick = rng.random(size) < 0.5
     x[pick] = rng.choice(edges, size=np.count_nonzero(pick))
     return x
 
 
 def test_operator_products_match_csr_bitwise(rng):
-    # a DIA product adds each row's terms in ascending column order from +0.0,
-    # as a CSR product does; its stored zeros add +-0 to a sum that is never -0.0
-    for n in (1, 2, 3, 16, 64):
+    # a class stencil adds each row's terms over its real neighbours in ascending
+    # column order from +0.0, as the CSR product of the slice-summed matrix does;
+    # an absent neighbour is skipped, so an inf far away is no NaN here.  n = 200
+    # spans two bands of the interior range, and the patched bands cut rows
+    for n, band_cells in ((1, None), (2, None), (3, None), (16, None), (16, 7), (16, 50), (64, None), (64, 300),
+                          (200, None)):
         mesh = fem.build_mesh(n)
         pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-        with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
-            fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
-        system = spy.call_args.args[0]
-        for draw in (lambda size: rng.normal(size=size), lambda size: edge_vector(rng, size), lambda size: np.full(size, -0.0)):
-            r = draw(mesh.num_nodes)
-            for name, op in (("mass", pde.mass), ("system", system)):
-                got, want = op @ r, op.tocsr() @ r
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, name)
+        mass = mass_matrix(mesh)
+        system = stiffness_matrix(mesh) + mass
+        draws = (rng.normal(size=mesh.num_nodes), edge_vector(rng, mesh.num_nodes), np.full(mesh.num_nodes, -0.0))
+        for name, op, csr in (("mass", pde.mass, mass), ("system", neumann_system(mesh), system)):
+            for r in draws:
+                band = mock.patch.object(fem, "BLOCK_CELLS", band_cells or fem.BLOCK_CELLS)
+                with band, np.errstate(invalid="ignore"):
+                    got = op @ r  # inf - inf is NaN in both
+                want = csr @ r
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, band_cells, name)
 
 
 def test_nodal_load_equals_the_coo_scatter_product_bitwise(rng):
@@ -402,19 +461,15 @@ def test_dirichlet_assemble_builds_only_the_mass():
 @pytest.mark.parametrize("n", [*range(1, 41), 57, 128, 320])
 def test_class_fill_equals_the_slice_sums_bitwise(n):
     # n = 1 has no interior class and n = 2 a single interior node; the
-    # Neumann K + M is the sum of the two slice-summed DIA matrices
+    # Neumann K + M is the sum of the two slice-summed matrices.  Each row of a
+    # probe product is one entry, so the seven products compare every entry
     mesh = fem.build_mesh(n)
-    pde = fem.assemble(mesh, fem.DIRICHLET_POISSON)
-    with mock.patch.object(fem, "_neumann_helmholtz_solver", wraps=fem._neumann_helmholtz_solver) as spy:
-        fem.assemble(mesh, fem.NEUMANN_HELMHOLTZ)
-    m_local = (np.ones((3, 3)) + np.eye(3)) * (mesh.triangle_area / 12.0)
-    mass, stiffness = slice_sum_matrix(mesh, (m_local, m_local)), slice_sum_matrix(mesh, fem._STIFFNESS_LOCAL)
-    built = (pde.mass, fem._class_matrix(n, fem._class_sums(n, fem._STIFFNESS_LOCAL)), spy.call_args.args[0])
+    mass, stiffness = slice_sum_matrix(mesh, mass_local(mesh)), slice_sum_matrix(mesh, fem._STIFFNESS_LOCAL)
+    built = (fem.assemble(mesh, fem.DIRICHLET_POISSON).mass, stiffness_stencil(n), neumann_system(mesh))
     for name, got, want in zip(("mass", "stiffness", "K + M"), built, (mass, stiffness, stiffness + mass)):
-        assert got.format == want.format == "dia", name
-        assert np.array_equal(got.offsets, want.offsets), name
-        assert got.data.shape == want.data.shape, name
-        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), name
+        assert got.shape == want.shape, name
+        for p in probes(n):
+            assert np.array_equal((got @ p).view(np.int64), (want.tocsr() @ p).view(np.int64)), name
 
 
 def gather_scatter_solve(mesh, rhs):
@@ -496,19 +551,30 @@ def test_dirichlet_solve_does_not_load_sparse_linalg():
         "import sys, numpy as np; from l0control import fem; "
         "pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON); "
         "y = pde.solve(fem.nodal_load(pde.mesh, np.ones(128))); "
-        "assert y.max() > 0; sys.exit('scipy.sparse.linalg' in sys.modules)"
+        "assert y.max() > 0; sys.exit(any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
     )
     assert run_fresh(code) == 0
 
 
+def test_dirichlet_solve_command_loads_no_sparse(tmp_path):
+    # whole commands: solve's mass products and fp residual, and table1's vertex-rule lump
+    code = (
+        "import sys; from l0control import cli; "
+        f"code = cli.main(['solve', '--mesh-n', '8', '--out', {str(tmp_path / 'solve')!r}]); "
+        f"code = code or cli.main(['table1', '--mesh-n', '4', '--out', {str(tmp_path / 'table1')!r}]); "
+        "sys.exit(code or any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
+    )
+    assert run_fresh(code) == 0
+    assert (tmp_path / "solve" / "summary.json").exists() and any((tmp_path / "table1").iterdir())
+
+
 def test_assembled_matrices_exactly_symmetric():
-    for kind in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
-        pde = fem.assemble(fem.build_mesh(9), kind)
-        system = system_matrix(pde)
-        assert (system - system.T).nnz == 0
-        # in CSR, which drops the zeros that the diagonal storage keeps
-        mass = pde.mass.tocsr()
-        assert (mass - mass.T).nnz == 0
+    # the operators as their probe products read them: an entry has the same
+    # bits in its row and in its column
+    mesh = fem.build_mesh(9)
+    for op in (fem.assemble(mesh, fem.DIRICHLET_POISSON).mass, stiffness_stencil(9), neumann_system(mesh)):
+        matrix = operator_matrix(op)
+        assert (matrix - matrix.T).nnz == 0
 
 
 def test_solve_state_zero_control():

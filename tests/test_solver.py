@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_fem import mass_matrix
 
 from l0control import experiments, fem, solver
 from l0control.problem import (
@@ -704,7 +705,7 @@ def test_fp_residual_monotone_in_weight_at_converged_control():
 
 
 def dense_objective(problem):
-    """(G, M, F): the dense control-to-state map, the dense mass and F(u) built from them.
+    """(G, M, F): the dense control-to-state map, the dense (slice-summed) mass and F(u) built from them.
 
     G is built column by column from the states of the unit controls; F
     charges alpha/2 and beta on the cell area, independently of the
@@ -712,7 +713,7 @@ def dense_objective(problem):
     """
     mesh, spec = problem.mesh, problem.spec
     G = np.column_stack([problem.state(fem.ControlField(mesh, e)) for e in np.eye(mesh.num_triangles)])
-    M = problem.pde.mass.toarray()
+    M = mass_matrix(mesh).toarray()
 
     def F(u):
         r = G @ u - problem.target
