@@ -18,29 +18,19 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import experiments as ex
-from . import fem, problem, solver
+from . import fem, solver
 
 
 def _add_common_flags(parser):
+    """--config, then one flag per RunConfig field, declared by the field's metadata."""
     parser.add_argument("--config", metavar="FILE", help="key = value config file; flags override it")
-    parser.add_argument("--mesh-n", type=int, dest="mesh_n", help="grid subdivisions per side")
-    parser.add_argument("--alpha", type=float, help="quadratic control-cost weight")
-    parser.add_argument("--beta", type=float, help="support-penalty weight (the l1 weight in l1 mode)")
-    parser.add_argument("--bound", type=float, help='box bound on the control (number or "inf")')
-    parser.add_argument("--penalty", choices=problem.PENALTY_KINDS, help="penalty kind")
-    parser.add_argument("--pde", choices=list(ex.PDE_NAMES), help="state operator")
-    parser.add_argument("--strategy", choices=solver.STRATEGY_KINDS, help="step-size rule")
-    parser.add_argument("--lhat0", type=float, help="initial prox weight for the adaptive rules")
-    parser.add_argument("--theta", type=float, help="weight reduction factor in (0,1)")
-    parser.add_argument("--eta", type=float, help="decrease-condition constant")
-    parser.add_argument("--imax", type=int, help="maximal widening steps")
-    parser.add_argument("--lfixed", type=float, help="prox weight for strategy=fixed")
-    parser.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
-    parser.add_argument("--tol", type=float, help="stop when |F_{k+1}-F_k| <= tol")
-    parser.add_argument("--out", metavar="DIR", help="output directory (default '.')")
-    parser.add_argument("--seed", type=int, help="seed for randomized subcommands")
-    parser.add_argument("--ydzero", action="store_true", default=None,
-                        help="use the zero tracking target")
+    for f in fields(ex.RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(flag, action="store_true", default=None, **f.metadata)
+        else:
+            # f.type is the annotation string; a str field keeps argparse's default (no conversion)
+            parser.add_argument(flag, type={"int": int, "float": float}.get(f.type), **f.metadata)
 
 
 def build_parser():

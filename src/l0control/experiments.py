@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,27 +47,32 @@ class ConfigError(ValueError):
     """Bad config-file syntax, key or type, `pde`, `seed`, or a failed command-specific check."""
 
 
+def _setting(default, help, **flag):
+    """A RunConfig field; its metadata holds the argparse keywords of its flag."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
 @dataclass
 class RunConfig:
-    """Flat run configuration; every field maps to one CLI flag/config key."""
+    """Flat run configuration: each field is one config key and one CLI flag."""
 
-    mesh_n: int = 40
-    alpha: float = 0.01
-    beta: float = 0.01
-    bound: float = 4.0
-    penalty: str = "l0"
-    pde: str = "dirichlet"
-    strategy: str = "bt0"
-    lhat0: float = 0.01
-    theta: float = 0.5
-    eta: float = 1e-4
-    imax: int = 40
-    lfixed: float = 1.0
-    max_iter: int = 10_000
-    tol: float = 1e-12
-    out: str = "."
-    seed: int = 0
-    ydzero: bool = False
+    mesh_n: int = _setting(40, "grid subdivisions per side")
+    alpha: float = _setting(0.01, "quadratic control-cost weight")
+    beta: float = _setting(0.01, "support-penalty weight (the l1 weight in l1 mode)")
+    bound: float = _setting(4.0, 'box bound on the control (number or "inf")')
+    penalty: str = _setting("l0", "penalty kind", choices=problemmod.PENALTY_KINDS)
+    pde: str = _setting("dirichlet", "state operator", choices=list(PDE_NAMES))
+    strategy: str = _setting("bt0", "step-size rule", choices=solvermod.STRATEGY_KINDS)
+    lhat0: float = _setting(0.01, "initial prox weight for the adaptive rules")
+    theta: float = _setting(0.5, "weight reduction factor in (0,1)")
+    eta: float = _setting(1e-4, "decrease-condition constant")
+    imax: int = _setting(40, "maximal widening steps")
+    lfixed: float = _setting(1.0, "prox weight for strategy=fixed")
+    max_iter: int = _setting(10_000, "iteration cap")
+    tol: float = _setting(1e-12, "stop when |F_{k+1}-F_k| <= tol")
+    out: str = _setting(".", "output directory (default '.')", metavar="DIR")
+    seed: int = _setting(0, "seed for randomized subcommands")
+    ydzero: bool = _setting(False, "use the zero tracking target")
 
     def validate(self):
         """Reject bad values before any run starts.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
+from . import fem, prox
 
 L0 = "l0"
 L1 = "l1"
@@ -65,12 +65,9 @@ class ProblemSpec:
     mesh_n: int = 40
 
     def __post_init__(self):
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be a finite nonnegative real, got {self.alpha}")
-        if not (self.beta > 0) or not math.isfinite(self.beta):
-            raise ValueError(f"beta must be a finite positive real, got {self.beta}")
-        if not (self.bound > 0):
-            raise ValueError(f"bound must be positive (or +inf), got {self.bound}")
+        prox.nonnegative("alpha", self.alpha)
+        prox.positive("beta", self.beta)
+        prox.box_bound("bound", self.bound)
         if self.penalty not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty {self.penalty!r}")
         if self.pde not in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
@@ -153,14 +150,6 @@ class ControlProblem:
         if s.penalty == L1:
             return quad + s.beta * self.mesh.triangle_area * float(np.abs(u.values).sum())
         return quad + s.beta * u.support_measure()
-
-    def l1_equivalence_check(self, u, tol=1e-8):
-        """True iff u is bang-bang: every cell value in {-b, 0, b} up to tol."""
-        b = self.spec.bound
-        if math.isinf(b):
-            raise ValueError("the bang-bang check needs a finite bound")
-        v = np.abs(u.values)
-        return bool(np.all((v <= tol) | (np.abs(v - b) <= tol)))
 
 
 @dataclass(eq=False)

@@ -26,7 +26,9 @@ parameter set per row.  The scalar API (`hard_threshold`,
 arguments, converts them to builtin floats, calls the same core and
 packages the result as a `ScalarSolutionSet`, a float or a
 `SwitchingPoint`.  A scalar call does no numpy work (1.4-3.6 us on a 2-core
-x86 host) and gives the same bits as the array map's row.
+x86 host) and gives the same bits as the array map's row.  Its range
+checkers `nonnegative`, `positive` and `box_bound` are the package's only
+ones: `ProblemSpec`, `StepStrategy` and `SolverOptions` call them too.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -52,7 +54,7 @@ def _finite(name, x):
     return x
 
 
-def _nonnegative(name, x):
+def nonnegative(name, x):
     """x as a builtin float, after checking that it is finite and >= 0."""
     x = float(x)
     if x < 0 or not math.isfinite(x):
@@ -60,7 +62,7 @@ def _nonnegative(name, x):
     return x
 
 
-def _positive(name, x):
+def positive(name, x):
     """x as a builtin float, after checking that it is finite and > 0."""
     x = float(x)
     if not (x > 0) or not math.isfinite(x):
@@ -68,7 +70,7 @@ def _positive(name, x):
     return x
 
 
-def _box_bound(name, b):
+def box_bound(name, b):
     """b as a builtin float, after checking that it is positive (+inf allowed)."""
     b = float(b)
     if not (b > 0):
@@ -131,10 +133,10 @@ class ProxParams:
     bound: float = math.inf
 
     def __post_init__(self):
-        _nonnegative("L", self.L)
-        _nonnegative("alpha", self.alpha)
-        _positive("beta", self.beta)
-        _box_bound("bound", self.bound)
+        nonnegative("L", self.L)
+        nonnegative("alpha", self.alpha)
+        positive("beta", self.beta)
+        box_bound("bound", self.bound)
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ def hard_threshold(q, t):
     {0} when |q| < t.
     """
     q = _finite("q", q)
-    t = _positive("threshold t", t)
+    t = positive("threshold t", t)
     return _solution_set(*_l0_sets(q, t, math.inf))
 
 
@@ -300,8 +302,8 @@ def box_hard_threshold(q, s, b):
     two tie arguments and has no computational role.
     """
     q = _finite("q", q)
-    s = _nonnegative("s", s)
-    b = _box_bound("b", b)
+    s = nonnegative("s", s)
+    b = box_bound("b", b)
     if s == 0.0 and math.isinf(b):
         return ScalarSolutionSet((q,))
     return _solution_set(*_l0_sets(q, _zero_threshold(s, b), b))
@@ -336,10 +338,10 @@ def prox_l1(g_k, u_k, L, alpha, gamma, b=math.inf):
     """
     g_k = _finite("g_k", g_k)
     u_k = _finite("u_k", u_k)
-    L = _nonnegative("L", L)
-    alpha = _nonnegative("alpha", alpha)
-    gamma = _nonnegative("gamma", gamma)
-    b = _box_bound("b", b)
+    L = nonnegative("L", L)
+    alpha = nonnegative("alpha", alpha)
+    gamma = nonnegative("gamma", gamma)
+    b = box_bound("b", b)
     return _prox_l1(g_k, u_k, L, alpha, gamma, b)
 
 
@@ -351,9 +353,9 @@ def prox_switch(g: SwitchingPoint, u_k: SwitchingPoint, L, alpha, beta):
     within 1e-12 prefer a zero-product candidate, then u1 = 0 over u2 = 0.
     L and alpha are checked as ProxParams checks them.
     """
-    L = _nonnegative("L", L)
-    alpha = _nonnegative("alpha", alpha)
-    beta = _positive("beta", beta)
+    L = nonnegative("L", L)
+    alpha = nonnegative("alpha", alpha)
+    beta = positive("beta", beta)
     u1, u2 = _prox_switch(float(g.u1), float(g.u2), float(u_k.u1), float(u_k.u2), L, alpha, beta)
     return SwitchingPoint(u1, u2)
 
@@ -403,21 +405,6 @@ def fp_membership(u, g, p: ProxParams):
     return False
 
 
-def convex_envelope_value(u, alpha, beta):
-    """Convex envelope of  (alpha/2)u^2 + beta*|u|_0  at u.
-
-    Linear with slope sqrt(2*alpha*beta) inside |u| <= sqrt(2*beta/alpha),
-    and beta + (alpha/2)u^2 outside; the two branches meet continuously.
-    """
-    u = _finite("u", u)
-    alpha = _positive("alpha", alpha)
-    beta = _positive("beta", beta)
-    cutoff = math.sqrt(2.0 * beta / alpha)
-    if abs(u) >= cutoff:
-        return beta + 0.5 * alpha * u * u
-    return math.sqrt(2.0 * alpha * beta) * abs(u)
-
-
 def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
     """Check that an interior envelope minimizer escapes under the thresholding step.
 
@@ -427,7 +414,7 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
     Returns True iff u_bar is not reproduced by prox_l0(g, u_bar, .) and the
     canonical step from u_bar strictly decreases g*u + (alpha/2)u^2 + beta*|u|_0.
     """
-    _positive("L", L)
+    positive("L", L)
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     if abs(abs(g) - math.sqrt(2.0 * alpha * beta)) > TIE_TOL:

@@ -68,14 +68,11 @@ class StepStrategy:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if not (0 < self.eta < math.inf):
-            raise ValueError(f"eta must be a finite positive real, got {self.eta}")
+        proxmod.positive("eta", self.eta)
         if self.I_max < 1:
             raise ValueError(f"I_max must be a positive integer, got {self.I_max}")
-        if not (0 < self.L_hat0 < math.inf):
-            raise ValueError(f"L_hat0 must be a finite positive real, got {self.L_hat0}")
-        if not (0 <= self.L_fixed < math.inf):
-            raise ValueError(f"L_fixed must be a finite nonnegative real, got {self.L_fixed}")
+        proxmod.positive("L_hat0", self.L_hat0)
+        proxmod.nonnegative("L_fixed", self.L_fixed)
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,8 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be a positive integer")
-        if not (0 < self.stop_tol < math.inf):
-            raise ValueError(f"stop_tol must be a finite positive real, got {self.stop_tol}")
+            raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+        proxmod.positive("stop_tol", self.stop_tol)
 
 
 @dataclass(frozen=True)

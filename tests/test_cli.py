@@ -1,5 +1,6 @@
 """Command-line interface and experiment file outputs."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -102,22 +103,59 @@ def assert_rejected(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_infinite_lfixed_exits_2(tmp_path, capsys):
-    assert_rejected(["solve", "--mesh-n", "4", "--strategy", "fixed", "--lfixed", "inf",
-                     "--out", str(tmp_path)], capsys)
+# each number setting's message; "bound" accepts +inf, so its cases take -inf instead
+RANGE_MESSAGES = {
+    "alpha": "alpha must be a finite nonnegative real",
+    "beta": "beta must be a finite positive real",
+    "bound": "bound must be positive (or +inf)",
+    "lhat0": "L_hat0 must be a finite positive real",
+    "theta": "theta must lie in (0, 1)",
+    "eta": "eta must be a finite positive real",
+    "lfixed": "L_fixed must be a finite nonnegative real",
+    "tol": "stop_tol must be a finite positive real",
+    "mesh_n": "mesh_n must be a positive integer",
+    "imax": "I_max must be a positive integer",
+    "max_iter": "max_iterations must be a positive integer",
+    "seed": "seed must be a nonnegative integer",
+}
+FLOAT_CASES = [(name, v) for name in ("alpha", "beta", "bound", "lhat0", "theta", "eta", "lfixed", "tol")
+               for v in ("nan", "inf", "-inf", "-1") if (name, v) != ("bound", "inf")]
+INT_CASES = [("mesh_n", "0"), ("imax", "0"), ("max_iter", "0"), ("seed", "-1")]
 
 
-def test_infinite_lhat0_exits_2(tmp_path, capsys):
-    assert_rejected(["solve", "--mesh-n", "4", "--lhat0", "inf", "--out", str(tmp_path)], capsys)
+def test_range_cases_cover_every_number_setting():
+    numbers = {f.name for f in dataclasses.fields(experiments.RunConfig) if f.type in ("int", "float")}
+    assert {name for name, _ in FLOAT_CASES + INT_CASES} == set(RANGE_MESSAGES) == numbers
 
 
-def test_infinite_eta_exits_2(tmp_path, capsys):
-    assert_rejected(["solve", "--mesh-n", "4", "--eta", "inf", "--out", str(tmp_path)], capsys)
+@pytest.mark.parametrize("name, value", FLOAT_CASES + INT_CASES)
+def test_out_of_range_setting_exits_2(name, value, tmp_path, capsys):
+    # "--flag=value": argparse would read a separate "-inf" as a flag
+    argv = ["solve", f"--{name.replace('_', '-')}={value}", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    shown = value if (name, value) in INT_CASES else float(value)
+    assert capsys.readouterr().err.splitlines() == [f"error: {RANGE_MESSAGES[name]}, got {shown}"]
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_infinite_tol_exits_2(tmp_path, capsys):
-    assert_rejected(["solve", "--mesh-n", "4", "--tol", "inf", "--out", str(tmp_path)], capsys)
-    assert not (tmp_path / "summary.json").exists()
+def test_every_run_setting_has_one_generated_flag():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    settings = dataclasses.fields(experiments.RunConfig)
+    for command, sub in commands.choices.items():
+        flags = [a for a in sub._actions if a.dest != "help"]
+        assert flags[0].option_strings == ["--config"]
+        assert [a.dest for a in flags[1 : len(settings) + 1]] == [f.name for f in settings]
+        for f, action in zip(settings, flags[1:]):
+            flag = "--" + f.name.replace("_", "-")
+            assert [a for a in flags if flag in a.option_strings] == [action]
+            assert action.option_strings == [flag] and action.dest == f.name
+            assert {key: getattr(action, key) for key in f.metadata} == dict(f.metadata)
+            argv = [command, flag] if f.type == "bool" else [command, flag, str(f.default)]
+            value = getattr(cli.make_config(parser.parse_args(argv)), f.name)
+            # the bare --ydzero sets the one non-default value a flag can give
+            assert value == (True if f.type == "bool" else f.default)
+            assert type(value).__name__ == f.type
 
 
 def test_switching_solve_with_a_bound_exits_2(tmp_path, capsys):

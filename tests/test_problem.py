@@ -206,26 +206,6 @@ def test_support_measure_and_chi():
     assert full.measure(c1 != c1) == 0.0
 
 
-def test_l1_equivalence_check():
-    p = ControlProblem(benchmark_spec(penalty="l1", mesh_n=4))
-    b = p.spec.bound
-    assert p.l1_equivalence_check(p.zero_control())
-    vals = np.zeros(p.mesh.num_triangles)
-    vals[0] = b / 2
-    assert not p.l1_equivalence_check(fem.ControlField(p.mesh, vals))
-    bang = np.zeros(p.mesh.num_triangles)
-    bang[::3] = b
-    bang[1::5] = -b
-    u = fem.ControlField(p.mesh, bang)
-    assert p.l1_equivalence_check(u)
-    # the key identity b*||u||_0 = ||u||_L1 for bang-bang fields
-    assert b * u.support_measure() == pytest.approx(
-        p.mesh.triangle_area * np.abs(bang).sum(), abs=1e-10
-    )
-    with pytest.raises(ValueError):
-        ControlProblem(benchmark_spec(penalty="l1", bound=math.inf, mesh_n=4)).l1_equivalence_check(u)
-
-
 # ---------------------------------------------------------------------------
 # PDE-solve costs
 

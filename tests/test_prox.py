@@ -11,7 +11,6 @@ from l0control.prox import (
     ScalarSolutionSet,
     SwitchingPoint,
     box_hard_threshold,
-    convex_envelope_value,
     convexified_not_fixed_point_check,
     fp_membership,
     hard_threshold,
@@ -339,44 +338,6 @@ def test_fp_membership_zero_weight_is_pointwise_minimum_principle(rng):
             val = g * u + 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
             is_min = abs(val - best) <= 1e-11 and (math.isinf(b) or abs(u) <= b + 1e-12)
             assert fp_membership(u, g, p) == is_min, (u, g, alpha, beta, b)
-
-
-# ---------------------------------------------------------------------------
-# convex envelope of the penalized quadratic
-
-
-def test_convex_envelope_spec_values():
-    assert convex_envelope_value(2.0, 2.0, 1.0) == 5.0
-    assert convex_envelope_value(0.0, 2.0, 1.0) == 0.0
-    assert convex_envelope_value(0.5, 2.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_convex_envelope_requires_positive_alpha():
-    with pytest.raises(ValueError):
-        convex_envelope_value(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        convex_envelope_value(1.0, -1.0, 1.0)
-
-
-def test_convex_envelope_bounds_and_continuity(rng):
-    for _ in range(300):
-        alpha = rng.uniform(0.05, 3)
-        beta = rng.uniform(0.05, 3)
-        cutoff = math.sqrt(2 * beta / alpha)
-        u = rng.uniform(-2 * cutoff, 2 * cutoff)
-        env = convex_envelope_value(u, alpha, beta)
-        original = 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
-        assert env <= original + 1e-12
-        assert env >= 0.5 * alpha * u * u - 1e-12
-        if u == 0.0 or abs(u) >= cutoff:
-            assert env == pytest.approx(original, abs=1e-12)
-        elif abs(u) > 1e-8:
-            assert env < original - 1e-12
-    alpha, beta = 1.3, 0.7
-    cutoff = math.sqrt(2 * beta / alpha)
-    inner = math.sqrt(2 * alpha * beta) * cutoff
-    outer = beta + 0.5 * alpha * cutoff * cutoff
-    assert inner == pytest.approx(outer, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
