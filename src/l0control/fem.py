@@ -437,9 +437,3 @@ def interpolate_nodal(mesh, fun):
     """Nodal values of a callable (x1, x2) -> value."""
     return np.asarray(fun(*mesh.nodes.T), dtype=float)
 
-
-def l2_norm_state(mesh, y):
-    """Exact L2 norm of the nodal field y: per-triangle quadratic form of the mass matrix."""
-    sq = _per_triangle(mesh, y, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
-    return math.sqrt(max(mesh.triangle_area / 12.0 * sq.sum(), 0.0))
-

@@ -72,8 +72,7 @@ class ProblemSpec:
             raise ValueError(f"unknown penalty {self.penalty!r}")
         if self.pde not in (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ):
             raise ValueError(f"unknown pde kind {self.pde!r}")
-        if not isinstance(self.mesh_n, int) or self.mesh_n < 1:
-            raise ValueError(f"mesh_n must be a positive integer, got {self.mesh_n}")
+        prox.positive_integer("mesh_n", self.mesh_n)
         if not callable(self.y_d):
             raise ValueError("y_d must be callable (x1, x2) -> value")
         if self.penalty == SWITCHING:

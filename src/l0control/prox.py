@@ -27,8 +27,9 @@ arguments, converts them to builtin floats, calls the same core and
 packages the result as a `ScalarSolutionSet`, a float or a
 `SwitchingPoint`.  A scalar call does no numpy work (1.4-3.6 us on a 2-core
 x86 host) and gives the same bits as the array map's row.  Its range
-checkers `nonnegative`, `positive` and `box_bound` are the package's only
-ones: `ProblemSpec`, `StepStrategy` and `SolverOptions` call them too.
+checkers `nonnegative`, `positive` and `box_bound`, and `positive_integer`
+for counts, are the package's only ones: `ProblemSpec`, `StepStrategy` and
+`SolverOptions` call them too.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -76,6 +77,12 @@ def box_bound(name, b):
     if not (b > 0):
         raise ValueError(f"{name} must be positive (or +inf), got {b}")
     return b
+
+
+def positive_integer(name, n):
+    """Check that n is an int (not a bool) and >= 1."""
+    if type(n) is bool or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n}")
 
 
 def _weight(L, alpha):
@@ -309,18 +316,12 @@ def box_hard_threshold(q, s, b):
     return _solution_set(*_l0_sets(q, _zero_threshold(s, b), b))
 
 
-def separation_threshold(p: ProxParams):
-    """Smallest magnitude a nonzero prox output can take: min(b, sqrt(2*beta/(L+alpha)))."""
-    w = _weight(p.L, p.alpha)
-    return min(p.bound, math.sqrt(2.0 * p.beta / w))
-
-
 def prox_l0(g_k, u_k, p: ProxParams):
     """Global minimizers of  g_k*u + (L/2)(u-u_k)^2 + (alpha/2)u^2 + beta*|u|_0  over |u| <= b.
 
     Reduces to box_hard_threshold at the gradient-shifted argument
     (L*u_k - g_k)/(L+alpha) with s = beta/(L+alpha).  Every nonzero output
-    has magnitude at least separation_threshold(p).
+    has magnitude at least min(b, sqrt(2*beta/(L+alpha))).
     """
     g_k = _finite("g_k", g_k)
     u_k = _finite("u_k", u_k)
@@ -358,84 +359,6 @@ def prox_switch(g: SwitchingPoint, u_k: SwitchingPoint, L, alpha, beta):
     beta = positive("beta", beta)
     u1, u2 = _prox_switch(float(g.u1), float(g.u2), float(u_k.u1), float(u_k.u2), L, alpha, beta)
     return SwitchingPoint(u1, u2)
-
-
-def fp_membership(u, g, p: ProxParams):
-    """Whether u reproduces itself under the thresholding step at gradient g.
-
-    True iff u belongs to prox_l0(g, u, p), written out as the explicit case
-    analysis on (u, g) with s = beta/(L+alpha):  the branch with
-    sqrt(2s) <= b uses the plain threshold sqrt(2s) for the dead zone and
-    alpha*b for the bound-active conditions, the branch with sqrt(2s) > b
-    replaces them by b/2 + s/b expressions.  Exact ties are included
-    (tolerance TIE_TOL on every defining equality and interval endpoint).
-    """
-    u = _finite("u", u)
-    g = _finite("g", g)
-    w = _weight(p.L, p.alpha)
-    s = p.beta / w
-    root = math.sqrt(2.0 * s)
-    b = p.bound
-
-    if math.isinf(b) or root <= b:
-        zero_bound = w * root
-        if not math.isinf(b):
-            if abs(u + b) <= TIE_TOL and g >= p.alpha * b - TIE_TOL:
-                return True
-            if abs(u - b) <= TIE_TOL and g <= -p.alpha * b + TIE_TOL:
-                return True
-    else:
-        edge = w * (0.5 * b + s / b)
-        zero_bound = edge
-        if abs(u + b) <= TIE_TOL and g >= edge - p.L * b - TIE_TOL:
-            return True
-        if abs(u - b) <= TIE_TOL and g <= -(edge - p.L * b) + TIE_TOL:
-            return True
-
-    if abs(u) <= TIE_TOL and abs(g) <= zero_bound + TIE_TOL:
-        return True
-
-    # interior stationary values: alpha*u = -g with |u| in [sqrt(2s), b]
-    if p.alpha > 0:
-        if abs(p.alpha * u + g) <= TIE_TOL and root - TIE_TOL <= abs(u) <= b + TIE_TOL:
-            return True
-    else:
-        if abs(g) <= TIE_TOL and root - TIE_TOL <= abs(u) <= b + TIE_TOL:
-            return True
-    return False
-
-
-def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
-    """Check that an interior envelope minimizer escapes under the thresholding step.
-
-    Requires |g| = sqrt(2*alpha*beta) (within TIE_TOL), the configuration in
-    which the envelope g*u + conv_env(u) is minimized on a whole segment.
-    u_bar defaults to the segment midpoint sign(-g)*min(b, sqrt(2*beta/alpha))/2.
-    Returns True iff u_bar is not reproduced by prox_l0(g, u_bar, .) and the
-    canonical step from u_bar strictly decreases g*u + (alpha/2)u^2 + beta*|u|_0.
-    """
-    positive("L", L)
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
-    if abs(abs(g) - math.sqrt(2.0 * alpha * beta)) > TIE_TOL:
-        raise ValueError("|g| must equal sqrt(2*alpha*beta) for the envelope to be flat")
-    cutoff = math.sqrt(2.0 * beta / alpha)
-    if u_bar is None:
-        u_bar = 0.5 * math.copysign(min(b, cutoff), -g)
-    if not (0 < abs(u_bar) < cutoff) or abs(u_bar) > b:
-        raise ValueError("u_bar must lie strictly inside the flat segment of the envelope")
-    if g * u_bar > 0:
-        raise ValueError("u_bar must lie on the descent side of the envelope")
-
-    params = ProxParams(L=L, alpha=alpha, beta=beta, bound=b)
-    sol = prox_l0(g, u_bar, params)
-
-    def pointwise(u):
-        return g * u + 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
-
-    escaped = not sol.contains(u_bar, tol=TIE_TOL)
-    decreased = pointwise(sol.canonical) < pointwise(u_bar)
-    return escaped and decreased
 
 
 # ---------------------------------------------------------------------------

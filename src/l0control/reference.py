@@ -26,13 +26,7 @@ bit (see `_grid_windows`).  The grid, its step and the tolerances are those
 of the dense search; only the points evaluated change.
 
 `admit` is the one rule every check applies to a batch result, and
-`search_radius` sizes the search for unbounded rows.  The scalar references
-(`box_threshold_reference`, `prox_l0_reference`, `prox_l1_reference`,
-`prox_switch_reference`) are one-row calls of the batch search.  Each
-returns (min_value, argmins), where argmins is the sorted tuple of distinct
-candidates whose objective lies within CANDIDATE_TOL of the minimum; when a
-grid point beats every candidate by more than that, argmins is empty, which
-callers should treat as a failure.
+`search_radius` sizes the search for unbounded rows.
 """
 
 from __future__ import annotations
@@ -115,39 +109,6 @@ def check_prox(penalty, g, u, L, alpha, weight, bound=np.inf):
     pen = weight * (v != 0.0) if penalty == "l0" else weight * np.abs(v)
     val = g * v + 0.5 * L * (v - u) ** 2 + 0.5 * alpha * v * v + pen
     return admit(v, val, best, cands, cvals), np.abs(val - best)
-
-
-def _argmins(min_values, candidates, candidate_values, const=0.0):
-    """Row 0 of a batch result as (min_value + const, sorted distinct admitted candidates)."""
-    admitted = candidates[0][_admitted(min_values, candidate_values)[0]]
-    return float(min_values[0] + const), np.unique(admitted, axis=0).tolist()
-
-
-def _penalized_row(a2, a1, w_abs, w_supp, bound, const, step):
-    radius = search_radius(a2, a1, w_supp, bound)
-    best, argmins = _argmins(*penalized_quadratic_batch([a2], [a1], w_abs, w_supp, [radius], step), const)
-    return best, tuple(argmins)
-
-
-def box_threshold_reference(q, s, b, step=GRID_STEP):
-    """min of  -q*u + u^2/2 + s*(u != 0)  over |u| <= b."""
-    return _penalized_row(0.5, -q, 0.0, s, b, 0.0, step)
-
-
-def prox_l0_reference(g, u_k, L, alpha, beta, b, step=GRID_STEP):
-    """min of  g*u + (L/2)(u-u_k)^2 + (alpha/2)u^2 + beta*(u != 0)  over |u| <= b."""
-    return _penalized_row(0.5 * (L + alpha), g - L * u_k, 0.0, beta, b, 0.5 * L * u_k**2, step)
-
-
-def prox_l1_reference(g, u_k, L, alpha, gamma, b, step=GRID_STEP):
-    """min of  g*u + (L/2)(u-u_k)^2 + (alpha/2)u^2 + gamma*|u|  over |u| <= b."""
-    return _penalized_row(0.5 * (L + alpha), g - L * u_k, gamma, 0.0, b, 0.5 * L * u_k**2, step)
-
-
-def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-3):
-    """min of  g.u + (L/2)|u-u_k|^2 + (alpha/2)|u|^2 + beta*(u1*u2 != 0)  over R^2."""
-    best, argmins = _argmins(*switch_batch([g1], [g2], [uk1], [uk2], L, alpha, beta, radius, step))
-    return best, tuple(map(tuple, argmins))
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +271,10 @@ def penalized_quadratic_batch(a2, a1, abs_weight, support_weight, radius, step=G
 def switch_batch(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-3):
     """Row-wise reference minimum for the paired switching subproblem.
 
-    Same objective as prox_switch_reference; exploits the separable quadratic
-    part (one dense grid per axis) and returns (min_values, candidates,
-    candidate_values) with candidates of shape (N, 4, 2) covering
-    {(m1, m2), (0, m2), (m1, 0), (0, 0)}.
+    Objective  g.u + (L/2)|u-u_k|^2 + (alpha/2)|u|^2 + beta*(u1*u2 != 0)  over
+    R^2; exploits the separable quadratic part (one dense grid per axis) and
+    returns (min_values, candidates, candidate_values) with candidates of
+    shape (N, 4, 2) covering {(m1, m2), (0, m2), (m1, 0), (0, 0)}.
     """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)

@@ -69,8 +69,7 @@ class StepStrategy:
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         proxmod.positive("eta", self.eta)
-        if self.I_max < 1:
-            raise ValueError(f"I_max must be a positive integer, got {self.I_max}")
+        proxmod.positive_integer("I_max", self.I_max)
         proxmod.positive("L_hat0", self.L_hat0)
         proxmod.nonnegative("L_fixed", self.L_fixed)
 
@@ -82,8 +81,7 @@ class SolverOptions:
     stop_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+        proxmod.positive_integer("max_iterations", self.max_iterations)
         proxmod.positive("stop_tol", self.stop_tol)
 
 

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracles import fp_membership, l2_norm_state, separation_threshold
 
 from l0control import experiments, fem, reference
 from l0control.problem import (
@@ -21,9 +22,7 @@ from l0control.problem import (
 )
 from l0control.prox import (
     ProxParams,
-    fp_membership,
     prox_l0,
-    separation_threshold,
 )
 from l0control.solver import SolverOptions, StepStrategy, fp_residual, run
 
@@ -168,7 +167,7 @@ def test_criterion_4_fem_convergence_order():
         u = fem.ControlField(mesh, 2 * np.pi**2 * np.sin(np.pi * cent[:, 0]) * np.sin(np.pi * cent[:, 1]))
         y = pde.solve(fem.nodal_load(mesh, u.values))
         exact = fem.interpolate_nodal(mesh, lambda x1, x2: np.sin(np.pi * x1) * np.sin(np.pi * x2))
-        errs.append(fem.l2_norm_state(mesh, y - exact))
+        errs.append(l2_norm_state(mesh, y - exact))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     elapsed = time.perf_counter() - t0
     assert r1 >= 3.5 and r2 >= 3.5, (r1, r2)

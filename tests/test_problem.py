@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import l2_norm_state
 
 from l0control import fem
 from l0control.problem import (
@@ -95,7 +96,7 @@ def test_eval_f_zero_control_equals_target_norm():
     # independent quadrature: the exact elementwise P1 norm of the interpolant
     p = ControlProblem(benchmark_spec(mesh_n=10))
     f0 = p.eval_f(p.zero_control())
-    expect = 0.5 * fem.l2_norm_state(p.mesh, p.target) ** 2
+    expect = 0.5 * l2_norm_state(p.mesh, p.target) ** 2
     assert f0 > 0
     assert f0 == pytest.approx(expect, rel=1e-12)
 

@@ -4,15 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from oracles import convexified_not_fixed_point_check, fp_membership, prox_l0_reference, separation_threshold
 
-from l0control import prox, reference
+from l0control import prox
 from l0control.prox import (
     ProxParams,
     ScalarSolutionSet,
     SwitchingPoint,
     box_hard_threshold,
-    convexified_not_fixed_point_check,
-    fp_membership,
     hard_threshold,
     prox_l0,
     prox_l0_array,
@@ -21,7 +20,6 @@ from l0control.prox import (
     prox_l1_array,
     prox_switch,
     prox_switch_arrays,
-    separation_threshold,
 )
 
 
@@ -333,7 +331,7 @@ def test_fp_membership_zero_weight_is_pointwise_minimum_principle(rng):
         b = float(rng.choice([0.8, 2.0, math.inf]))
         g = rng.uniform(-3, 3)
         p = ProxParams(L=0.0, alpha=alpha, beta=beta, bound=b)
-        best, argmins = reference.prox_l0_reference(g, 0.0, 0.0, alpha, beta, b)
+        best, argmins = prox_l0_reference(g, 0.0, 0.0, alpha, beta, b)
         for u in list(argmins) + [rng.uniform(-2, 2)]:
             val = g * u + 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
             is_min = abs(val - best) <= 1e-11 and (math.isinf(b) or abs(u) <= b + 1e-12)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import box_threshold_reference, prox_l0_reference, prox_l1_reference, prox_switch_reference
 
 from l0control import reference
 from l0control.prox import (
@@ -92,7 +93,7 @@ def box_array_value(q, s, b):
 def test_hard_threshold_at_tie(t, sgn, offset):
     q = sgn * (t + offset * TIE_TOL)
     sol = hard_threshold(q, t)
-    best, argmins = reference.box_threshold_reference(q, 0.5 * t * t, math.inf)
+    best, argmins = box_threshold_reference(q, 0.5 * t * t, math.inf)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (0.5 * t * t if v else 0.0),
                              best, argmins)
     assert_tie_structure(sol, offset)
@@ -105,7 +106,7 @@ def test_hard_threshold_at_tie(t, sgn, offset):
 def test_box_hard_threshold_at_tie(s, b, sgn, offset):
     q = sgn * (zero_threshold(s, b) + offset * TIE_TOL)
     sol = box_hard_threshold(q, s, b)
-    best, argmins = reference.box_threshold_reference(q, s, b)
+    best, argmins = box_threshold_reference(q, s, b)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (s if v else 0.0), best, argmins)
     assert_tie_structure(sol, offset)
     assert sol.canonical == box_array_value(q, s, b)
@@ -118,7 +119,7 @@ def test_prox_l0_at_tie(L, alpha, beta, b, u_k, sgn, offset):
     w = L + alpha
     g = L * u_k - w * sgn * (zero_threshold(beta / w, b) + offset * TIE_TOL)
     sol = prox_l0(g, u_k, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
-    best, argmins = reference.prox_l0_reference(g, u_k, L, alpha, beta, b)
+    best, argmins = prox_l0_reference(g, u_k, L, alpha, beta, b)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, argmins, w=w)
     assert_tie_structure(sol, offset)
     assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
@@ -134,7 +135,7 @@ def test_box_hard_threshold_root_equals_bound(b, q, sgn, offset):
     s = 0.5 * b * b
     for arg in (q, sgn * (b + offset * TIE_TOL)):
         sol = box_hard_threshold(arg, s, b)
-        best, argmins = reference.box_threshold_reference(arg, s, b)
+        best, argmins = box_threshold_reference(arg, s, b)
         assert_global_minimizers(sol.values, lambda v: -arg * v + 0.5 * v * v + (s if v else 0.0),
                                  best, argmins)
         assert all(v == 0.0 or abs(abs(v) - b) <= 2.0 * TIE_TOL for v in sol.values)
@@ -148,7 +149,7 @@ def test_prox_l0_root_equals_bound(L, alpha, beta, g, u_k):
     w = L + alpha
     b = math.sqrt(2.0 * beta / w)
     sol = prox_l0(g, u_k, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
-    best, argmins = reference.prox_l0_reference(g, u_k, L, alpha, beta, b)
+    best, argmins = prox_l0_reference(g, u_k, L, alpha, beta, b)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, argmins, w=w)
     assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
 
@@ -170,7 +171,7 @@ def test_prox_l1_at_kinks(L, alpha, gamma, b, u_k, sgn, offset, at_bound):
         z = sgn * (gamma + offset * TIE_TOL)
     g = L * u_k - z
     v = prox_l1(g, u_k, L, alpha, gamma, b)
-    best, argmins = reference.prox_l1_reference(g, u_k, L, alpha, gamma, b)
+    best, argmins = prox_l1_reference(g, u_k, L, alpha, gamma, b)
     objective = lambda x: g * x + 0.5 * L * (x - u_k) ** 2 + 0.5 * alpha * x * x + gamma * abs(x)  # noqa: E731
     assert_global_minimizers((v,), objective, best, argmins)
     assert v == prox_l1_array(np.array([g]), np.array([u_k]), L, alpha, gamma, b)[0]
@@ -198,7 +199,7 @@ def test_prox_switch_at_ties(L, alpha, beta, u1, u2, m2, s1, s2, offset, equal_m
     g1 = L * u1 - w * m1
     g2 = L * u2 - w * m2
     p = prox_switch(SwitchingPoint(g1, g2), SwitchingPoint(u1, u2), L, alpha, beta)
-    best, argmins = reference.prox_switch_reference(g1, g2, u1, u2, L, alpha, beta)
+    best, argmins = prox_switch_reference(g1, g2, u1, u2, L, alpha, beta)
     assert argmins
     assert abs(switch_objective(p.u1, p.u2, g1, g2, u1, u2, L, alpha, beta) - best) <= OBJ_TOL
     assert min(max(abs(p.u1 - a1), abs(p.u2 - a2)) for a1, a2 in argmins) <= ARG_TOL
@@ -219,20 +220,20 @@ def test_l0_maps_across_magnitudes(m, L, alpha, beta, b, g, u_k):
     step = reference.GRID_STEP * m
 
     sol = prox_l0(g, u_k, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
-    best, _ = reference.prox_l0_reference(g, u_k, L, alpha, beta, b, step=step)
+    best, _ = prox_l0_reference(g, u_k, L, alpha, beta, b, step=step)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, w=w, m=m)
     assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
 
     q, s = -g, beta
     sol = box_hard_threshold(q, s, b)
-    best, _ = reference.box_threshold_reference(q, s, b, step=step)
+    best, _ = box_threshold_reference(q, s, b, step=step)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (s if v else 0.0), best, m=m)
     assert sol.canonical == box_array_value(q, s, b)
 
     # hard thresholding has no box; any box holding q and the threshold leaves its minimizers alone
     t = math.sqrt(2.0 * s)
     sol = hard_threshold(q, t)
-    best, _ = reference.box_threshold_reference(q, 0.5 * t * t, 2.0 * (abs(q) + t), step=step)
+    best, _ = box_threshold_reference(q, 0.5 * t * t, 2.0 * (abs(q) + t), step=step)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (0.5 * t * t if v else 0.0),
                              best, m=m)
     assert sol.canonical == box_array_value(q, 0.5 * t * t, math.inf)
@@ -244,7 +245,7 @@ def test_l0_maps_across_magnitudes(m, L, alpha, beta, b, g, u_k):
 def test_prox_l1_across_magnitudes(m, L, alpha, gamma, b, g, u_k):
     g, u_k, b, gamma = m * g, m * u_k, m * b, m * gamma
     v = prox_l1(g, u_k, L, alpha, gamma, b)
-    best, _ = reference.prox_l1_reference(g, u_k, L, alpha, gamma, b, step=reference.GRID_STEP * m)
+    best, _ = prox_l1_reference(g, u_k, L, alpha, gamma, b, step=reference.GRID_STEP * m)
     objective = lambda x: g * x + 0.5 * L * (x - u_k) ** 2 + 0.5 * alpha * x * x + gamma * abs(x)  # noqa: E731
     assert_global_minimizers((v,), objective, best, m=m)
     assert v == prox_l1_array(np.array([g]), np.array([u_k]), L, alpha, gamma, b)[0]
@@ -259,7 +260,7 @@ def test_prox_switch_across_magnitudes(k, L, alpha, beta, g1, g2, u1, u2):
     m = 10.0**k
     g1, g2, u1, u2, beta = m * g1, m * g2, m * u1, m * u2, m * m * beta
     p = prox_switch(SwitchingPoint(g1, g2), SwitchingPoint(u1, u2), L, alpha, beta)
-    best, _ = reference.prox_switch_reference(g1, g2, u1, u2, L, alpha, beta, radius=3.0 * m, step=1e-3 * m)
+    best, _ = prox_switch_reference(g1, g2, u1, u2, L, alpha, beta, radius=3.0 * m, step=1e-3 * m)
     # the map settles objective ties within an absolute TIE_TOL
     assert abs(switch_objective(p.u1, p.u2, g1, g2, u1, u2, L, alpha, beta) - best) <= OBJ_TOL * m * m + TIE_TOL
     o1, o2 = prox_switch_arrays(np.array([g1]), np.array([g2]), np.array([u1]), np.array([u2]), L, alpha, beta)

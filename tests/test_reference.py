@@ -15,6 +15,7 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from test_acceptance import N_INSTANCES, SEED, draw_l0_instances
 
@@ -371,8 +372,8 @@ def test_penalized_scalar_references_are_batch_rows():
     a2, a1 = 0.5 * (L + alpha), g - L * u
     const = 0.5 * L * u**2
     scalar = (
-        (reference.prox_l0_reference, 0.0, w),
-        (reference.prox_l1_reference, w, 0.0),
+        (oracles.prox_l0_reference, 0.0, w),
+        (oracles.prox_l1_reference, w, 0.0),
     )
     for ref, w_abs, w_supp in scalar:
         w_supp = np.broadcast_to(w_supp, (n,))
@@ -387,7 +388,7 @@ def test_penalized_scalar_references_are_batch_rows():
     half = np.full(n, 0.5)
     m, c, v = reference.penalized_quadratic_batch(half, -q, 0.0, s, reference.search_radius(half, -q, s, b))
     for i in range(n):
-        assert reference.box_threshold_reference(q[i], s[i], b[i]) == (m[i], batch_argmins(c[i], v[i], m[i]))
+        assert oracles.box_threshold_reference(q[i], s[i], b[i]) == (m[i], batch_argmins(c[i], v[i], m[i]))
 
 
 def test_switch_scalar_reference_is_a_batch_row():
@@ -395,7 +396,7 @@ def test_switch_scalar_reference_is_a_batch_row():
     rows = switch_rows(rng, 40)
     m, c, v = reference.switch_batch(*rows)
     for i in range(40):
-        best, argmins = reference.prox_switch_reference(*(r[i] for r in rows))
+        best, argmins = oracles.prox_switch_reference(*(r[i] for r in rows))
         assert (best, argmins) == (m[i], batch_argmins(c[i], v[i], m[i])), i
 
 
@@ -405,19 +406,19 @@ def test_switch_scalar_reference_is_a_batch_row():
 
 def test_box_threshold_tie():
     # -2u + u^2/2 + 2*(u != 0) is 0 at both u = 0 and u = 2
-    assert reference.box_threshold_reference(2.0, 2.0, math.inf) == (0.0, (0.0, 2.0))
-    assert reference.box_threshold_reference(-2.0, 2.0, 3.0) == (0.0, (-2.0, 0.0))
+    assert oracles.box_threshold_reference(2.0, 2.0, math.inf) == (0.0, (0.0, 2.0))
+    assert oracles.box_threshold_reference(-2.0, 2.0, 3.0) == (0.0, (-2.0, 0.0))
 
 
 def test_prox_l0_tie_keeps_the_dropped_constant():
     # a2 = 1/2 and a1 = -2 as in the box tie, shifted by (L/2)*u_k^2 = 1
-    assert reference.prox_l0_reference(-1.0, 2.0, 0.5, 0.5, 2.0, math.inf) == (1.0, (0.0, 2.0))
+    assert oracles.prox_l0_reference(-1.0, 2.0, 0.5, 0.5, 2.0, math.inf) == (1.0, (0.0, 2.0))
 
 
 def test_switching_ties():
     # w = 2 and m1 = m2 = 1/2: the two one-sided restrictions tie at -1/4
-    assert reference.prox_switch_reference(-1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 10.0) == (
+    assert oracles.prox_switch_reference(-1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 10.0) == (
         -0.25, ((0.0, 0.5), (0.5, 0.0)))
     # |m1| = |m2| with opposite signs, and beta = 1/4 ties the full vertex in as well
-    assert reference.prox_switch_reference(-1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.25) == (
+    assert oracles.prox_switch_reference(-1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.25) == (
         -0.25, ((0.0, -0.5), (0.5, -0.5), (0.5, 0.0)))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import separation_threshold
 from test_fem import mass_matrix
 
 from l0control import experiments, fem, solver
@@ -26,7 +27,6 @@ from l0control.prox import (
     prox_l0_set_arrays,
     prox_l1_array,
     prox_switch_arrays,
-    separation_threshold,
 )
 from l0control.solver import (
     NonFiniteError,
@@ -104,6 +104,17 @@ def test_strategy_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(stop_tol=0.0)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, 4.0, True])
+@pytest.mark.parametrize("build, name", [
+    (lambda n: StepStrategy(I_max=n), "I_max"),
+    (lambda n: SolverOptions(max_iterations=n), "max_iterations"),
+    (lambda n: benchmark_spec(mesh_n=n), "mesh_n"),
+], ids=["I_max", "max_iterations", "mesh_n"])
+def test_count_settings_reject_non_integers(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value}$"):
+        build(value)
 
 
 # ---------------------------------------------------------------------------
