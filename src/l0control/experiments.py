@@ -21,12 +21,6 @@ from . import problem as problemmod
 from . import reference
 from . import solver as solvermod
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOLVER = 3
-EXIT_SELFTEST = 4
-EXIT_BROKEN_PIPE = 141
-
 PDE_NAMES = {
     "dirichlet": fem.DIRICHLET_POISSON,
     "neumann": fem.NEUMANN_HELMHOLTZ,
@@ -277,13 +271,6 @@ def vertex_rule_objective(problem, u):
     # another order, which rounds some interior rows differently (n = 49, 98, 103, ...)
     lump = problem.pde.mass.row_sums()
     return 0.5 * float((r * r) @ lump) + problem.eval_g(u)
-
-
-def summary_line(report):
-    return (
-        f"F={report.final_F:.9g} L0={report.records[-1].support:.9g} "
-        f"pde={report.pde_solves} iters={report.iterations} term={report.termination}"
-    )
 
 
 def _summary_payload(report):

@@ -286,10 +286,23 @@ FIXED_WEIGHT_WARNS = ["solve", "--mesh-n", "8", "--pde", "neumann", "--strategy"
                       "--lfixed", "0", "--max-iter", "4"]
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, check=True):
     env = dict(os.environ, PYTHONPATH=str(Path(l0control.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "l0control", *args],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=env, check=check)
+
+
+@pytest.mark.parametrize("command, taken", [("solve", "report.csv"), ("table1", "table1.csv")])
+def test_unwritable_output_file_exits_2_with_one_message(command, taken, tmp_path):
+    # the output directory is usable, but one of its files is a directory, so
+    # the write fails only after the run
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    result = run_cli_process(command, "--mesh-n", "4", "--out", str(out), check=False)
+    assert result.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and taken in lines[0]
 
 
 def test_closed_stdout_exits_quietly():
@@ -303,7 +316,7 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert "Traceback" not in err
-    assert proc.wait(timeout=120) == experiments.EXIT_BROKEN_PIPE
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
     assert err == ""
 
 
