@@ -9,8 +9,10 @@ and no quoting.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -287,19 +289,48 @@ def _summary_payload(report):
     }
 
 
-def _write_run(out, report, **extra):
+def _writable(paths):
+    """The paths as a list, each checked to open for writing; creates nothing.
+
+    Raises the OSError that opening would for a directory, under a nearest
+    existing ancestor that is not a directory, or without write permission.
+    Each command checks its files before its first solve.
+    """
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        # a missing parent directory is made when the file is written
+        found = next(p for p in (path, *path.parents) if p.exists())
+        if path.is_dir():
+            code = errno.EISDIR
+        elif found != path and not found.is_dir():
+            code = errno.ENOTDIR
+        elif not os.access(found, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+    return paths
+
+
+def _run_files(out):
+    """The paths of a run's report.csv, final_control.csv and summary.json."""
+    return out / "report.csv", out / "final_control.csv", out / "summary.json"
+
+
+def _write_run(files, report, **extra):
     """A run's report.csv, final_control.csv and summary.json (its summary plus `extra`)."""
-    write_report_csv(out / "report.csv", report)
-    write_control_csv(out / "final_control.csv", report.final_control)
-    _write_json(out / "summary.json", {**_summary_payload(report), **extra})
+    report_csv, control_csv, summary = files
+    write_report_csv(report_csv, report)
+    write_control_csv(control_csv, report.final_control)
+    _write_json(summary, {**_summary_payload(report), **extra})
 
 
 def run_solve(config: RunConfig, out=None):
     """Single configured run; writes report.csv, final_control.csv, summary.json."""
-    out = Path(out if out is not None else config.out)
+    files = _writable(_run_files(Path(out if out is not None else config.out)))
     problem = problemmod.make_problem(build_spec(config))
     report = solvermod.run(problem, build_options(config))
-    _write_run(out, report)
+    _write_run(files, report)
     return report
 
 
@@ -312,14 +343,16 @@ def _assemble_once(cache, mesh_n, pde_kind):
     return cache[key]
 
 
-def _sweep(cfgs, y_d=None):
+def _sweep(cfgs, outputs, y_d=None):
     """Yield (config, problem, report) of each run of a sweep, run without fp residual.
 
-    Every spec is built before the first run, so a bad later value fails
-    before any run solves or writes anything.  Consecutive runs on one mesh
-    and operator share it through _assemble_once.
+    Every spec is built and every output path checked before the first
+    run, so a bad later value or a file that cannot be written fails before
+    any run solves or writes anything.  Consecutive runs on one mesh and
+    operator share it through _assemble_once.
     """
     runs = [(cfg, build_spec(cfg, y_d=y_d)) for cfg in cfgs]
+    _writable(outputs)
     cache = {}
     for cfg, spec in runs:
         problem = problemmod.make_problem(spec, pde=_assemble_once(cache, spec.mesh_n, spec.pde))
@@ -328,15 +361,16 @@ def _sweep(cfgs, y_d=None):
 
 def run_table1(config: RunConfig, out=None):
     """Line-search strategy comparison: 8 BT weights plus BT-W and BT-0."""
-    out = Path(out if out is not None else config.out)
+    table = Path(out if out is not None else config.out) / "table1.csv"
     rows, reports = [], []
     cases = [("bt", w) for w in TABLE1_BT_WEIGHTS] + [("btw", 0.01), ("bt0", 0.01)]
-    for cfg, problem, report in _sweep([replace(config, strategy=kind, lhat0=lhat0) for kind, lhat0 in cases]):
+    cfgs = [replace(config, strategy=kind, lhat0=lhat0) for kind, lhat0 in cases]
+    for cfg, problem, report in _sweep(cfgs, [table]):
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((report.final_F, support, report.pde_solves, cfg.lhat0, cfg.strategy, F_vertex))
         reports.append(report)
     header = ["F", "support", "pde_solves", "L_hat0", "strategy", "F_vertex"]
-    _write_csv(out / "table1.csv", header, list(zip(*rows)))
+    _write_csv(table, header, list(zip(*rows)))
     return reports
 
 
@@ -351,17 +385,20 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
     if pareto:
         betas = tuple(betas) if betas else PARETO_BETAS
         cfgs = [replace(config, penalty=kind, beta=b) for kind in ("l0", "l1") for b in betas]
-        reports = [report for _, _, report in _sweep(cfgs)]
+        tables = {kind: out / f"pareto_{kind}.csv" for kind in ("l0", "l1")}
+        reports = [report for _, _, report in _sweep(cfgs, tables.values())]
         all_reports = {"l0": reports[: len(betas)], "l1": reports[len(betas) :]}
         for kind, runs in all_reports.items():
             columns = [betas, [r.final_f for r in runs], [r.records[-1].support for r in runs]]
-            _write_csv(out / f"pareto_{kind}.csv", ["beta", "f", "support"], columns)
+            _write_csv(tables[kind], ["beta", "f", "support"], columns)
         return all_reports
 
     betas = tuple(betas) if betas else TABLE2_BETAS
-    reports = [report for _, _, report in _sweep([replace(config, beta=b, bound=math.inf) for b in betas])]
+    cfgs = [replace(config, beta=b, bound=math.inf) for b in betas]
+    table = out / "beta_sweep.csv"
+    reports = [report for _, _, report in _sweep(cfgs, [table])]
     supports = [r.records[-1].support for r in reports]
-    _write_csv(out / "beta_sweep.csv", ["beta", "support"], [betas, supports])
+    _write_csv(table, ["beta", "support"], [betas, supports])
     return reports
 
 
@@ -374,11 +411,12 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
         fem.check_mesh_fits(int(n))
-    for _, problem, report in _sweep([replace(config, mesh_n=int(n)) for n in n_list]):
+    table = out / "mesh_study.csv"
+    for _, problem, report in _sweep([replace(config, mesh_n=int(n)) for n in n_list], [table]):
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
         reports.append(report)
-    _write_csv(out / "mesh_study.csv", ["h", "F", "support", "pde_solves", "F_vertex"], list(zip(*rows)))
+    _write_csv(table, ["h", "F", "support", "pde_solves", "F_vertex"], list(zip(*rows)))
     return reports
 
 
@@ -395,20 +433,21 @@ def run_unsolvable(config: RunConfig, out=None):
         raise ConfigError("the unsolvable configuration needs alpha > 0 and beta > 0")
     cfg = replace(config, pde="neumann", penalty="l0", bound=math.inf)
     spec = build_spec(cfg, y_d=problemmod.unsolvable_target(alpha, beta))
+    fp_csv, *files = _writable([out / "unsolvable_fp.csv", *_run_files(out)])
     problem = problemmod.make_problem(spec)
 
     u_bar = fem.ControlField(problem.mesh, np.full(problem.mesh.num_triangles, math.sqrt(beta / alpha)))
     grad_bar = problem.value_and_grad(u_bar)[1]
     grad_dev = float(np.abs(grad_bar.values + math.sqrt(2 * alpha * beta)).max())
     fp_rows = [(L, solvermod.fp_residual(problem, u_bar, L, grad=grad_bar)) for L in UNSOLVABLE_WEIGHTS]
-    _write_csv(out / "unsolvable_fp.csv", ["L", "fp_residual"], list(zip(*fp_rows)))
+    _write_csv(fp_csv, ["L", "fp_residual"], list(zip(*fp_rows)))
 
     report = solvermod.run(problem, build_options(cfg))
     smooth_min = spec.y_d(0.0, 0.0) / (1.0 + alpha)
     dist = math.sqrt(
         problem.mesh.triangle_area * float(((report.final_control.values - smooth_min) ** 2).sum())
     )
-    _write_run(out, report, grad_at_ubar_dev=grad_dev, smooth_minimizer=smooth_min,
+    _write_run(files, report, grad_at_ubar_dev=grad_dev, smooth_minimizer=smooth_min,
                distance_to_smooth_minimizer=dist, fp_residuals={str(L): r for L, r in fp_rows})
     return report, fp_rows, dist
 
@@ -421,11 +460,13 @@ def run_switching(config: RunConfig, betas=None, out=None):
     spelled = [f"{b:.12g}" for b in betas]
     if len(set(spelled)) < len(spelled):
         raise ConfigError(f"switching betas must differ in 12 significant digits, got {' '.join(spelled)}")
+    profiles = [out / f"switching_controls_beta{s}.csv" for s in spelled]
     rows, reports = [], []
     cfgs = [replace(config, penalty="switching", pde="dirichlet", beta=b, bound=math.inf) for b in betas]
-    for cfg, _, report in _sweep(cfgs, y_d=problemmod.switching_target):
+    sweep = _sweep(cfgs, [*profiles, out / "switching.csv"], y_d=problemmod.switching_target)
+    for (cfg, _, report), profile in zip(sweep, profiles):
         rows.append((cfg.beta, report.final_F, report.records[-1].support))
-        write_control_csv(out / f"switching_controls_beta{cfg.beta:.12g}.csv", report.final_control)
+        write_control_csv(profile, report.final_control)
         reports.append(report)
     _write_csv(out / "switching.csv", ["beta", "F", "overlap"], list(zip(*rows)))
     return reports

@@ -245,11 +245,9 @@ def penalized_quadratic_batch(a2, a1, abs_weight, support_weight, radius, step=G
     reported minimum also covers the dense grid so that a wrong candidate
     enumeration cannot go unnoticed.
     """
-    a2 = np.asarray(a2, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    wa = np.broadcast_to(np.asarray(abs_weight, dtype=float), a2.shape)
-    ws = np.broadcast_to(np.asarray(support_weight, dtype=float), a2.shape)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), a2.shape)
+    a2, a1, wa, ws, radius = np.asarray(
+        np.broadcast_arrays(a2, a1, abs_weight, support_weight, radius), dtype=float
+    )
 
     grid_min = _rowwise_grid_min(a2, a1, wa, radius, step) + ws
 
@@ -272,53 +270,37 @@ def switch_batch(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-3):
     """Row-wise reference minimum for the paired switching subproblem.
 
     Objective  g.u + (L/2)|u-u_k|^2 + (alpha/2)|u|^2 + beta*(u1*u2 != 0)  over
-    R^2; exploits the separable quadratic part (one dense grid per axis) and
-    returns (min_values, candidates, candidate_values) with candidates of
-    shape (N, 4, 2) covering {(m1, m2), (0, m2), (m1, 0), (0, 0)}.
+    R^2.  The quadratic part is separable and both axes share a2 and the
+    radius, so the two axes of N rows are searched as 2N rows of one grid
+    search; the per-axis terms are (2, N) arrays.  Returns (min_values,
+    candidates, candidate_values) with candidates of shape (N, 4, 2)
+    covering {(m1, m2), (0, m2), (m1, 0), (0, 0)}.
     """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    uk1 = np.asarray(uk1, dtype=float)
-    uk2 = np.asarray(uk2, dtype=float)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), g1.shape)
+    inputs = np.asarray(np.broadcast_arrays(g1, g2, uk1, uk2, L, alpha, beta), dtype=float)
+    g, uk, (L, alpha, beta) = inputs[:2], inputs[2:4], inputs[4:]
+    n = L.shape[0]
     w = L + alpha
-    a2 = 0.5 * w * np.ones_like(g1)
-    b1 = g1 - L * uk1
-    b2 = g2 - L * uk2
-    const = 0.5 * L * (uk1**2 + uk2**2) * np.ones_like(g1)
+    a2 = 0.5 * w
+    b = g - L * uk
+    const = 0.5 * L * (uk[0] ** 2 + uk[1] ** 2)
+    m = -b / w
+    rad = np.maximum(radius, np.abs(m).max(axis=0) + 0.5)
 
-    m1 = -b1 / w
-    m2 = -b2 / w
-    rad = np.maximum(radius, np.maximum(np.abs(m1), np.abs(m2)) + 0.5)
+    nz = _rowwise_grid_min(np.tile(a2, 2), b.ravel(), np.zeros(2 * n), np.tile(rad, 2), step).reshape(2, n)
+    vx = a2 * m**2 + b * m
+    nz = np.minimum(nz, np.where(m != 0.0, vx, np.inf))
+    free = np.minimum(np.minimum(nz, 0.0), vx)
+    best = np.minimum(nz[0] + nz[1] + beta, np.minimum(free[1], free[0])) + const
 
-    zeros = np.zeros_like(g1)
-    nz1 = _rowwise_grid_min(a2, b1, zeros, rad, step)
-    nz2 = _rowwise_grid_min(a2, b2, zeros, rad, step)
-    vx1 = a2 * m1**2 + b1 * m1
-    vx2 = a2 * m2**2 + b2 * m2
-    nz1 = np.minimum(nz1, np.where(m1 != 0.0, vx1, np.inf))
-    nz2 = np.minimum(nz2, np.where(m2 != 0.0, vx2, np.inf))
-    free1 = np.minimum(np.minimum(nz1, 0.0), vx1)
-    free2 = np.minimum(np.minimum(nz2, 0.0), vx2)
-
-    best = np.minimum(nz1 + nz2 + beta, np.minimum(free2, free1))
-    best = best + const
-
-    candidates = np.stack(
-        [
-            np.stack([m1, m2], axis=1),
-            np.stack([np.zeros_like(m1), m2], axis=1),
-            np.stack([m1, np.zeros_like(m2)], axis=1),
-            np.zeros((g1.shape[0], 2)),
-        ],
-        axis=1,
-    )
-    c1 = candidates[:, :, 0]
-    c2 = candidates[:, :, 1]
+    # m1 is the first coordinate of candidates 0 and 2, m2 the second of 0 and 1
+    candidates = np.zeros((n, 4, 2))
+    candidates[:, 0::2, 0] = m[0, :, None]
+    candidates[:, :2, 1] = m[1, :, None]
+    c1, c2 = candidates.transpose(2, 0, 1)
     cvals = (
         a2[:, None] * (c1**2 + c2**2)
-        + b1[:, None] * c1
-        + b2[:, None] * c2
+        + b[0, :, None] * c1
+        + b[1, :, None] * c2
         + const[:, None]
         + beta[:, None] * ((c1 != 0.0) & (c2 != 0.0))
     )

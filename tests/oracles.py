@@ -1,4 +1,5 @@
-"""Oracles the tests check the package against; nothing in the package calls them.
+"""Oracles the tests check the package against, and the problem spec they
+share; nothing in the package calls them.
 
 - `separation_threshold`, `fp_membership` and
   `convexified_not_fixed_point_check`: the smallest nonzero l0 prox output,
@@ -11,13 +12,17 @@
   CANDIDATE_TOL of the minimum; when a grid point beats every candidate by
   more than that, argmins is empty, which callers should treat as a failure.
 - `l2_norm_state`: the exact L2 norm of a P1 nodal field.
+- `benchmark_spec`: the paper's benchmark problem (alpha = beta = 0.01,
+  b = 4, Dirichlet, the default target, n = 10), with keyword overrides.
 """
 
 import math
 
 import numpy as np
 
+from l0control import fem
 from l0control.fem import _per_triangle
+from l0control.problem import ProblemSpec, default_target
 from l0control.prox import TIE_TOL, ProxParams, _finite, _weight, positive, prox_l0
 from l0control.reference import GRID_STEP, _admitted, penalized_quadratic_batch, search_radius, switch_batch
 
@@ -157,3 +162,15 @@ def l2_norm_state(mesh, y):
     """Exact L2 norm of the nodal field y: per-triangle quadratic form of the mass matrix."""
     sq = _per_triangle(mesh, y, lambda a, b, c: a * a + b * b + c * c + (a + b + c) ** 2)
     return math.sqrt(max(mesh.triangle_area / 12.0 * sq.sum(), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the benchmark problem
+# ---------------------------------------------------------------------------
+
+
+def benchmark_spec(**kw):
+    base = dict(alpha=0.01, beta=0.01, bound=4.0, penalty="l0", pde=fem.DIRICHLET_POISSON,
+                y_d=default_target, mesh_n=10)
+    base.update(kw)
+    return ProblemSpec(**base)

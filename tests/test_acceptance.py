@@ -9,13 +9,12 @@ import math
 import time
 
 import numpy as np
-from oracles import fp_membership, l2_norm_state, separation_threshold
+from oracles import benchmark_spec, fp_membership, l2_norm_state, separation_threshold
 
 from l0control import experiments, fem, reference
 from l0control.problem import (
     ControlProblem,
     ProblemSpec,
-    default_target,
     make_problem,
     switching_target,
     unsolvable_target,
@@ -31,13 +30,6 @@ N_INSTANCES = 10_000
 
 # registry of (report, eta) pairs for the log-level criterion
 RUN_LOG = []
-
-
-def benchmark_spec(**kw):
-    base = dict(alpha=0.01, beta=0.01, bound=4.0, penalty="l0", pde=fem.DIRICHLET_POISSON,
-                y_d=default_target, mesh_n=10)
-    base.update(kw)
-    return ProblemSpec(**base)
 
 
 def solve_logged(spec, strategy=None, **run_kw):

@@ -294,8 +294,7 @@ def run_cli_process(*args, check=True):
 
 @pytest.mark.parametrize("command, taken", [("solve", "report.csv"), ("table1", "table1.csv")])
 def test_unwritable_output_file_exits_2_with_one_message(command, taken, tmp_path):
-    # the output directory is usable, but one of its files is a directory, so
-    # the write fails only after the run
+    # the output directory is usable, but one of its files is a directory
     out = tmp_path / "out"
     (out / taken).mkdir(parents=True)
     result = run_cli_process(command, "--mesh-n", "4", "--out", str(out), check=False)
@@ -303,6 +302,41 @@ def test_unwritable_output_file_exits_2_with_one_message(command, taken, tmp_pat
     assert "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and taken in lines[0]
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["solve"], "summary.json"),
+    (["table1"], "table1.csv"),
+    (["beta-sweep"], "beta_sweep.csv"),
+    (["beta-sweep", "--pareto", "--betas", "0.1"], "pareto_l1.csv"),
+    (["mesh-study", "--n-list", "8"], "mesh_study.csv"),
+    (["unsolvable"], "unsolvable_fp.csv"),
+    (["unsolvable"], "summary.json"),
+    # a profile file of the second run, named by its beta
+    (["switching", "--betas", "0.1", "0.01"], "switching_controls_beta0.01.csv"),
+])
+def test_unwritable_output_file_exits_2_before_any_solve(argv, taken, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before every output file was checked")
+
+    monkeypatch.setattr(solver, "run", must_not_run)
+    monkeypatch.setattr(problem, "make_problem", must_not_run)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert cli.main(argv + ["--mesh-n", "8", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and taken in err
+    # nothing written: the directory in the way is all there is
+    assert list(out.iterdir()) == [out / taken] and list((out / taken).iterdir()) == []
+
+
+def test_output_under_a_regular_file_fails_before_any_solve(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "run", lambda *a, **k: pytest.fail("solved before the output was checked"))
+    regular_file = tmp_path / "taken"
+    regular_file.write_text("")
+    with pytest.raises(NotADirectoryError, match="table1.csv"):
+        experiments.run_table1(experiments.RunConfig(mesh_n=4), out=regular_file / "sub")
+    assert regular_file.read_text() == ""
 
 
 def test_closed_stdout_exits_quietly():

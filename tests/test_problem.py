@@ -4,26 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from oracles import l2_norm_state
+from oracles import benchmark_spec, l2_norm_state
 
 from l0control import fem
 from l0control.problem import (
     ControlProblem,
     ProblemSpec,
     SwitchingControl,
-    default_target,
     make_problem,
     switching_target,
     unsolvable_target,
     zero_target,
 )
-
-
-def benchmark_spec(**kw):
-    base = dict(alpha=0.01, beta=0.01, bound=4.0, penalty="l0", pde=fem.DIRICHLET_POISSON,
-                y_d=default_target, mesh_n=10)
-    base.update(kw)
-    return ProblemSpec(**base)
 
 
 def random_control(problem, rng, scale=1.0):

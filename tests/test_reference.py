@@ -65,6 +65,42 @@ def test_switch_rows_are_independent_of_their_call():
     assert_rows_independent(reference.switch_batch, switch_rows(rng, 256))
 
 
+def test_switch_batch_matches_a_per_axis_search():
+    # a search that shares no code with switch_batch: each axis on the dense
+    # two-sided grid plus its vertex and 0, the axes joined as
+    # min(nz1 + nz2 + beta, free1, free2) + const, the candidates written out
+    rng = np.random.default_rng(19)
+    n = 256
+    g1, g2, u1, u2, L, alpha, beta = switch_rows(rng, n)
+    L[40:60] = 0.0
+    g1[10:50] = L[10:50] * u1[10:50]  # m1 = 0, with L = 0 on rows 40..49
+    g2[30:70] = L[30:70] * u2[30:70]  # m2 = 0, both on rows 30..49
+    # |m2| = |g2 - L*u2|/(L + alpha) > 9.5, beyond the default radius 3
+    g2[80:100], L[80:100], alpha[80:100] = rng.choice([-2.0, 2.0], 20), rng.uniform(0, 0.1, 20), 0.1
+    w = L + alpha
+    a2, const = 0.5 * w, 0.5 * L * (u1**2 + u2**2)
+    b = [g1 - L * u1, g2 - L * u2]
+    m = [-bk / w for bk in b]
+    rad = np.maximum(3.0, np.maximum(np.abs(m[0]), np.abs(m[1])) + 0.5)
+    nz, free = [], []
+    for bk, mk in zip(b, m):
+        vertex = a2 * mk**2 + bk * mk
+        grid = two_sided_grid_min(a2, bk, np.zeros(n), rad, 1e-3)
+        nz.append(np.minimum(grid, np.where(mk != 0.0, vertex, np.inf)))
+        free.append(np.minimum(np.minimum(nz[-1], 0.0), vertex))
+    best = np.minimum(nz[0] + nz[1] + beta, np.minimum(free[0], free[1])) + const
+    zero = np.zeros(n)
+    pairs = [(m[0], m[1]), (zero, m[1]), (m[0], zero), (zero, zero)]
+    cvals = np.stack([a2 * (c1**2 + c2**2) + b[0] * c1 + b[1] * c2 + const + beta * ((c1 != 0.0) & (c2 != 0.0))
+                      for c1, c2 in pairs], axis=1)
+    want = (np.minimum(best, cvals.min(axis=1)), np.stack([np.stack(c, axis=1) for c in pairs], axis=1), cvals)
+    assert np.all(m[0][10:50] == 0.0) and np.all(m[1][30:70] == 0.0) and np.all(np.abs(m[1][80:100]) > 3.0)
+
+    got = reference.switch_batch(g1, g2, u1, u2, L, alpha, beta)
+    for k, (x, y) in enumerate(zip(got, want)):
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), k
+
+
 # r/step with a fractional part below, at and above 1/2, and integer ones;
 # 0.81975 lies one ulp below the rounded point 8197.5*step, yet r/step + 1/2
 # rounds to 8198, so without a check that point would pass the bound

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import separation_threshold
+from oracles import benchmark_spec, separation_threshold
 from test_fem import mass_matrix
 
 from l0control import experiments, fem, solver
@@ -15,7 +15,6 @@ from l0control.problem import (
     ControlProblem,
     ProblemSpec,
     SwitchingControl,
-    default_target,
     switching_target,
     unsolvable_target,
     zero_target,
@@ -39,13 +38,6 @@ from l0control.solver import (
     run,
     select_step,
 )
-
-
-def benchmark_spec(**kw):
-    base = dict(alpha=0.01, beta=0.01, bound=4.0, penalty="l0", pde=fem.DIRICHLET_POISSON,
-                y_d=default_target, mesh_n=10)
-    base.update(kw)
-    return ProblemSpec(**base)
 
 
 class ToyProblem:
