@@ -147,9 +147,9 @@ def _grid_windows(a2, c1, w_abs, radius, half, step):
     return np.where(narrow, lo, 0.0).astype(np.int64), np.where(narrow, hi, half).astype(np.int64)
 
 
-# widest window evaluated in the (rows, width) gather; a wider one (a nearly
-# flat row) runs in the per-row loop, so the gather stays a few MB at 10^4 rows
-_GATHER_WIDTH = 64
+# a gather block holds its first row and fewer than this many more grid
+# points, so its temporaries stay a few MB however many rows a call has
+_GATHER_POINTS = 1 << 16
 
 
 def _rowwise_grid_min(a2, a1, w_abs, radius, step):
@@ -167,15 +167,18 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     The search is folded onto u_j > 0 as a2*u^2 - |a1|*u + w_abs*u, in that
     term order: fl(a1*(-u)) = -fl(a1*u) and rounding is monotone, so this is
     the smaller value of each mirrored pair, with the same bits as the
-    two-sided search (NaN and +inf rows included).
+    two-sided search (+inf rows included; a NaN row up to its NaN's sign).
 
     A strictly convex row is evaluated only on the window of its half-grid
     that can hold the computed minimum (`_grid_windows`), a few points
     around its vertex; the minimum is the one of the whole half-grid, bit
-    for bit.  These rows are evaluated together as one (rows, width) gather.
-    The other rows (a2 <= 0, non-finite values, nearly flat rows) run one
-    at a time over their window, which is the whole half-grid unless the row
-    is convex.  Every row reads u_j and u_j^2 from one (2, top) block, so the
+    for bit.  Every other row (a2 <= 0, non-finite values, nearly flat rows)
+    is evaluated on its whole half-grid.  The rows' points are laid end to
+    end in row order and cut into blocks at every _GATHER_POINTS-th point,
+    and each row is reduced over its own points only (`np.minimum.reduceat`),
+    which gives the bits of a one-row reduction, signed zeros and NaN signs
+    included; only where two NaN terms meet can the NaN's sign depend on the
+    row's place in its block.  Every row reads u_j and u_j^2 from one (2, top) block, so the
     grid and its bits are those of the dense search.
     """
     a2 = np.asarray(a2, dtype=float)
@@ -203,36 +206,21 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     use_abs = bool(np.any(w_abs != 0.0))
     lo, hi = _grid_windows(a2, c1, w_abs, radius, half, step)
     width = hi - lo
-    # narrow windows are convex rows, whose values hold no NaN and no -0.0,
-    # so a (rows, width) reduction gives the bits of the per-row one
-    gathered = (width < half) & (width <= _GATHER_WIDTH)
     out = np.full(a2.shape[0], np.inf)
 
-    rows = np.flatnonzero(gathered)
-    if rows.size:
-        idx = lo[rows, None] + np.arange(width[rows].max())
-        # a padded index repeats the row's last point: the minimum stays
-        np.minimum(idx, hi[rows, None] - 1, out=idx)
+    rows = np.flatnonzero(width > 0)
+    cuts = np.flatnonzero(np.diff(np.cumsum(width[rows]) // _GATHER_POINTS)) + 1
+    for block in np.split(rows, cuts):
+        w = width[block]
+        first = np.cumsum(w) - w
+        owner = np.repeat(block, w)
+        idx = np.arange(owner.size) + np.repeat(lo[block] - first, w)
         pu, pu2 = grid[:, idx]
-        r = pu2 * a2[rows, None]
-        r += pu * c1[rows, None]
+        r = pu2 * a2[owner]
+        r += pu * c1[owner]
         if use_abs:
-            r += pu * w_abs[rows, None]
-        out[rows] = r.min(axis=1)
-
-    rows = np.flatnonzero(~gathered & (width > 0))
-    if rows.size:
-        row, term = np.empty((2, int(width[rows].max())))
-        # plain Python numbers and a direct reduce keep the per-row overhead small
-        for i, j0, j1, c2, c, cabs in zip(rows.tolist(), lo[rows].tolist(), hi[rows].tolist(),
-                                          a2[rows].tolist(), c1[rows].tolist(), w_abs[rows].tolist()):
-            r = row[: j1 - j0]
-            t = term[: j1 - j0]
-            np.multiply(u2[j0:j1], c2, out=r)
-            r += np.multiply(u[j0:j1], c, out=t)
-            if use_abs:
-                r += np.multiply(u[j0:j1], cabs, out=t)
-            out[i] = np.minimum.reduce(r)
+            r += pu * w_abs[owner]
+        out[block] = np.minimum.reduceat(r, first)
     return out
 
 

@@ -11,8 +11,9 @@ holds.  Rejection multiplies L by 1/theta (a smaller step), widening
 multiplies an accepted initial weight by theta while the condition keeps
 holding.  Every trial costs one PDE solve (the f evaluation at the trial
 point) on top of the two solves per iteration for the gradient.  A trial,
-the fixed weight's one included, is evaluated in one place, f, g and F
-together, and the step hands the accepted point's f and g to the loop.
+the fixed weight's one included, is evaluated in one place into an
+`Evaluation` (u, f, g and F = f + g), and the step hands the accepted
+point's record to the loop.
 """
 
 from __future__ import annotations
@@ -121,9 +122,22 @@ class SolveReport:
         return [getattr(r, name) for r in self.records]
 
 
-def descent_ok(F_k, F_next, u_k, u_next, eta):
+@dataclass(frozen=True)
+class Evaluation:
+    """One evaluated control u with its tracking value f and penalty g."""
+
+    u: object
+    f: float
+    g: float
+
+    @property
+    def F(self):
+        return self.f + self.g
+
+
+def descent_ok(ev_k, ev_next, eta):
     """Decrease test  eta*||u_next - u_k||^2 <= F_k - F_next."""
-    return eta * u_next.diff_norm(u_k) ** 2 <= F_k - F_next
+    return eta * ev_next.u.diff_norm(ev_k.u) ** 2 <= ev_k.F - ev_next.F
 
 
 def _prox_sets(spec, u, g, L):
@@ -163,13 +177,13 @@ def iht_step(problem, u_k, grad, L):
     return replace(u_k, values=out)
 
 
-def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
-    """Pick the prox weight for one iteration.
+def select_step(problem, strategy, ev_k, grad, flat_tol=0.0):
+    """Pick the prox weight for one iteration from the current point's Evaluation ev_k.
 
-    Returns (L, u_next, f_next, g_next, trials): the accepted weight, point,
-    tracking value and penalty.  Every trial, FIXED's one included, is
-    evaluated once, f and g together, and a trial whose objective is NaN
-    raises NonFiniteError at once.  FIXED applies its weight without a test.
+    Returns (L, ev_next, trials): the accepted weight and the Evaluation of
+    the accepted point.  Every trial, FIXED's one included, is evaluated
+    once, f and g together, and a trial whose objective is NaN raises
+    NonFiniteError at once.  FIXED applies its weight without a test.
     BT starts at L_hat0 and multiplies by 1/theta until the decrease
     condition holds.  BT-W additionally widens an accepted initial weight by
     theta up to I_max times, keeping the last accepted value.  BT-0 tries
@@ -181,25 +195,23 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
     rounding along it (the iterate is numerically stationary), or gradient
     and objective are inconsistent.  The first case is detected through
     flat_tol (a trial whose objective matches F_k within flat_tol) and
-    reported as a zero step that returns u_k itself, at the last weight
+    reported as a zero step that returns ev_k itself, at the last weight
     tried; the second raises StepSearchError.
     """
     trials = 0
     flattest = math.inf
 
     def attempt(L):
-        """(L, u_t, f_t, g_t) of the trial at weight L, and whether it passes the decrease test."""
+        """(L, ev_t) of the trial at weight L, and whether it passes the decrease test."""
         nonlocal trials, flattest
-        u_t = iht_step(problem, u_k, grad, L)
-        f_t = problem.eval_f(u_t)
+        u_t = iht_step(problem, ev_k.u, grad, L)
+        ev_t = Evaluation(u_t, problem.eval_f(u_t), problem.eval_g(u_t))
         trials += 1
-        g_t = problem.eval_g(u_t)
-        F_t = f_t + g_t
-        if math.isnan(F_t):
+        if math.isnan(ev_t.F):
             # an infinite trial is an ordinary rejection; NaN means the objective is broken
             raise NonFiniteError(f"objective F=nan at trial weight L={L:g}")
-        flattest = min(flattest, abs(F_t - F_k))
-        return (L, u_t, f_t, g_t), descent_ok(F_k, F_t, u_k, u_t, strategy.eta)
+        flattest = min(flattest, abs(ev_t.F - ev_k.F))
+        return (L, ev_t), descent_ok(ev_k, ev_t, strategy.eta)
 
     if strategy.kind == FIXED:
         return attempt(strategy.L_fixed)[0] + (trials,)
@@ -230,8 +242,7 @@ def select_step(problem, strategy, u_k, grad, F_k, flat_tol=0.0):
     if flattest <= flat_tol:
         # numerically stationary: no tested weight moves the objective
         # beyond the stopping tolerance, so stay put and let the stop rule fire
-        g_k = problem.eval_g(u_k)
-        return L, u_k, F_k - g_k, g_k, trials
+        return L, ev_k, trials
     raise StepSearchError(
         f"descent condition failed for every L up to {L:g}; gradient and objective disagree"
     )
@@ -265,9 +276,9 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     """Iterate until |F_{k+1} - F_k| <= stop_tol or the iteration budget is hit.
 
     Every iteration is logged (accepted weight, trials, f, g, F, support
-    measure, step norm, support-mask distance, cumulative PDE solves); f and
-    g are the accepted trial's, so the penalty is evaluated afresh only at the
-    start point.  The solve count is the paper's, tallied here: 2 per
+    measure, step norm, support-mask distance, cumulative PDE solves) from
+    the accepted trial's Evaluation, so the penalty is evaluated afresh only
+    at the start point.  The solve count is the paper's, tallied here: 2 per
     gradient and 1 per trial, so diagnostics run after the loop are not in
     it.  A flat exit's top weight belongs to a rejected ladder, so its step
     is logged at the weight of the last step that moved the control (L_hat0
@@ -279,10 +290,10 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     strategy = options.strategy
     u = problem.zero_control()
 
-    f_k, grad = problem.value_and_grad(u)
+    f_0, grad = problem.value_and_grad(u)
     solves = 2
-    F_k = f_k + problem.eval_g(u)
-    initial_F = F_k
+    ev = Evaluation(u, f_0, problem.eval_g(u))
+    initial_F = ev.F
     mask_prev = u.support_mask()
 
     records = []
@@ -291,44 +302,42 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
 
     for k in range(1, options.max_iterations + 1):
         if k > 1:
-            _, grad = problem.value_and_grad(u)
+            _, grad = problem.value_and_grad(ev.u)
             solves += 2
-        if not (math.isfinite(F_k) and np.isfinite(grad.values).all()):
-            raise NonFiniteError(f"objective F={F_k:g} or its gradient is not finite at iteration {k}")
-        L_k, u_next, f_next, g_next, trials = select_step(
-            problem, strategy, u, grad, F_k, flat_tol=options.stop_tol
-        )
+        if not (math.isfinite(ev.F) and np.isfinite(grad.values).all()):
+            raise NonFiniteError(f"objective F={ev.F:g} or its gradient is not finite at iteration {k}")
+        L_k, ev_next, trials = select_step(problem, strategy, ev, grad, flat_tol=options.stop_tol)
         solves += trials
-        if u_next is u:
+        if ev_next is ev:
             # a flat exit: the top of the rejected ladder produced nothing
             L_k = records[-1].L if records else strategy.L_hat0
-        F_next = f_next + g_next
+        F_next = ev_next.F
         if not math.isfinite(F_next):
             raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
-        mask_next = u_next.support_mask()
+        mask_next = ev_next.u.support_mask()
         records.append(
             IterationRecord(
                 k=k,
                 L=L_k,
                 trials=trials,
-                f=f_next,
-                g=g_next,
+                f=ev_next.f,
+                g=ev_next.g,
                 F=F_next,
-                support=u_next.measure(mask_next),
-                step_norm=u_next.diff_norm(u),
-                chi_dist=u.measure(mask_prev != mask_next),
+                support=ev_next.u.measure(mask_next),
+                step_norm=ev_next.u.diff_norm(ev.u),
+                chi_dist=ev.u.measure(mask_prev != mask_next),
                 pde_solves=solves,
             )
         )
-        if strategy.kind == FIXED and F_next > F_k + 1e-14:
+        if strategy.kind == FIXED and F_next > ev.F + 1e-14:
             violations += 1
             log.warning(
                 "objective increased at iteration %d with fixed L=%g (dF=%.3e); "
                 "the fixed weight is below the gradient Lipschitz constant",
-                k, strategy.L_fixed, F_next - F_k,
+                k, strategy.L_fixed, F_next - ev.F,
             )
-        stop = abs(F_next - F_k) <= options.stop_tol
-        u, F_k, mask_prev = u_next, F_next, mask_next
+        stop = abs(F_next - ev.F) <= options.stop_tol
+        ev, mask_prev = ev_next, mask_next
         if stop:
             termination = TOLERANCE
             break
@@ -336,15 +345,15 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     report = SolveReport(
         records=records,
         initial_F=initial_F,
-        final_control=u,
-        final_f=records[-1].f,
-        final_g=records[-1].g,
-        final_F=F_k,
+        final_control=ev.u,
+        final_f=ev.f,
+        final_g=ev.g,
+        final_F=ev.F,
         termination=termination,
         pde_solves=solves,
         monotonicity_violations=violations,
     )
     if compute_fp_residual:
         report.fp_residual_L = records[-1].L
-        report.fp_residual = fp_residual(problem, u, report.fp_residual_L)
+        report.fp_residual = fp_residual(problem, ev.u, report.fp_residual_L)
     return report

@@ -243,6 +243,23 @@ def test_windowed_search_matches_the_dense_search(step, with_abs):
     assert mismatch.size == 0, [(a2[i], a1[i], w_abs[i], radius[i], got[i], want[i]) for i in mismatch[:5]]
 
 
+@pytest.mark.parametrize("step", [H, 1e-3])
+def test_gathered_rows_keep_the_bits_of_one_row_calls(step):
+    # each row is reduced over its own points, whichever block it shares: a
+    # one-point NaN row keeps its NaN's sign, which numpy's min over two or
+    # more points would not (it returns the default NaN)
+    rng = np.random.default_rng(19)
+    a2, a1, w_abs, radius = adversarial_rows(rng, 600, step, with_abs=False)
+    one_point = slice(100, 106)
+    radius[one_point] = step
+    a2[one_point], a1[one_point] = 0.5, (np.nan, -np.nan, 0.0, -0.0, np.inf, 1.0)
+    with np.errstate(all="ignore"):
+        whole = reference._rowwise_grid_min(a2, a1, w_abs, radius, step)
+        alone = [reference._rowwise_grid_min(a2[i : i + 1], a1[i : i + 1], w_abs[i : i + 1], radius[i : i + 1], step)
+                 for i in range(a2.size)]
+    assert np.array_equal(whole.view(np.int64), np.concatenate(alone).view(np.int64))
+
+
 def criterion_1_rows(rng, n):
     """(a2, a1, w_abs, radius, step) of the four checks, at criterion 1's draw ranges."""
     g, u, L, alpha, beta, b = draw_l0_instances(rng, n)
