@@ -95,11 +95,12 @@ def parse_config_file(path):
     """Read a line-based "key = value" file into a config dict.
 
     Keys are the RunConfig field names (dashes accepted); unknown keys are
-    rejected.  Blank lines and lines starting with '#' are ignored.
+    rejected.  Blank lines and lines starting with '#' are ignored, and so is
+    a leading UTF-8 byte-order mark.
     """
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

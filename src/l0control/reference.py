@@ -12,10 +12,11 @@ mask and objective gaps out.  selftest and the acceptance suite both call it.
 There is one search per subproblem, batched over rows:
 `penalized_quadratic_batch` for a2*u^2 + a1*u + w_abs*|u| + w_supp*(u != 0)
 in a box, and `switch_batch` for the paired switching objective.  Each row
-is searched on its own slice of one shared offset grid +-u_j,
-u_j = (j + 1/2)*step, cut at that row's radius, so a row costs what its own
-radius needs whatever else is in the call, and its result does not depend
-on the other rows.  The grid stays inside the box and misses 0; the
+is searched by one expression on its own slice of one shared offset grid
++-u_j, u_j = (j + 1/2)*step, cut at that row's radius, so its result does
+not depend on the other rows (up to a NaN's sign); its cost does, since a
+call tabulates the grid to its widest row's radius (see
+`_rowwise_grid_min`).  The grid stays inside the box and misses 0; the
 endpoints and 0 come from the exact candidates.  Only the half u_j > 0 is
 evaluated, with linear coefficient -|a1|: since fl(a1*(-u)) = -fl(a1*u) and
 rounding is monotone, that is the smaller of each mirrored pair, bit for bit.
@@ -164,10 +165,11 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     (radius_i < step/2) gets +inf.  A negative, NaN or infinite radius raises
     ValueError.
 
-    The search is folded onto u_j > 0 as a2*u^2 - |a1|*u + w_abs*u, in that
-    term order: fl(a1*(-u)) = -fl(a1*u) and rounding is monotone, so this is
-    the smaller value of each mirrored pair, with the same bits as the
-    two-sided search (+inf rows included; a NaN row up to its NaN's sign).
+    Every row, w_abs = 0 included, is folded onto u_j > 0 as a2*u^2 - |a1|*u
+    + w_abs*u, in that term order: fl(a1*(-u)) = -fl(a1*u) and rounding is
+    monotone, so this is the smaller value of each mirrored pair, with the
+    same bits as the two-sided search (+inf rows included; a NaN row up to
+    its NaN's sign).
 
     A strictly convex row is evaluated only on the window of its half-grid
     that can hold the computed minimum (`_grid_windows`), a few points
@@ -178,32 +180,29 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     and each row is reduced over its own points only (`np.minimum.reduceat`),
     which gives the bits of a one-row reduction, signed zeros and NaN signs
     included; only where two NaN terms meet can the NaN's sign depend on the
-    row's place in its block.  Every row reads u_j and u_j^2 from one (2, top) block, so the
-    grid and its bits are those of the dense search.
+    row's place in its block.  Every row reads u_j and u_j^2 from one
+    (2, top) block sized by the call's widest row, 16 bytes a point, so a
+    row's cost depends on its call: one unbounded row with a2 = 5e-4, a1 = 1
+    (radius 1005, 10^7 points) takes 0.08-0.15 s and 154 MB of peak RSS for
+    the few points its window reads, 0.2 ms if each point were computed as
+    (j + 1/2)*step.  The block stays until the benchmark times set-up apart
+    from the heap (ROADMAP 3b): freeing it lifts glibc's heap trim threshold,
+    so later small arrays reuse the heap instead of page-faulting it back in.
     """
-    a2 = np.asarray(a2, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    w_abs = np.asarray(w_abs, dtype=float)
-    radius = np.asarray(radius, dtype=float)
+    a2, a1, w_abs, radius = (np.asarray(x, dtype=float) for x in (a2, a1, w_abs, radius))
     bad = ~(np.isfinite(radius) & (radius >= 0.0))
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(
-            f"radius must be finite and >= 0, got radius[{i}] = {radius[i]!r}"
-        )
+        raise ValueError(f"radius must be finite and >= 0, got radius[{i}] = {radius[i]!r}")
     half = np.floor(radius / step + 0.5).astype(np.int64)
     # the division may round up across an integer: step back inside the box
     half -= (half - 0.5) * step > radius
     top = int(half.max(initial=0))
-    # u and u^2 in one (2, top) block: freeing a block this large lifts
-    # glibc's heap trim threshold, so a caller's later small arrays reuse the
-    # heap instead of page-faulting it back in (about 1 MB per oracle set-up)
     grid = np.empty((2, top))
     u, u2 = grid
     np.multiply(np.arange(top) + 0.5, step, out=u)
     np.multiply(u, u, out=u2)
     c1 = -np.abs(a1)
-    use_abs = bool(np.any(w_abs != 0.0))
     lo, hi = _grid_windows(a2, c1, w_abs, radius, half, step)
     width = hi - lo
     out = np.full(a2.shape[0], np.inf)
@@ -218,8 +217,7 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
         pu, pu2 = grid[:, idx]
         r = pu2 * a2[owner]
         r += pu * c1[owner]
-        if use_abs:
-            r += pu * w_abs[owner]
+        r += pu * w_abs[owner]
         out[block] = np.minimum.reduceat(r, first)
     return out
 

@@ -178,6 +178,20 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and str(cfg) in err and err.count("\n") == 1
 
 
+def test_config_with_byte_order_mark_and_crlf(tmp_path, capsys):
+    # as Windows Notepad and PowerShell 5's `Out-File -Encoding utf8` write it
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfmesh-n = 8\r\n# comment\r\nydzero = true\r\n")
+    assert experiments.parse_config_file(cfg) == {"mesh_n": 8, "ydzero": True}
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "final_control.csv")
+    assert len(rows) == 2 * 8 * 8
+    # a bad byte is still reported at its offset in the file, the mark counted
+    cfg.write_bytes(b"\xef\xbb\xbfmesh-n = 8\n\xff\n")
+    with pytest.raises(experiments.ConfigError, match=r"invalid start byte at byte 14\)$"):
+        experiments.parse_config_file(cfg)
+
+
 def test_unallocatable_mesh_exits_2(tmp_path, capsys):
     # the set-up's eigenvalue grid alone would take 8.0e36 bytes, beyond the
     # virtual address space of any 64-bit host (at most 2^57 bytes), so the

@@ -42,22 +42,48 @@ def switch_rows(rng, n):
     return rows
 
 
+def same_bits(x, y, nan_sign=True):
+    if not nan_sign:
+        x, y = (np.where(np.isnan(a), np.nan, a) for a in (x, y))
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 def assert_rows_independent(batch, columns):
+    """Minimum, candidates and candidate values: every row has the bits of its
+    one-row call, signs of zeros and NaNs included, and those of its 64-row
+    block up to a NaN's sign: where two NaN terms of a candidate value meet,
+    numpy's vector and scalar loops keep different operands."""
     n = columns[0].shape[0]
-    full = batch(*columns)
-    blocks = [batch(*(c[rows] for c in columns)) for rows in np.array_split(np.arange(n), n // 64)]
+    with np.errstate(all="ignore"):
+        full = batch(*columns)
+        blocks = [batch(*(c[rows] for c in columns)) for rows in np.array_split(np.arange(n), n // 64)]
+        alone = [batch(*(c[i : i + 1] for c in columns)) for i in range(n)]
     for k, whole in enumerate(full):
-        blocked = np.concatenate([b[k] for b in blocks])
-        assert np.array_equal(blocked, whole), k
-    for i in range(0, n, 7):
-        alone = batch(*(c[i : i + 1] for c in columns))
-        for k, whole in enumerate(full):
-            assert np.array_equal(alone[k][0], whole[i]), (i, k)
+        assert same_bits(np.concatenate([b[k] for b in blocks]), whole, nan_sign=False), k
+        mismatch = [i for i in range(n) if not same_bits(alone[i][k], whole[i : i + 1])]
+        assert not mismatch, (k, mismatch[:5])
+
+
+def zero_sum_rows(rng, a2, a1, w_abs, radius, rows):
+    """Rows whose every grid term is a signed zero: a2 = -0.0, a1 = 0, w_abs = 0."""
+    a2[rows], a1[rows], w_abs[rows] = -0.0, 0.0, 0.0
+    radius[rows] = rng.choice(BOX_RADII, radius[rows].size)
 
 
 def test_penalized_rows_are_independent_of_their_call():
     rng = np.random.default_rng(11)
     assert_rows_independent(reference.penalized_quadratic_batch, penalized_rows(rng, 256))
+
+
+@pytest.mark.parametrize("with_abs", [False, True])
+def test_adversarial_penalized_rows_are_independent_of_their_call(with_abs):
+    rng = np.random.default_rng(20)
+    n = 600
+    a2, a1, w_abs, radius = adversarial_rows(rng, n, H, with_abs)
+    zero_sum_rows(rng, a2, a1, w_abs, radius, slice(200, 212))
+    w_supp = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    assert (w_abs != 0.0).any() == with_abs
+    assert_rows_independent(reference.penalized_quadratic_batch, (a2, a1, w_abs, w_supp, radius))
 
 
 def test_switch_rows_are_independent_of_their_call():
@@ -149,11 +175,13 @@ def half_grid(radius, step):
 
 
 def two_sided_grid_min(a2, a1, w_abs, radius, step):
-    """The dense unfolded search: both mirrored halves of the grid, term by term."""
+    """The dense unfolded search: both mirrored halves of the grid, term by term.
+
+    Every row adds its w_abs*|u| term, w_abs = 0 included, as the documented
+    expression a2*u^2 + a1*u + w_abs*|u| does; a zero-sum row gives +0.0."""
     half = half_grid(radius, step)
     top = int(half.max(initial=0))
     u = (np.arange(-top, top) + 0.5) * step
-    use_abs = bool(np.any(w_abs != 0.0))
     out = np.full(a2.shape[0], np.inf)
     for i, k in enumerate(half):
         if k == 0:
@@ -161,8 +189,7 @@ def two_sided_grid_min(a2, a1, w_abs, radius, step):
         v = u[top - k : top + k]
         r = v * v * a2[i]
         r += v * a1[i]
-        if use_abs:
-            r += np.abs(v) * w_abs[i]
+        r += np.abs(v) * w_abs[i]
         out[i] = np.minimum.reduce(r)
     return out
 
@@ -247,17 +274,24 @@ def test_windowed_search_matches_the_dense_search(step, with_abs):
 def test_gathered_rows_keep_the_bits_of_one_row_calls(step):
     # each row is reduced over its own points, whichever block it shares: a
     # one-point NaN row keeps its NaN's sign, which numpy's min over two or
-    # more points would not (it returns the default NaN)
-    rng = np.random.default_rng(19)
-    a2, a1, w_abs, radius = adversarial_rows(rng, 600, step, with_abs=False)
-    one_point = slice(100, 106)
-    radius[one_point] = step
-    a2[one_point], a1[one_point] = 0.5, (np.nan, -np.nan, 0.0, -0.0, np.inf, 1.0)
-    with np.errstate(all="ignore"):
-        whole = reference._rowwise_grid_min(a2, a1, w_abs, radius, step)
-        alone = [reference._rowwise_grid_min(a2[i : i + 1], a1[i : i + 1], w_abs[i : i + 1], radius[i : i + 1], step)
-                 for i in range(a2.size)]
-    assert np.array_equal(whole.view(np.int64), np.concatenate(alone).view(np.int64))
+    # more points would not (it returns the default NaN); and every row adds
+    # its w_abs*u term, so a zero-sum row gives +0.0 beside rows with
+    # w_abs != 0 as it does alone
+    for with_abs in (False, True):
+        rng = np.random.default_rng(19)
+        a2, a1, w_abs, radius = adversarial_rows(rng, 600, step, with_abs)
+        one_point = slice(100, 106)
+        radius[one_point] = step
+        a2[one_point], a1[one_point] = 0.5, (np.nan, -np.nan, 0.0, -0.0, np.inf, 1.0)
+        zero_sum = slice(200, 212)
+        zero_sum_rows(rng, a2, a1, w_abs, radius, zero_sum)
+        assert (w_abs != 0.0).any() == with_abs
+        with np.errstate(all="ignore"):
+            whole = reference._rowwise_grid_min(a2, a1, w_abs, radius, step)
+            alone = [reference._rowwise_grid_min(a2[i : i + 1], a1[i : i + 1], w_abs[i : i + 1], radius[i : i + 1],
+                                                 step) for i in range(a2.size)]
+        assert same_bits(whole, np.concatenate(alone)), with_abs
+        assert same_bits(whole[zero_sum], np.zeros(12)), with_abs
 
 
 def criterion_1_rows(rng, n):
