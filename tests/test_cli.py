@@ -294,6 +294,17 @@ def test_non_finite_objective_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("solver failure: objective F=nan")
 
 
+def test_non_finite_cg_residual_exits_3(tmp_path):
+    # alpha = 0 and a first step weight of 1e-308 overflow the first trial's control;
+    # the Neumann CG stops at its first residual norm, where scipy's cg ran 2,890 NaN
+    # iterations to its cap.  A subprocess, as the overflow warnings are errors here
+    result = run_cli_process("solve", "--pde", "neumann", "--alpha", "0", "--lhat0", "1e-308", "--bound", "inf",
+                             "--mesh-n", "16", "--out", str(tmp_path), check=False)
+    assert result.returncode == cli.EXIT_SOLVER
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("solver failure: non-finite CG residual norm inf"), last
+
+
 # a fixed weight of 0 on the Neumann operator overshoots: the objective
 # rises in iterations 1, 2 and 4, and each rise is logged as a warning
 FIXED_WEIGHT_WARNS = ["solve", "--mesh-n", "8", "--pde", "neumann", "--strategy", "fixed",

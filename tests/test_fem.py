@@ -547,26 +547,31 @@ def test_import_does_not_load_scipy_fft():
     assert run_fresh(code) == 0
 
 
-def test_dirichlet_solve_does_not_load_sparse_linalg():
-    code = (
-        "import sys, numpy as np; from l0control import fem; "
-        "pde = fem.assemble(fem.build_mesh(8), fem.DIRICHLET_POISSON); "
-        "y = pde.solve(fem.nodal_load(pde.mesh, np.ones(128))); "
-        "assert y.max() > 0; sys.exit(any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
-    )
-    assert run_fresh(code) == 0
+def test_solves_do_not_load_sparse():
+    for kind in ("DIRICHLET_POISSON", "NEUMANN_HELMHOLTZ"):
+        code = (
+            "import sys, numpy as np; from l0control import fem; "
+            f"pde = fem.assemble(fem.build_mesh(8), fem.{kind}); "
+            "y = pde.solve(fem.nodal_load(pde.mesh, np.ones(128))); "
+            "assert y.max() > 0; sys.exit(any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
+        )
+        assert run_fresh(code) == 0, kind
 
 
-def test_dirichlet_solve_command_loads_no_sparse(tmp_path):
-    # whole commands: solve's mass products and fp residual, and table1's vertex-rule lump
-    code = (
-        "import sys; from l0control import cli; "
-        f"code = cli.main(['solve', '--mesh-n', '8', '--out', {str(tmp_path / 'solve')!r}]); "
-        f"code = code or cli.main(['table1', '--mesh-n', '4', '--out', {str(tmp_path / 'table1')!r}]); "
-        "sys.exit(code or any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
-    )
-    assert run_fresh(code) == 0
-    assert (tmp_path / "solve" / "summary.json").exists() and any((tmp_path / "table1").iterdir())
+def test_commands_load_no_sparse(tmp_path):
+    # whole commands: solve's mass products and fp residual, table1's vertex-rule lump,
+    # and the Neumann CG of solve and of unsolvable's stationarity residuals
+    runs = [["solve", "--mesh-n", "8"], ["table1", "--mesh-n", "4"], ["solve", "--pde", "neumann", "--mesh-n", "8"],
+            ["unsolvable", "--mesh-n", "4"]]
+    for args in runs:
+        out = tmp_path / "-".join(args)
+        code = (
+            "import sys; from l0control import cli; "
+            f"code = cli.main({args + ['--out', str(out)]!r}); "
+            "sys.exit(code or any(m in sys.modules for m in ('scipy.sparse', 'scipy.sparse.linalg')))"
+        )
+        assert run_fresh(code) == 0, args
+        assert any(out.iterdir()), args
 
 
 def test_assembled_matrices_exactly_symmetric():
@@ -636,10 +641,41 @@ def test_neumann_cg_solve_matches_lu(rng):
             assert np.linalg.norm(system @ y - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def neumann_preconditioner(n):
+    """The DCT-I inverse of K + W(x)W/n^2 that the Neumann CG applies, as a LinearOperator."""
+    from scipy.fft import dctn, idctn
+
+    w = np.r_[0.5, np.ones(n - 1), 0.5]
+    weights, line = np.outer(w, w), fem._eigenvalue_line(n)
+    eigenvalues = line[:, None] + line[None, :] + 1.0 / (n * n)
+    return spla.LinearOperator((w.size**2,) * 2, matvec=lambda r: idctn(
+        dctn(r.reshape(n + 1, n + 1) / weights, type=1) / eigenvalues, type=1).ravel())
+
+
+def test_neumann_cg_matches_scipy_cg_bitwise(rng):
+    # the loop is scipy 1.17's cg step for step, np.dot inner products included;
+    # a deterministic dot in the loop will move these bits on purpose
+    for n in (1, 2, 3, 8, 40, 128):
+        pde = fem.assemble(fem.build_mesh(n), fem.NEUMANN_HELMHOLTZ)
+        system = neumann_system(pde.mesh)
+        operator = spla.LinearOperator(system.shape, matvec=system.__matmul__, dtype=float)
+        precond = neumann_preconditioner(n)
+        loads = [rng.normal(size=pde.mesh.num_triangles) for _ in range(3)] + [np.zeros(pde.mesh.num_triangles)]
+        for cells in loads:
+            rhs = fem.nodal_load(pde.mesh, cells)
+            ref, info = spla.cg(operator, rhs, rtol=1e-13, atol=0.0, M=precond)
+            assert info == 0, n
+            assert np.array_equal(pde.solve(rhs).view(np.int64), ref.view(np.int64)), n
+
+
 def test_neumann_cg_breakdown_raises_and_exits_3(rng, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr("scipy.sparse.linalg.cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+    # the real loop on an SPD stand-in for K + M with condition number 1e40 reaches its
+    # cap of 10 iterations per node (250 at n = 4) without meeting rtol 1e-13
+    real_solver = fem._neumann_helmholtz_solver
+    monkeypatch.setattr(fem, "_neumann_helmholtz_solver", lambda system, n: real_solver(
+        np.diag(np.logspace(0.0, -40.0, system.shape[0])), n))
     pde = fem.assemble(fem.build_mesh(4), fem.NEUMANN_HELMHOLTZ)
-    with pytest.raises(fem.SolverBreakdown, match="info=1"):
+    with pytest.raises(fem.SolverBreakdown, match="in 250 iterations"):
         pde.solve(fem.nodal_load(pde.mesh, rng.normal(size=pde.mesh.num_triangles)))
     assert cli.main(["solve", "--pde", "neumann", "--mesh-n", "4", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("solver failure: CG failed to converge")
