@@ -326,9 +326,9 @@ def _write_run(files, report, **extra):
     _write_json(summary, {**_summary_payload(report), **extra})
 
 
-def run_solve(config: RunConfig, out=None):
+def run_solve(config: RunConfig):
     """Single configured run; writes report.csv, final_control.csv, summary.json."""
-    files = _writable(_run_files(Path(out if out is not None else config.out)))
+    files = _writable(_run_files(Path(config.out)))
     problem = problemmod.make_problem(build_spec(config))
     report = solvermod.run(problem, build_options(config))
     _write_run(files, report)
@@ -403,16 +403,15 @@ def run_beta_sweep(config: RunConfig, betas=None, pareto=False, out=None):
     return reports
 
 
-def run_mesh_study(config: RunConfig, n_list=None, out=None):
+def run_mesh_study(config: RunConfig, n_list=None):
     """Same problem across mesh resolutions; emits (h, F, support, pde_solves)."""
-    out = Path(out if out is not None else config.out)
     rows, reports = [], []
     n_list = n_list or MESH_STUDY_NS
     for n in n_list:
         if n < 4:
             raise ConfigError(f"mesh study needs n >= 4, got {n}")
         fem.check_mesh_fits(int(n))
-    table = out / "mesh_study.csv"
+    table = Path(config.out) / "mesh_study.csv"
     for _, problem, report in _sweep([replace(config, mesh_n=int(n)) for n in n_list], [table]):
         support, F_vertex = report.records[-1].support, vertex_rule_objective(problem, report.final_control)
         rows.append((problem.mesh.mesh_size, report.final_F, support, report.pde_solves, F_vertex))
@@ -421,14 +420,14 @@ def run_mesh_study(config: RunConfig, n_list=None, out=None):
     return reports
 
 
-def run_unsolvable(config: RunConfig, out=None):
+def run_unsolvable(config: RunConfig):
     """Constant-target configuration without a minimizer (Neumann operator).
 
     Reports the stationarity residual of the convexified solution (a constant
     control) for several prox weights, runs the solver, and measures the
     distance of the final control to the minimizer of the smooth part.
     """
-    out = Path(out if out is not None else config.out)
+    out = Path(config.out)
     alpha, beta = config.alpha, config.beta
     if not (alpha > 0 and beta > 0):
         raise ConfigError("the unsolvable configuration needs alpha > 0 and beta > 0")

@@ -5,7 +5,7 @@ subdivisions per side: nodes are numbered row-major, every grid square is
 split along its lower-left to upper-right diagonal, and within a square the
 lower triangle precedes the upper one.  All triangles have area 1/(2n^2) and
 the longest edge is h = sqrt(2)/n.  A Mesh holds only n and builds its
-node, triangle and boundary arrays on access.  States are P1 nodal fields,
+node and boundary arrays on access.  States are P1 nodal fields,
 plain arrays of one value per node; controls are piecewise constants on
 triangles, loaded by `nodal_load`.
 
@@ -75,13 +75,6 @@ class Mesh:
         """(x, y) of every node, row-major: (n+1)^2 x 2 floats."""
         xs = np.linspace(0.0, 1.0, self.n + 1)
         return np.stack(np.broadcast_arrays(xs, xs[:, None]), axis=-1).reshape(-1, 2)
-
-    @property
-    def triangles(self):
-        """Vertex indices of every triangle, 2n^2 x 3, in triangle order (squares row-major, lower first)."""
-        k, steps = self.n + 1, np.arange(self.n)
-        corners = [k * steps[:, None] + steps + (dx + k * dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri]
-        return np.stack(corners, axis=-1).reshape(-1, 3)
 
     @property
     def boundary_nodes(self):
@@ -236,7 +229,7 @@ class ClassStencil:
     def __init__(self, n, sums):
         k = n + 1
         coef = sums[::-1]
-        self.n, self.shape, self._coef = n, (k * k, k * k), coef
+        self.n, self._coef = n, coef
         # the interior class's distinct coefficients, as 0-d arrays (cheaper to multiply by than Python floats),
         # and for each step in ascending offset order its start in a product that begins k + 1 nodes before
         # the band, and the index of its coefficient

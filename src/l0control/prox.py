@@ -18,8 +18,8 @@ identity), and use primitives that take a float or an ndarray alike: `abs`,
 the operators, `&`, and `_clip`, `_where`, `_minimum`, `_maximum`, `_sign`
 and `_sqrt`, which run plain Python on builtin floats (with numpy's NaN and
 signed-zero results) and call numpy on anything else.  The solver runs the
-cores over whole control fields through the array maps (`prox_l0_array`,
-`prox_l0_set_arrays`, `prox_l1_array`, `prox_switch_arrays`), which take
+cores over whole control fields through the array maps `prox_l0_set_arrays`,
+`prox_l1_array` and `prox_switch_arrays` (in `solver._prox_sets`), which take
 scalar or per-cell parameters; `reference.check_prox` runs them on one
 parameter set per row.  The scalar API (`hard_threshold`,
 `box_hard_threshold`, `prox_l0`, `prox_l1`, `prox_switch`) validates its
@@ -114,13 +114,6 @@ class ScalarSolutionSet:
             raise ValueError(f"a solution set holds 1 value, or 2 values one of which is 0; got {vals}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "canonical", canonical)
-
-    def distance(self, x):
-        """Distance from x to the set."""
-        return min(abs(x - v) for v in self.values)
-
-    def contains(self, x, tol=1e-10):
-        return self.distance(x) <= tol
 
 
 @dataclass(frozen=True)
@@ -377,6 +370,7 @@ def prox_l0_set_arrays(g, u, L, alpha, beta, bound):
     return _l0_sets(q, _zero_threshold(beta / w, bound), bound)
 
 
+# kept only because perfbench/spans.py hooks it
 def prox_l0_array(g, u, L, alpha, beta, bound):
     """Canonical (tie -> 0) selection of prox_l0, vectorized over cells."""
     zero_ok, v, _ = prox_l0_set_arrays(g, u, L, alpha, beta, bound)

@@ -204,8 +204,10 @@ def select_step(problem, strategy, ev_k, grad, flat_tol=0.0):
     def attempt(L):
         """(L, ev_t) of the trial at weight L, and whether it passes the decrease test."""
         nonlocal trials, flattest
-        u_t = iht_step(problem, ev_k.u, grad, L)
-        ev_t = Evaluation(u_t, problem.eval_f(u_t), problem.eval_g(u_t))
+        # an overflow is judged below (an infinite F rejects, NaN raises) or by the CG's non-finite residual
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_t = iht_step(problem, ev_k.u, grad, L)
+            ev_t = Evaluation(u_t, problem.eval_f(u_t), problem.eval_g(u_t))
         trials += 1
         if math.isnan(ev_t.F):
             # an infinite trial is an ordinary rejection; NaN means the objective is broken

@@ -12,6 +12,9 @@ share; nothing in the package calls them.
   CANDIDATE_TOL of the minimum; when a grid point beats every candidate by
   more than that, argmins is empty, which callers should treat as a failure.
 - `l2_norm_state`: the exact L2 norm of a P1 nodal field.
+- `triangles`: the vertex indices of every triangle of a mesh, the list the
+  node-grid slices of `l0control.fem` stand in for.
+- `distance` and `contains`: how far a value lies from a `ScalarSolutionSet`.
 - `benchmark_spec`: the paper's benchmark problem (alpha = beta = 0.01,
   b = 4, Dirichlet, the default target, n = 10), with keyword overrides.
 """
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from l0control import fem
-from l0control.fem import _per_triangle
+from l0control.fem import _SQUARE_TRIANGLES, _per_triangle
 from l0control.problem import ProblemSpec, default_target
 from l0control.prox import TIE_TOL, ProxParams, _finite, _weight, positive, prox_l0
 from l0control.reference import GRID_STEP, _admitted, penalized_quadratic_batch, search_radius, switch_batch
@@ -110,9 +113,18 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
     def pointwise(u):
         return g * u + 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
 
-    escaped = not sol.contains(u_bar, tol=TIE_TOL)
+    escaped = not contains(sol, u_bar, tol=TIE_TOL)
     decreased = pointwise(sol.canonical) < pointwise(u_bar)
     return escaped and decreased
+
+
+def distance(solution_set, x):
+    """Distance from x to a ScalarSolutionSet."""
+    return min(abs(x - v) for v in solution_set.values)
+
+
+def contains(solution_set, x, tol=1e-10):
+    return distance(solution_set, x) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +166,15 @@ def prox_switch_reference(g1, g2, uk1, uk2, L, alpha, beta, radius=3.0, step=1e-
 
 
 # ---------------------------------------------------------------------------
-# the exact L2 norm of a state
+# the triangle list and the exact L2 norm of a state
 # ---------------------------------------------------------------------------
+
+
+def triangles(mesh):
+    """Vertex indices of every triangle, 2n^2 x 3, in triangle order (squares row-major, lower first)."""
+    k, steps = mesh.n + 1, np.arange(mesh.n)
+    corners = [k * steps[:, None] + steps + (dx + k * dy) for tri in _SQUARE_TRIANGLES for dx, dy in tri]
+    return np.stack(corners, axis=-1).reshape(-1, 3)
 
 
 def l2_norm_state(mesh, y):

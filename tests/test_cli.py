@@ -305,15 +305,28 @@ def test_non_finite_cg_residual_exits_3(tmp_path):
     assert last.startswith("solver failure: non-finite CG residual norm inf"), last
 
 
+@pytest.mark.parametrize("pde, message", [
+    ("dirichlet", "objective F=nan at trial weight L=1e-308"),
+    ("neumann", "non-finite CG residual norm inf after 0 iterations (n=16)"),
+])
+def test_overflowing_trial_exits_3_with_one_line_when_warnings_are_errors(pde, message, tmp_path):
+    # the run above, on both operators, with every warning an error (as CI runs each command):
+    # the trial's own checks give the verdict, and numpy's overflow warnings must not preempt it
+    result = run_cli_process("solve", "--pde", pde, "--alpha", "0", "--lhat0", "1e-308", "--bound", "inf",
+                             "--mesh-n", "16", "--out", str(tmp_path), check=False, python_flags=("-W", "error"))
+    assert result.returncode == cli.EXIT_SOLVER, result.stderr
+    assert result.stderr.splitlines() == [f"solver failure: {message}"]
+
+
 # a fixed weight of 0 on the Neumann operator overshoots: the objective
 # rises in iterations 1, 2 and 4, and each rise is logged as a warning
 FIXED_WEIGHT_WARNS = ["solve", "--mesh-n", "8", "--pde", "neumann", "--strategy", "fixed",
                       "--lfixed", "0", "--max-iter", "4"]
 
 
-def run_cli_process(*args, check=True):
+def run_cli_process(*args, check=True, python_flags=()):
     env = dict(os.environ, PYTHONPATH=str(Path(l0control.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "l0control", *args],
+    return subprocess.run([sys.executable, *python_flags, "-m", "l0control", *args],
                           capture_output=True, text=True, env=env, check=check)
 
 

@@ -803,33 +803,56 @@ def test_run_against_the_brute_force_minimum_at_n3(pde, betas):
     check_runs_against_the_brute_force_minimum(3, pde, betas)
 
 
+def check_random_run_at_n2(rng, bound, solve_calls):
+    """One seeded run at n = 2 with the given bound, stopped after 30 iterations; returns (gap, cap hit).
+
+    Only what holds at any iterate is asserted: the control stays in the box,
+    F is the dense objective's, not below the unbounded minimum (a lower bound
+    for every box), and never increases, and the reported solves are the
+    solves performed.  gap is (F - F_min) / F_min; a cap hit is a label or None.
+    """
+    pde = (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ)[rng.integers(2)]
+    alpha, beta = 10.0 ** rng.uniform(-4.0, 0.0, 2)
+    kind = (solver.BT, solver.BT_W, solver.BT_0)[rng.integers(3)]
+    L_hat0 = 10.0 ** rng.uniform(-4.0, 1.0)
+    problem = ControlProblem(benchmark_spec(mesh_n=2, bound=bound, pde=pde, alpha=alpha, beta=beta))
+    minima = brute_force_minima(problem)
+    F_min = np.min(minima + beta * problem.mesh.triangle_area * np.arange(minima.size))
+    F = dense_objective(problem)[2]
+    solves_before = len(solve_calls)
+    report = run(problem, SolverOptions(strategy=StepStrategy(kind=kind, L_hat0=L_hat0), max_iterations=30),
+                 compute_fp_residual=False)
+    assert len(solve_calls) - solves_before == report.pde_solves
+    assert np.abs(report.final_control.values).max() <= bound
+    assert abs(F(report.final_control.values) - report.final_F) <= 1e-12
+    assert report.final_F >= F_min - 1e-12
+    Fs = [report.initial_F] + report.column("F")
+    assert all(b <= a for a, b in zip(Fs, Fs[1:]))
+    cap_hit = None
+    if report.termination == solver.MAX_ITERATIONS:
+        cap_hit = f"{pde} {kind} alpha={alpha:.2g} beta={beta:.2g} L_hat0={L_hat0:.2g} b={bound:.2g}"
+    return (report.final_F - F_min) / F_min, cap_hit
+
+
+def print_gaps(gaps, cap_hits, minimum):
+    q = np.quantile(gaps, [0.0, 0.5, 0.9, 1.0])
+    print(f"relative gap to the {minimum}: min {q[0]:.3g}, median {q[1]:.3g}, p90 {q[2]:.3g}, max {q[3]:.3g};"
+          f" {np.count_nonzero(np.abs(gaps) < 1e-12)} of {len(gaps)} at the minimum")
+    cap_hits = [hit for hit in cap_hits if hit]
+    print(f"{len(cap_hits)} runs hit the iteration cap:", *cap_hits, sep="\n  ")
+
+
 def test_random_runs_at_n2_stay_on_the_dense_objective_and_above_the_minimum(solve_calls):
     # seeded numpy draws rather than hypothesis, so the draws do not move with a
-    # hypothesis release; each run stops after 30 iterations, so only what holds
-    # at any iterate is asserted (32 runs, 2-3 s on a 2-core x86 host)
+    # hypothesis release (32 runs, 2-3 s on a 2-core x86 host)
     rng = np.random.default_rng(2026)
-    gaps, cap_hits = [], []
-    for _ in range(32):
-        pde = (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ)[rng.integers(2)]
-        alpha, beta = 10.0 ** rng.uniform(-4.0, 0.0, 2)
-        kind = (solver.BT, solver.BT_W, solver.BT_0)[rng.integers(3)]
-        L_hat0 = 10.0 ** rng.uniform(-4.0, 1.0)
-        problem = ControlProblem(benchmark_spec(mesh_n=2, bound=math.inf, pde=pde, alpha=alpha, beta=beta))
-        minima = brute_force_minima(problem)
-        F_min = np.min(minima + beta * problem.mesh.triangle_area * np.arange(minima.size))
-        F = dense_objective(problem)[2]
-        solves_before = len(solve_calls)
-        report = run(problem, SolverOptions(strategy=StepStrategy(kind=kind, L_hat0=L_hat0), max_iterations=30),
-                     compute_fp_residual=False)
-        assert len(solve_calls) - solves_before == report.pde_solves
-        assert abs(F(report.final_control.values) - report.final_F) <= 1e-12
-        assert report.final_F >= F_min - 1e-12
-        Fs = [report.initial_F] + report.column("F")
-        assert all(b <= a for a, b in zip(Fs, Fs[1:]))
-        gaps.append((report.final_F - F_min) / F_min)
-        if report.termination == solver.MAX_ITERATIONS:
-            cap_hits.append(f"{pde} {kind} alpha={alpha:.2g} beta={beta:.2g} L_hat0={L_hat0:.2g}")
-    q = np.quantile(gaps, [0.0, 0.5, 0.9, 1.0])
-    print(f"relative gap to the minimum: min {q[0]:.3g}, median {q[1]:.3g}, p90 {q[2]:.3g}, max {q[3]:.3g};"
-          f" {np.count_nonzero(np.abs(gaps) < 1e-12)} of {len(gaps)} at the minimum")
-    print(f"{len(cap_hits)} runs hit the iteration cap:", *cap_hits, sep="\n  ")
+    print_gaps(*zip(*(check_random_run_at_n2(rng, math.inf, solve_calls) for _ in range(32))), "minimum")
+
+
+def test_random_runs_at_n2_with_a_finite_bound_stay_in_the_box(solve_calls):
+    # a draw of its own: b log-uniform in [0.05, 5], then the draws of the unbounded runs;
+    # the gap is to the unbounded minimum, so a tight box shows a large one
+    rng = np.random.default_rng(2027)
+    results = [check_random_run_at_n2(rng, 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0)), solve_calls)
+               for _ in range(16)]
+    print_gaps(*zip(*results), "unbounded minimum")
