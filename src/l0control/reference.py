@@ -14,8 +14,8 @@ There is one search per subproblem, batched over rows:
 in a box, and `switch_batch` for the paired switching objective.  Each row
 is searched by one expression on its own slice of one shared offset grid
 +-u_j, u_j = (j + 1/2)*step, cut at that row's radius, so its result does
-not depend on the other rows (up to a NaN's sign); its cost does, since a
-call tabulates the grid to its widest row's radius (see
+not depend on the other rows, and neither does its cost: a call computes
+only the grid points its rows read, plus a fixed part per call (see
 `_rowwise_grid_min`).  The grid stays inside the box and misses 0; the
 endpoints and 0 come from the exact candidates.  Only the half u_j > 0 is
 evaluated, with linear coefficient -|a1|: since fl(a1*(-u)) = -fl(a1*u) and
@@ -118,7 +118,7 @@ def check_prox(penalty, g, u, L, alpha, weight, bound=np.inf):
 
 
 def _grid_windows(a2, c1, w_abs, radius, half, step):
-    """Per-row index window [lo, hi) of the half-grid that holds the row's computed minimum.
+    """Per-row index window [lo, hi), in whole floats, of the half-grid that holds the row's computed minimum.
 
     On u > 0 row i is the parabola a2*u^2 + (c1 + w_abs)*u, c1 = -|a1|, with
     its vertex at v.  For a2 > 0 every evaluated point is off its exact
@@ -131,21 +131,17 @@ def _grid_windows(a2, c1, w_abs, radius, half, step):
     the window j* +- floor(D/step) holds the row's minimum, bit for bit.
     The spare in E covers the rounding of v and of the index arithmetic.
 
-    Rows with a2 <= 0, rows where a coefficient, E or D is not finite, and
-    rows whose window would not be shorter than the half-grid get the whole
-    half-grid [0, half_i).
+    Rows with a2 <= 0 get an infinite reach, and so do rows where a
+    coefficient, E or D is not finite (as an infinite or NaN reach or
+    vertex): fmax/fmin take such a window's ends to the half-grid's,
+    [0, half_i).
     """
     with np.errstate(all="ignore"):
         err = 16.0 * np.finfo(float).eps * (a2 * radius**2 + (np.abs(c1) + w_abs) * radius) + 1e-300
         # floor(D/step), and j* = floor(v/step): u_j = (j + 1/2)*step
-        reach = np.floor(0.5 + np.sqrt(0.25 + 2.0 * err / a2 / (step * step)))
+        reach = np.where(a2 > 0.0, np.floor(0.5 + np.sqrt(0.25 + 2.0 * err / a2 / (step * step))), np.inf)
         nearest = np.clip(np.floor(-(c1 + w_abs) / (2.0 * a2) / step), 0.0, half - 1.0)
-        # clipped as floats, before the int cast: inf opens a bound to the
-        # half-grid, and NaN fails the comparison below
-        lo = np.clip(nearest - reach, 0.0, half)
-        hi = np.clip(nearest + reach + 1.0, 0.0, half)
-        narrow = (a2 > 0.0) & (hi - lo < half)
-    return np.where(narrow, lo, 0.0).astype(np.int64), np.where(narrow, hi, half).astype(np.int64)
+        return np.fmax(nearest - reach, 0.0), np.fmin(nearest + reach + 1.0, half)
 
 
 # a gather block holds its first row and fewer than this many more grid
@@ -177,45 +173,34 @@ def _rowwise_grid_min(a2, a1, w_abs, radius, step):
     for bit.  Every other row (a2 <= 0, non-finite values, nearly flat rows)
     is evaluated on its whole half-grid.  The rows' points are laid end to
     end in row order and cut into blocks at every _GATHER_POINTS-th point,
-    and each row is reduced over its own points only (`np.minimum.reduceat`),
-    which gives the bits of a one-row reduction, signed zeros and NaN signs
-    included; only where two NaN terms meet can the NaN's sign depend on the
-    row's place in its block.  Every row reads u_j and u_j^2 from one
-    (2, top) block sized by the call's widest row, 16 bytes a point, so a
-    row's cost depends on its call: one unbounded row with a2 = 5e-4, a1 = 1
-    (radius 1005, 10^7 points) takes 0.08-0.15 s and 154 MB of peak RSS for
-    the few points its window reads, 0.2 ms if each point were computed as
-    (j + 1/2)*step.  The block stays until the benchmark times set-up apart
-    from the heap (ROADMAP 3b): freeing it lifts glibc's heap trim threshold,
-    so later small arrays reuse the heap instead of page-faulting it back in.
+    and each row is reduced over its own points only
+    (`np.minimum.reduceat`), which gives the bits of a one-row reduction,
+    signed zeros and NaN signs included; only where two NaN terms meet can
+    the NaN's sign depend on the row's place in its call.  Each point is
+    computed where it is read, as u_j = (j + 1/2)*step and u_j*u_j, the
+    operations a tabulated grid would take, so a call costs the points its
+    rows read plus a fixed part: one unbounded row with a2 = 5e-4, a1 = 1
+    (radius 1,028, 10^7 half-grid points) reads 5 of them.
     """
-    a2, a1, w_abs, radius = (np.asarray(x, dtype=float) for x in (a2, a1, w_abs, radius))
     bad = ~(np.isfinite(radius) & (radius >= 0.0))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"radius must be finite and >= 0, got radius[{i}] = {radius[i]!r}")
-    half = np.floor(radius / step + 0.5).astype(np.int64)
+    half = np.floor(radius / step + 0.5)
     # the division may round up across an integer: step back inside the box
     half -= (half - 0.5) * step > radius
-    top = int(half.max(initial=0))
-    grid = np.empty((2, top))
-    u, u2 = grid
-    np.multiply(np.arange(top) + 0.5, step, out=u)
-    np.multiply(u, u, out=u2)
     c1 = -np.abs(a1)
     lo, hi = _grid_windows(a2, c1, w_abs, radius, half, step)
-    width = hi - lo
+    width = (hi - lo).astype(np.int64)
     out = np.full(a2.shape[0], np.inf)
 
-    rows = np.flatnonzero(width > 0)
-    cuts = np.flatnonzero(np.diff(np.cumsum(width[rows]) // _GATHER_POINTS)) + 1
-    for block in np.split(rows, cuts):
+    rows = np.flatnonzero(width)
+    for block in np.split(rows, np.flatnonzero(np.diff(np.cumsum(width[rows]) // _GATHER_POINTS)) + 1):
         w = width[block]
         first = np.cumsum(w) - w
         owner = np.repeat(block, w)
-        idx = np.arange(owner.size) + np.repeat(lo[block] - first, w)
-        pu, pu2 = grid[:, idx]
-        r = pu2 * a2[owner]
+        pu = (np.arange(owner.size) + np.repeat(lo[block] - first, w) + 0.5) * step
+        r = pu * pu * a2[owner]
         r += pu * c1[owner]
         r += pu * w_abs[owner]
         out[block] = np.minimum.reduceat(r, first)
@@ -227,9 +212,11 @@ def penalized_quadratic_batch(a2, a1, abs_weight, support_weight, radius, step=G
 
     Returns (min_values, candidates, candidate_values): candidates has one
     column per analytic candidate {0, -radius, radius, positive-side vertex,
-    negative-side vertex}; candidate_values are their exact objectives.  The
-    reported minimum also covers the dense grid so that a wrong candidate
-    enumeration cannot go unnoticed.
+    negative-side vertex}, each vertex clipped to its half of the box; a row
+    with a2 <= 0 has no vertex, and its vertex columns divide by +inf in
+    place of 2*a2 (0 for finite coefficients, never 0/0).  candidate_values
+    are their exact objectives.  The reported minimum also covers the dense
+    grid so that a wrong candidate enumeration cannot go unnoticed.
     """
     a2, a1, wa, ws, radius = np.asarray(
         np.broadcast_arrays(a2, a1, abs_weight, support_weight, radius), dtype=float
@@ -237,8 +224,9 @@ def penalized_quadratic_batch(a2, a1, abs_weight, support_weight, radius, step=G
 
     grid_min = _rowwise_grid_min(a2, a1, wa, radius, step) + ws
 
-    vpos = np.clip(-(a1 + wa) / (2.0 * a2), 0.0, radius)
-    vneg = np.clip(-(a1 - wa) / (2.0 * a2), -radius, 0.0)
+    den = np.where(a2 > 0.0, 2.0 * a2, np.inf)
+    vpos = np.clip(-(a1 + wa) / den, 0.0, radius)
+    vneg = np.clip(-(a1 - wa) / den, -radius, 0.0)
     candidates = np.stack(
         [np.zeros_like(a2), -radius, radius, vpos, vneg], axis=1
     )

@@ -12,6 +12,7 @@ the dense two-sided search.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,24 +43,20 @@ def switch_rows(rng, n):
     return rows
 
 
-def same_bits(x, y, nan_sign=True):
-    if not nan_sign:
-        x, y = (np.where(np.isnan(a), np.nan, a) for a in (x, y))
+def same_bits(x, y):
     return np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def assert_rows_independent(batch, columns):
     """Minimum, candidates and candidate values: every row has the bits of its
-    one-row call, signs of zeros and NaNs included, and those of its 64-row
-    block up to a NaN's sign: where two NaN terms of a candidate value meet,
-    numpy's vector and scalar loops keep different operands."""
+    one-row call and of its 64-row block, signs of zeros and NaNs included."""
     n = columns[0].shape[0]
     with np.errstate(all="ignore"):
         full = batch(*columns)
         blocks = [batch(*(c[rows] for c in columns)) for rows in np.array_split(np.arange(n), n // 64)]
         alone = [batch(*(c[i : i + 1] for c in columns)) for i in range(n)]
     for k, whole in enumerate(full):
-        assert same_bits(np.concatenate([b[k] for b in blocks]), whole, nan_sign=False), k
+        assert same_bits(np.concatenate([b[k] for b in blocks]), whole), k
         mismatch = [i for i in range(n) if not same_bits(alone[i][k], whole[i : i + 1])]
         assert not mismatch, (k, mismatch[:5])
 
@@ -292,6 +289,38 @@ def test_gathered_rows_keep_the_bits_of_one_row_calls(step):
                                                  step) for i in range(a2.size)]
         assert same_bits(whole, np.concatenate(alone)), with_abs
         assert same_bits(whole[zero_sum], np.zeros(12)), with_abs
+
+
+def test_a_wide_row_costs_only_its_window():
+    # an unbounded row, a2 = 5e-4 and a1 = 1, with 10^7 half-grid points
+    # among 63 ordinary rows: the call computes the few points its window
+    # reads, where a grid tabulated to the widest row took 314 MiB
+    rng = np.random.default_rng(21)
+    a2, a1, w_abs, w_supp, radius = penalized_rows(rng, 64)
+    wide = slice(7, 8)
+    a2[wide], a1[wide], w_abs[wide], w_supp[wide] = 5e-4, 1.0, 0.0, 0.4
+    radius[wide] = reference.search_radius(a2[wide], a1[wide], w_supp[wide], np.inf)
+    assert half_grid(radius[wide], H)[0] > 10**7
+    tracemalloc.start()
+    try:
+        whole = reference.penalized_quadratic_batch(a2, a1, w_abs, w_supp, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    alone = reference.penalized_quadratic_batch(a2[wide], a1[wide], w_abs[wide], w_supp[wide], radius[wide])
+    for k in range(3):
+        assert same_bits(whole[k][wide], alone[k]), k
+
+    # the dense two-sided search, term by term, on the 2*10^5 grid points
+    # nearest the vertex u = -1000 and their mirror images; every farther
+    # point lies more than 0.05 above the vertex
+    u = (np.arange(9_900_000, 10_100_000) + 0.5) * H
+    u = np.concatenate([-u, u])
+    dense = np.minimum.reduce(u * u * a2[wide] + u * a1[wide] + np.abs(u) * w_abs[wide])
+    grid_min = reference._rowwise_grid_min(a2, a1, w_abs, radius, H)
+    assert same_bits(grid_min[wide], np.array([dense]))
+    assert same_bits(whole[0][wide], np.minimum(dense + w_supp[wide], whole[2][wide].min(axis=1)))
 
 
 def criterion_1_rows(rng, n):
