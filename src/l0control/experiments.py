@@ -48,6 +48,10 @@ def _setting(default, help, **flag):
     return field(default=default, metadata={"help": help, **flag})
 
 
+# the solver keys of RunConfig take their defaults from here
+_SOLVER_DEFAULTS = solvermod.SolverOptions()
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration: each field is one config key and one CLI flag."""
@@ -58,14 +62,14 @@ class RunConfig:
     bound: float = _setting(4.0, 'box bound on the control (number or "inf")')
     penalty: str = _setting("l0", "penalty kind", choices=problemmod.PENALTY_KINDS)
     pde: str = _setting("dirichlet", "state operator", choices=list(PDE_NAMES))
-    strategy: str = _setting("bt0", "step-size rule", choices=solvermod.STRATEGY_KINDS)
-    lhat0: float = _setting(0.01, "initial prox weight for the adaptive rules")
-    theta: float = _setting(0.5, "weight reduction factor in (0,1)")
-    eta: float = _setting(1e-4, "decrease-condition constant")
-    imax: int = _setting(40, "maximal widening steps")
-    lfixed: float = _setting(1.0, "prox weight for strategy=fixed")
-    max_iter: int = _setting(10_000, "iteration cap")
-    tol: float = _setting(1e-12, "stop when |F_{k+1}-F_k| <= tol")
+    strategy: str = _setting(_SOLVER_DEFAULTS.strategy, "step-size rule", choices=solvermod.STRATEGY_KINDS)
+    lhat0: float = _setting(_SOLVER_DEFAULTS.lhat0, "initial prox weight for the adaptive rules")
+    theta: float = _setting(_SOLVER_DEFAULTS.theta, "weight reduction factor in (0,1)")
+    eta: float = _setting(_SOLVER_DEFAULTS.eta, "decrease-condition constant")
+    imax: int = _setting(_SOLVER_DEFAULTS.imax, "maximal widening steps")
+    lfixed: float = _setting(_SOLVER_DEFAULTS.lfixed, "prox weight for strategy=fixed")
+    max_iter: int = _setting(_SOLVER_DEFAULTS.max_iter, "iteration cap")
+    tol: float = _setting(_SOLVER_DEFAULTS.tol, "stop when |F_{k+1}-F_k| <= tol")
     out: str = _setting(".", "output directory (default '.')", metavar="DIR")
     seed: int = _setting(0, "seed for randomized subcommands")
     ydzero: bool = _setting(False, "use the zero tracking target")
@@ -74,7 +78,7 @@ class RunConfig:
         """Reject bad values before any run starts.
 
         ConfigError covers `pde` and `seed`, which nothing downstream sees;
-        ProblemSpec, StepStrategy and SolverOptions raise ValueError for the rest.
+        ProblemSpec and SolverOptions raise ValueError for the rest.
         """
         if self.pde not in PDE_NAMES:
             raise ConfigError(f"pde must be dirichlet|neumann, got {self.pde!r}")
@@ -149,17 +153,8 @@ def build_spec(config: RunConfig, y_d=None):
 
 
 def build_options(config: RunConfig):
-    strategy = solvermod.StepStrategy(
-        kind=config.strategy,
-        L_fixed=config.lfixed,
-        L_hat0=config.lhat0,
-        theta=config.theta,
-        eta=config.eta,
-        I_max=config.imax,
-    )
-    return solvermod.SolverOptions(
-        strategy=strategy, max_iterations=config.max_iter, stop_tol=config.tol
-    )
+    """The config's solver keys, copied by name into SolverOptions."""
+    return solvermod.SolverOptions(**{f.name: getattr(config, f.name) for f in fields(solvermod.SolverOptions)})
 
 
 # a field holding one of these would need csv quoting, which the writer never does
@@ -329,7 +324,7 @@ def _write_run(files, report, **extra):
 def run_solve(config: RunConfig):
     """Single configured run; writes report.csv, final_control.csv, summary.json."""
     files = _writable(_run_files(Path(config.out)))
-    problem = problemmod.make_problem(build_spec(config))
+    problem = problemmod.ControlProblem(build_spec(config))
     report = solvermod.run(problem, build_options(config))
     _write_run(files, report)
     return report
@@ -356,7 +351,7 @@ def _sweep(cfgs, outputs, y_d=None):
     _writable(outputs)
     cache = {}
     for cfg, spec in runs:
-        problem = problemmod.make_problem(spec, pde=_assemble_once(cache, spec.mesh_n, spec.pde))
+        problem = problemmod.ControlProblem(spec, pde=_assemble_once(cache, spec.mesh_n, spec.pde))
         yield cfg, problem, solvermod.run(problem, build_options(cfg), compute_fp_residual=False)
 
 
@@ -434,7 +429,7 @@ def run_unsolvable(config: RunConfig):
     cfg = replace(config, pde="neumann", penalty="l0", bound=math.inf)
     spec = build_spec(cfg, y_d=problemmod.unsolvable_target(alpha, beta))
     fp_csv, *files = _writable([out / "unsolvable_fp.csv", *_run_files(out)])
-    problem = problemmod.make_problem(spec)
+    problem = problemmod.ControlProblem(spec)
 
     u_bar = fem.ControlField(problem.mesh, np.full(problem.mesh.num_triangles, math.sqrt(beta / alpha)))
     grad_bar = problem.value_and_grad(u_bar)[1]
@@ -507,7 +502,7 @@ def run_selftest(config: RunConfig):
     for pde_name in ("dirichlet", "neumann"):
         cfg = replace(config, mesh_n=8, pde=pde_name, penalty="l0")
         spec = build_spec(cfg)
-        problem = problemmod.make_problem(spec)
+        problem = problemmod.ControlProblem(spec)
         for _ in range(4):
             u = fem.ControlField(problem.mesh, rng.normal(size=problem.mesh.num_triangles))
             du = fem.ControlField(problem.mesh, rng.normal(size=problem.mesh.num_triangles))
@@ -529,7 +524,7 @@ def run_selftest(config: RunConfig):
 
     cfg = replace(config, mesh_n=8, ydzero=True, penalty="l0", pde="dirichlet")
     spec = build_spec(cfg)
-    problem = problemmod.make_problem(spec)
+    problem = problemmod.ControlProblem(spec)
     report = solvermod.run(problem, build_options(cfg))
     check("zero-target solve", report.final_F == 0.0 and report.iterations == 1)
 

@@ -226,5 +226,6 @@ class SwitchingControl:
 SwitchingProblem = ControlProblem
 
 
+# kept only because perfbench/spans.py hooks it and perfbench/workloads.py calls it
 def make_problem(spec: ProblemSpec, pde=None):
     return ControlProblem(spec, pde=pde)

@@ -28,8 +28,8 @@ packages the result as a `ScalarSolutionSet`, a float or a
 `SwitchingPoint`.  A scalar call does no numpy work (1.4-3.6 us on a 2-core
 x86 host) and gives the same bits as the array map's row.  Its range
 checkers `nonnegative`, `positive` and `box_bound`, and `positive_integer`
-for counts, are the package's only ones: `ProblemSpec`, `StepStrategy` and
-`SolverOptions` call them too.
+for counts, are the package's only ones: `ProblemSpec` and `SolverOptions`
+call them too.
 
 Ties on the defining equalities are detected with an absolute tolerance of
 1e-12 so that double-precision inputs that are ties "in intent" (e.g. a
@@ -93,27 +93,11 @@ def _weight(L, alpha):
     return w
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ScalarSolutionSet:
-    """Solution set of a scalar thresholding problem: 1 or 2 values.
-
-    When two values are present one of them is 0 and `canonical` is 0;
-    otherwise `canonical` is the unique value.
-    """
+    """Solution set of a scalar thresholding problem: 1 value, or 2 values one of which is 0."""
 
     values: tuple
-    canonical: float
-
-    def __init__(self, values):
-        vals = tuple(map(float, values))
-        if len(vals) == 1:
-            canonical = vals[0]
-        elif len(vals) == 2 and 0.0 in vals:
-            canonical = 0.0
-        else:
-            raise ValueError(f"a solution set holds 1 value, or 2 values one of which is 0; got {vals}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "canonical", canonical)
 
 
 @dataclass(frozen=True)

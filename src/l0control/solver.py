@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,36 +54,34 @@ class NonFiniteError(StepSearchError):
 
 
 @dataclass(frozen=True)
-class StepStrategy:
-    """Step-size selection rule: fixed weight or one of the adaptive schemes."""
+class SolverOptions:
+    """Step-size rule and stopping rule of `run`; each field is the RunConfig key of the same name.
 
-    kind: str = BT_0
-    L_fixed: float = 1.0
-    L_hat0: float = 0.01
+    strategy is FIXED (weight lfixed) or an adaptive rule (see select_step:
+    lhat0, theta, eta, imax); the iteration stops after max_iter iterations
+    or once |F_{k+1} - F_k| <= tol.
+    """
+
+    strategy: str = BT_0
+    lhat0: float = 0.01
     theta: float = 0.5
     eta: float = 1e-4
-    I_max: int = 40
+    imax: int = 40
+    lfixed: float = 1.0
+    max_iter: int = 10_000
+    tol: float = 1e-12
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}")
+        if self.strategy not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         proxmod.positive("eta", self.eta)
-        proxmod.positive_integer("I_max", self.I_max)
-        proxmod.positive("L_hat0", self.L_hat0)
-        proxmod.nonnegative("L_fixed", self.L_fixed)
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    strategy: StepStrategy = field(default_factory=StepStrategy)
-    max_iterations: int = 10_000
-    stop_tol: float = 1e-12
-
-    def __post_init__(self):
-        proxmod.positive_integer("max_iterations", self.max_iterations)
-        proxmod.positive("stop_tol", self.stop_tol)
+        proxmod.positive_integer("imax", self.imax)
+        proxmod.positive("lhat0", self.lhat0)
+        proxmod.nonnegative("lfixed", self.lfixed)
+        proxmod.positive_integer("max_iter", self.max_iter)
+        proxmod.positive("tol", self.tol)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class IterationRecord:
 @dataclass(eq=False)
 class SolveReport:
     records: list
-    initial_F: float
     final_control: object
     final_f: float
     final_g: float
@@ -112,7 +109,6 @@ class SolveReport:
     pde_solves: int
     fp_residual: float = None
     fp_residual_L: float = None
-    monotonicity_violations: int = 0
 
     @property
     def iterations(self):
@@ -177,26 +173,26 @@ def iht_step(problem, u_k, grad, L):
     return replace(u_k, values=out)
 
 
-def select_step(problem, strategy, ev_k, grad, flat_tol=0.0):
+def select_step(problem, options, ev_k, grad):
     """Pick the prox weight for one iteration from the current point's Evaluation ev_k.
 
     Returns (L, ev_next, trials): the accepted weight and the Evaluation of
     the accepted point.  Every trial, FIXED's one included, is evaluated
     once, f and g together, and a trial whose objective is NaN raises
-    NonFiniteError at once.  FIXED applies its weight without a test.
-    BT starts at L_hat0 and multiplies by 1/theta until the decrease
-    condition holds.  BT-W additionally widens an accepted initial weight by
-    theta up to I_max times, keeping the last accepted value.  BT-0 tries
-    L = 0 before falling back to BT-W.
+    NonFiniteError at once.  FIXED applies its weight lfixed without a
+    test.  BT starts at lhat0 and multiplies by 1/theta until the decrease
+    condition (constant eta) holds.  BT-W additionally widens an accepted
+    initial weight by theta up to imax times, keeping the last accepted
+    value.  BT-0 tries L = 0 before falling back to BT-W.
 
     In exact arithmetic the decrease condition holds for every weight above
     the gradient Lipschitz constant, so a search that rejects the whole
     ladder can only mean one of two things: the objective is flat to within
     rounding along it (the iterate is numerically stationary), or gradient
     and objective are inconsistent.  The first case is detected through
-    flat_tol (a trial whose objective matches F_k within flat_tol) and
-    reported as a zero step that returns ev_k itself, at the last weight
-    tried; the second raises StepSearchError.
+    the stopping tolerance tol (a trial whose objective matches F_k within
+    tol) and reported as a zero step that returns ev_k itself, at the last
+    weight tried; the second raises StepSearchError.
     """
     trials = 0
     flattest = math.inf
@@ -213,35 +209,35 @@ def select_step(problem, strategy, ev_k, grad, flat_tol=0.0):
             # an infinite trial is an ordinary rejection; NaN means the objective is broken
             raise NonFiniteError(f"objective F=nan at trial weight L={L:g}")
         flattest = min(flattest, abs(ev_t.F - ev_k.F))
-        return (L, ev_t), descent_ok(ev_k, ev_t, strategy.eta)
+        return (L, ev_t), descent_ok(ev_k, ev_t, options.eta)
 
-    if strategy.kind == FIXED:
-        return attempt(strategy.L_fixed)[0] + (trials,)
+    if options.strategy == FIXED:
+        return attempt(options.lfixed)[0] + (trials,)
 
     # the pointwise prox divides by L + alpha, so the zero-weight trial
     # needs alpha > 0 no matter the bound
-    if strategy.kind == BT_0 and problem.spec.alpha > 0:
+    if options.strategy == BT_0 and problem.spec.alpha > 0:
         step, ok = attempt(0.0)
         if ok:
             return step + (trials,)
 
-    L = strategy.L_hat0
+    L = options.lhat0
     step, ok = attempt(L)
     if ok:
         # widening (BT-W, BT-0): decrease L while the condition keeps holding
-        for _ in range(0 if strategy.kind == BT else strategy.I_max):
-            wider, ok = attempt(step[0] * strategy.theta)
+        for _ in range(0 if options.strategy == BT else options.imax):
+            wider, ok = attempt(step[0] * options.theta)
             if not ok:
                 break
             step = wider
         return step + (trials,)
 
     for _ in range(MAX_INCREASES):
-        L = L / strategy.theta
+        L = L / options.theta
         step, ok = attempt(L)
         if ok:
             return step + (trials,)
-    if flattest <= flat_tol:
+    if flattest <= options.tol:
         # numerically stationary: no tested weight moves the objective
         # beyond the stopping tolerance, so stay put and let the stop rule fire
         return L, ev_k, trials
@@ -274,8 +270,8 @@ def fp_residual(problem, u, L, grad=None):
     return (L + s.alpha) * float(np.max(maxima, initial=0.0))
 
 
-def run(problem, options: SolverOptions = None, compute_fp_residual=True):
-    """Iterate until |F_{k+1} - F_k| <= stop_tol or the iteration budget is hit.
+def run(problem, options: SolverOptions, compute_fp_residual=True):
+    """Iterate until |F_{k+1} - F_k| <= options.tol or options.max_iter iterations have run.
 
     Every iteration is logged (accepted weight, trials, f, g, F, support
     measure, step norm, support-mask distance, cumulative PDE solves) from
@@ -283,36 +279,32 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
     at the start point.  The solve count is the paper's, tallied here: 2 per
     gradient and 1 per trial, so diagnostics run after the loop are not in
     it.  A flat exit's top weight belongs to a rejected ladder, so its step
-    is logged at the weight of the last step that moved the control (L_hat0
+    is logged at the weight of the last step that moved the control (lhat0
     if none did), and the final stationarity residual is taken at the last
     logged weight.  A NaN or infinite objective or gradient raises
     NonFiniteError.
     """
-    options = options or SolverOptions()
-    strategy = options.strategy
     u = problem.zero_control()
 
     f_0, grad = problem.value_and_grad(u)
     solves = 2
     ev = Evaluation(u, f_0, problem.eval_g(u))
-    initial_F = ev.F
     mask_prev = u.support_mask()
 
     records = []
     termination = MAX_ITERATIONS
-    violations = 0
 
-    for k in range(1, options.max_iterations + 1):
+    for k in range(1, options.max_iter + 1):
         if k > 1:
             _, grad = problem.value_and_grad(ev.u)
             solves += 2
         if not (math.isfinite(ev.F) and np.isfinite(grad.values).all()):
             raise NonFiniteError(f"objective F={ev.F:g} or its gradient is not finite at iteration {k}")
-        L_k, ev_next, trials = select_step(problem, strategy, ev, grad, flat_tol=options.stop_tol)
+        L_k, ev_next, trials = select_step(problem, options, ev, grad)
         solves += trials
         if ev_next is ev:
             # a flat exit: the top of the rejected ladder produced nothing
-            L_k = records[-1].L if records else strategy.L_hat0
+            L_k = records[-1].L if records else options.lhat0
         F_next = ev_next.F
         if not math.isfinite(F_next):
             raise NonFiniteError(f"objective F={F_next:g} is not finite after iteration {k}")
@@ -331,14 +323,13 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
                 pde_solves=solves,
             )
         )
-        if strategy.kind == FIXED and F_next > ev.F + 1e-14:
-            violations += 1
+        if options.strategy == FIXED and F_next > ev.F + 1e-14:
             log.warning(
                 "objective increased at iteration %d with fixed L=%g (dF=%.3e); "
                 "the fixed weight is below the gradient Lipschitz constant",
-                k, strategy.L_fixed, F_next - ev.F,
+                k, options.lfixed, F_next - ev.F,
             )
-        stop = abs(F_next - ev.F) <= options.stop_tol
+        stop = abs(F_next - ev.F) <= options.tol
         ev, mask_prev = ev_next, mask_next
         if stop:
             termination = TOLERANCE
@@ -346,14 +337,12 @@ def run(problem, options: SolverOptions = None, compute_fp_residual=True):
 
     report = SolveReport(
         records=records,
-        initial_F=initial_F,
         final_control=ev.u,
         final_f=ev.f,
         final_g=ev.g,
         final_F=ev.F,
         termination=termination,
         pde_solves=solves,
-        monotonicity_violations=violations,
     )
     if compute_fp_residual:
         report.fp_residual_L = records[-1].L

@@ -14,7 +14,10 @@ share; nothing in the package calls them.
 - `l2_norm_state`: the exact L2 norm of a P1 nodal field.
 - `triangles`: the vertex indices of every triangle of a mesh, the list the
   node-grid slices of `l0control.fem` stand in for.
-- `distance` and `contains`: how far a value lies from a `ScalarSolutionSet`.
+- `canonical`: the tie -> 0 element of a `ScalarSolutionSet`, after
+  asserting the set's shape; `distance` and `contains`: how far a value lies
+  from one.
+- `objective_trace`: a run's objective values, its start point's first.
 - `benchmark_spec`: the paper's benchmark problem (alpha = beta = 0.01,
   b = 4, Dirichlet, the default target, n = 10), with keyword overrides.
 """
@@ -114,8 +117,18 @@ def convexified_not_fixed_point_check(g, alpha, beta, b, L, u_bar=None):
         return g * u + 0.5 * alpha * u * u + (beta if u != 0.0 else 0.0)
 
     escaped = not contains(sol, u_bar, tol=TIE_TOL)
-    decreased = pointwise(sol.canonical) < pointwise(u_bar)
+    decreased = pointwise(canonical(sol)) < pointwise(u_bar)
     return escaped and decreased
+
+
+def canonical(solution_set):
+    """The canonical (tie -> 0) element of a ScalarSolutionSet.
+
+    Asserts the set's shape first: 1 value, or 2 values one of which is 0.
+    """
+    values = solution_set.values
+    assert len(values) == 1 or (len(values) == 2 and 0.0 in values), values
+    return 0.0 if len(values) == 2 else values[0]
 
 
 def distance(solution_set, x):
@@ -193,3 +206,18 @@ def benchmark_spec(**kw):
                 y_d=default_target, mesh_n=10)
     base.update(kw)
     return ProblemSpec(**base)
+
+
+# ---------------------------------------------------------------------------
+# a run's objective values
+# ---------------------------------------------------------------------------
+
+
+def objective_trace(problem, report):
+    """[F_0, F_1, ...] of a run of `problem`: F at the zero control it starts from, then each logged F.
+
+    F_0 = f(0) + g(0) has the bits of the run's own start value, since
+    eval_f and value_and_grad take f from the same computation.
+    """
+    u0 = problem.zero_control()
+    return [problem.eval_f(u0) + problem.eval_g(u0)] + report.column("F")

@@ -9,13 +9,12 @@ import math
 import time
 
 import numpy as np
-from oracles import benchmark_spec, fp_membership, l2_norm_state, separation_threshold
+from oracles import benchmark_spec, fp_membership, l2_norm_state, objective_trace, separation_threshold
 
 from l0control import experiments, fem, reference
 from l0control.problem import (
     ControlProblem,
     ProblemSpec,
-    make_problem,
     switching_target,
     unsolvable_target,
 )
@@ -23,21 +22,20 @@ from l0control.prox import (
     ProxParams,
     prox_l0,
 )
-from l0control.solver import SolverOptions, StepStrategy, fp_residual, run
+from l0control.solver import SolverOptions, fp_residual, run
 
 SEED = 123457
 N_INSTANCES = 10_000
 
-# registry of (report, eta) pairs for the log-level criterion
+# registry of (problem, report, eta) triples for the log-level criterion
 RUN_LOG = []
 
 
-def solve_logged(spec, strategy=None, **run_kw):
-    problem = spec if isinstance(spec, ControlProblem) else make_problem(spec)
-    options = SolverOptions(strategy=strategy or StepStrategy(kind="bt0", L_hat0=0.01),
-                            **run_kw.pop("options", {}))
+def solve_logged(spec, **run_kw):
+    problem = spec if isinstance(spec, ControlProblem) else ControlProblem(spec)
+    options = SolverOptions(strategy="bt0", lhat0=0.01)
     report = run(problem, options, **run_kw)
-    RUN_LOG.append((report, options.strategy.eta))
+    RUN_LOG.append((problem, report, options.eta))
     return problem, report
 
 
@@ -350,9 +348,9 @@ def test_criterion_11_fixed_point_monotonicity_in_weight():
 def test_criterion_12_budget_accounting(solve_calls):
     """A scripted 3-iteration run consumes exactly 2 per iteration plus one per trial."""
     problem = ControlProblem(benchmark_spec(mesh_n=8))
-    options = SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), max_iterations=3)
+    options = SolverOptions(strategy="bt0", lhat0=0.01, max_iter=3)
     report = run(problem, options, compute_fp_residual=False)
-    RUN_LOG.append((report, options.strategy.eta))
+    RUN_LOG.append((problem, report, options.eta))
     trials = sum(report.column("trials"))
     assert report.iterations == 3
     assert report.pde_solves == 2 * 3 + trials
@@ -364,8 +362,8 @@ def test_criterion_7_monotone_decrease_and_summability():
     """F never increases and the squared steps are bounded by (F0 - F_end)/eta
     on every run logged by this module (runs last by position)."""
     assert RUN_LOG, "no runs were logged"
-    for report, eta in RUN_LOG:
-        Fs = [report.initial_F] + report.column("F")
+    for problem, report, eta in RUN_LOG:
+        Fs = objective_trace(problem, report)
         for a, b in zip(Fs, Fs[1:]):
             assert b <= a + 1e-14
         steps = sum(s**2 for s in report.column("step_norm"))

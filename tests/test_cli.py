@@ -103,20 +103,21 @@ def assert_rejected(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-# each number setting's message; "bound" accepts +inf, so its cases take -inf instead
+# each number setting's message after its key, which opens it; "bound" accepts +inf,
+# so its cases take -inf instead
 RANGE_MESSAGES = {
-    "alpha": "alpha must be a finite nonnegative real",
-    "beta": "beta must be a finite positive real",
-    "bound": "bound must be positive (or +inf)",
-    "lhat0": "L_hat0 must be a finite positive real",
-    "theta": "theta must lie in (0, 1)",
-    "eta": "eta must be a finite positive real",
-    "lfixed": "L_fixed must be a finite nonnegative real",
-    "tol": "stop_tol must be a finite positive real",
-    "mesh_n": "mesh_n must be a positive integer",
-    "imax": "I_max must be a positive integer",
-    "max_iter": "max_iterations must be a positive integer",
-    "seed": "seed must be a nonnegative integer",
+    "alpha": "must be a finite nonnegative real",
+    "beta": "must be a finite positive real",
+    "bound": "must be positive (or +inf)",
+    "lhat0": "must be a finite positive real",
+    "theta": "must lie in (0, 1)",
+    "eta": "must be a finite positive real",
+    "lfixed": "must be a finite nonnegative real",
+    "tol": "must be a finite positive real",
+    "mesh_n": "must be a positive integer",
+    "imax": "must be a positive integer",
+    "max_iter": "must be a positive integer",
+    "seed": "must be a nonnegative integer",
 }
 FLOAT_CASES = [(name, v) for name in ("alpha", "beta", "bound", "lhat0", "theta", "eta", "lfixed", "tol")
                for v in ("nan", "inf", "-inf", "-1") if (name, v) != ("bound", "inf")]
@@ -134,7 +135,7 @@ def test_out_of_range_setting_exits_2(name, value, tmp_path, capsys):
     argv = ["solve", f"--{name.replace('_', '-')}={value}", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     shown = value if (name, value) in INT_CASES else float(value)
-    assert capsys.readouterr().err.splitlines() == [f"error: {RANGE_MESSAGES[name]}, got {shown}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} {RANGE_MESSAGES[name]}, got {shown}"]
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
@@ -358,7 +359,7 @@ def test_unwritable_output_file_exits_2_before_any_solve(argv, taken, tmp_path, 
         raise AssertionError("solved before every output file was checked")
 
     monkeypatch.setattr(solver, "run", must_not_run)
-    monkeypatch.setattr(problem, "make_problem", must_not_run)
+    monkeypatch.setattr(problem, "ControlProblem", must_not_run)
     out = tmp_path / "out"
     (out / taken).mkdir(parents=True)
     assert cli.main(argv + ["--mesh-n", "8", "--out", str(out)]) == cli.EXIT_CONFIG

@@ -7,24 +7,27 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import objective_trace
 from test_fem import mass_matrix
 
 from l0control import experiments as ex
 from l0control import fem
 from l0control.experiments import RunConfig
-from l0control.problem import SwitchingControl
+from l0control.problem import ControlProblem, SwitchingControl
 
 
 def test_table1_rows_monotone_and_large_weight_collapses(tmp_path):
     config = RunConfig(mesh_n=10, out=str(tmp_path))
     reports = ex.run_table1(config)
     assert len(reports) == 10
+    # the ten runs differ only in their step rule, so they share one problem
+    problem = ControlProblem(ex.build_spec(config))
     for report in reports:
-        Fs = [report.initial_F] + report.column("F")
+        Fs = objective_trace(problem, report)
         assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
     # the largest initial weight keeps every cell below threshold: the first
     # accepted step is the zero control and the run stops there
-    big = reports[7]  # L_hat0 = 10
+    big = reports[7]  # lhat0 = 10
     assert big.records[-1].support == 0.0
     assert np.all(big.final_control.values == 0.0)
 

@@ -2,7 +2,9 @@
 
 - Every public top-level def or class is used outside its definition.
 - Every public method, property or `self.` attribute of a package class is
-  read outside its definition (dataclass fields are not checked).
+  read outside its definition, and so is every public field of a package
+  dataclass, outside its class; a `dataclasses.fields()` pass over a class
+  reads all of its fields.
 - Every parameter with a default is passed by some call: a default that no
   call overrides is a constant, not a knob.
 
@@ -107,6 +109,43 @@ def unused_members(src, bench):
     ]
 
 
+def _last_name(node):
+    """The name a Name or an Attribute node ends in, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unused_fields(src, bench):
+    """'module.Class.name' of every public field of a dataclass in src that no code reads outside the class.
+
+    A read is an attribute load in package or benchmark code, an identifier
+    string in the benchmark, or a `fields(Class)` call, which reads every
+    field of the class it names.
+    """
+    fields, reads, passes = {}, [], set()
+    for path in src + bench:
+        tree = parse(path)
+        docstrings = docstring_nodes(tree)
+        for node in ast.walk(tree):
+            if path in src and isinstance(node, ast.ClassDef) and any(
+                    _last_name(getattr(d, "func", d)) == "dataclass" for d in node.decorator_list):
+                own = {id(n) for n in ast.walk(node)}
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                            and not item.target.id.startswith("_")):
+                        fields[path, node.name, item.target.id] = own
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                reads.append((node.attr, id(node)))
+            elif path in bench and bench_string(node, docstrings):
+                reads.append((node.value, id(node)))
+            elif isinstance(node, ast.Call) and _last_name(node.func) == "fields" and node.args:
+                passes.add(_last_name(node.args[0]))
+    return [
+        f"{path.stem}.{cls}.{name}"
+        for (path, cls, name), own in fields.items()
+        if cls not in passes and not any(read == name and where not in own for read, where in reads)
+    ]
+
+
 def unused_defaults(src, callers):
     """'module.function(param)' of every parameter with a default in src that no call in src or callers passes.
 
@@ -121,10 +160,9 @@ def unused_defaults(src, callers):
                    for item in node.body}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
                 spread = any(isinstance(a, ast.Starred) for a in node.args)
-                calls.append((func.id if isinstance(func, ast.Name) else getattr(func, "attr", None),
-                              float("inf") if spread else len(node.args), {k.arg for k in node.keywords}))
+                calls.append((_last_name(node.func), float("inf") if spread else len(node.args),
+                              {k.arg for k in node.keywords}))
             elif path in src and isinstance(node, FUNCS):
                 params.extend(_defaulted(path, node, methods.get(id(node))))
     return [
@@ -156,6 +194,10 @@ def test_every_public_definition_is_used_by_the_package_or_the_benchmark():
 
 def test_every_public_member_is_read_by_the_package_or_the_benchmark():
     assert unused_members(SRC, BENCH) == []
+
+
+def test_every_dataclass_field_is_read_by_the_package_or_the_benchmark():
+    assert unused_fields(SRC, BENCH) == []
 
 
 def test_every_default_is_passed_by_some_call():
@@ -193,6 +235,22 @@ def test_a_member_is_used_only_by_a_read_outside_its_own_body(tmp_path):
     bench.write_text('"""hooked"""\nimport mod\nbox = mod.Box(1)\nbox.public()\nbox.n\nonly_named = 1\n'
                      'TARGETS = ("hooked",)\n')
     assert unused_members([src], [bench]) == ["mod.Box.recursive", "mod.Box.only_named", "mod.Box.spare"]
+
+
+def test_a_field_is_used_only_by_a_read_outside_its_class_or_a_fields_pass(tmp_path):
+    src, bench = tmp_path / "mod.py", tmp_path / "bench.py"
+    src.write_text(
+        "from dataclasses import dataclass, fields\n\n"
+        "@dataclass\nclass Point:\n"
+        "    x: float\n    y: float\n    z: float = 0.0\n    hooked: int = 0\n    own: int = 0\n    _private: int = 0\n"
+        "    def scaled(self):\n        return self.own\n\n"
+        "@dataclass(frozen=True)\nclass Row:\n    a: int\n    b: int\n\n"
+        "class Plain:\n    unread: int = 0\n\n"
+        "def header():\n    return [f.name for f in fields(Row)]\n\n"
+        "def first(p):\n    return p.x\n"
+    )
+    bench.write_text('"""z"""\nimport mod\nmod.Point(1.0, 2.0).y = 3.0\nTARGETS = ("hooked",)\n')
+    assert unused_fields([src], [bench]) == ["mod.Point.y", "mod.Point.z", "mod.Point.own"]
 
 
 def test_a_default_is_in_use_only_when_some_call_passes_it(tmp_path):

@@ -4,8 +4,9 @@ The cases sit where the closed forms switch branches: |q| within a few
 TIE_TOL of the zero threshold, sqrt(2s) = b (both branches of the box map
 meet), L = 0 with alpha > 0, and instances scaled over 1e-8 .. 1e8.  Every
 element of a scalar solution set must be a global minimizer according to the
-reference, and the scalar canonical value must equal the array map's value at
-the same argument.
+reference, every scalar set must hold 1 value, or 2 values one of which is 0
+(`oracles.canonical` asserts it), and the scalar canonical value must equal
+the array map's value at the same argument.
 
 A scaled instance multiplies u, g and b by M and the support weight by M^2,
 so its objective is M^2 times the unit one; the reference grid step and the
@@ -19,7 +20,13 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import box_threshold_reference, prox_l0_reference, prox_l1_reference, prox_switch_reference
+from oracles import (
+    box_threshold_reference,
+    canonical,
+    prox_l0_reference,
+    prox_l1_reference,
+    prox_switch_reference,
+)
 
 from l0control import reference
 from l0control.prox import (
@@ -74,7 +81,7 @@ def assert_global_minimizers(values, objective, best, argmins=None, w=1.0, m=1.0
 def assert_tie_structure(sol, offset):
     """Inside half the tie band the set is {0, v}; three bands out it is a singleton."""
     if abs(offset) <= 0.5:
-        assert len(sol.values) == 2 and sol.canonical == 0.0
+        assert len(sol.values) == 2 and canonical(sol) == 0.0
     elif abs(offset) >= 3.0:
         assert len(sol.values) == 1
 
@@ -98,7 +105,7 @@ def test_hard_threshold_at_tie(t, sgn, offset):
                              best, argmins)
     assert_tie_structure(sol, offset)
     # sqrt(fl(t*t)) == t in binary floating point, so the array map sees the threshold t itself
-    assert sol.canonical == box_array_value(q, 0.5 * t * t, math.inf)
+    assert canonical(sol) == box_array_value(q, 0.5 * t * t, math.inf)
 
 
 @edge_settings
@@ -109,7 +116,7 @@ def test_box_hard_threshold_at_tie(s, b, sgn, offset):
     best, argmins = box_threshold_reference(q, s, b)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (s if v else 0.0), best, argmins)
     assert_tie_structure(sol, offset)
-    assert sol.canonical == box_array_value(q, s, b)
+    assert canonical(sol) == box_array_value(q, s, b)
 
 
 @edge_settings
@@ -122,7 +129,7 @@ def test_prox_l0_at_tie(L, alpha, beta, b, u_k, sgn, offset):
     best, argmins = prox_l0_reference(g, u_k, L, alpha, beta, b)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, argmins, w=w)
     assert_tie_structure(sol, offset)
-    assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
+    assert canonical(sol) == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ def test_box_hard_threshold_root_equals_bound(b, q, sgn, offset):
         assert_global_minimizers(sol.values, lambda v: -arg * v + 0.5 * v * v + (s if v else 0.0),
                                  best, argmins)
         assert all(v == 0.0 or abs(abs(v) - b) <= 2.0 * TIE_TOL for v in sol.values)
-        assert sol.canonical == box_array_value(arg, s, b)
+        assert canonical(sol) == box_array_value(arg, s, b)
     assert_tie_structure(box_hard_threshold(sgn * (b + offset * TIE_TOL), s, b), offset)
 
 
@@ -151,7 +158,7 @@ def test_prox_l0_root_equals_bound(L, alpha, beta, g, u_k):
     sol = prox_l0(g, u_k, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
     best, argmins = prox_l0_reference(g, u_k, L, alpha, beta, b)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, argmins, w=w)
-    assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
+    assert canonical(sol) == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +229,13 @@ def test_l0_maps_across_magnitudes(m, L, alpha, beta, b, g, u_k):
     sol = prox_l0(g, u_k, ProxParams(L=L, alpha=alpha, beta=beta, bound=b))
     best, _ = prox_l0_reference(g, u_k, L, alpha, beta, b, step=step)
     assert_global_minimizers(sol.values, lambda v: l0_objective(v, g, u_k, L, alpha, beta), best, w=w, m=m)
-    assert sol.canonical == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
+    assert canonical(sol) == prox_l0_array(np.array([g]), np.array([u_k]), L, alpha, beta, b)[0]
 
     q, s = -g, beta
     sol = box_hard_threshold(q, s, b)
     best, _ = box_threshold_reference(q, s, b, step=step)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (s if v else 0.0), best, m=m)
-    assert sol.canonical == box_array_value(q, s, b)
+    assert canonical(sol) == box_array_value(q, s, b)
 
     # hard thresholding has no box; any box holding q and the threshold leaves its minimizers alone
     t = math.sqrt(2.0 * s)
@@ -236,7 +243,7 @@ def test_l0_maps_across_magnitudes(m, L, alpha, beta, b, g, u_k):
     best, _ = box_threshold_reference(q, 0.5 * t * t, 2.0 * (abs(q) + t), step=step)
     assert_global_minimizers(sol.values, lambda v: -q * v + 0.5 * v * v + (0.5 * t * t if v else 0.0),
                              best, m=m)
-    assert sol.canonical == box_array_value(q, 0.5 * t * t, math.inf)
+    assert canonical(sol) == box_array_value(q, 0.5 * t * t, math.inf)
 
 
 @edge_settings

@@ -1,13 +1,14 @@
 """Thresholding iteration: steps, strategies, logging, diagnostics."""
 
 import itertools
+import logging
 import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import benchmark_spec, separation_threshold
+from oracles import benchmark_spec, canonical, objective_trace, separation_threshold
 from test_fem import mass_matrix
 
 from l0control import experiments, fem, solver
@@ -32,7 +33,6 @@ from l0control.solver import (
     NonFiniteError,
     SolverOptions,
     StepSearchError,
-    StepStrategy,
     descent_ok,
     fp_residual,
     iht_step,
@@ -78,31 +78,34 @@ class ToyProblem:
 
 
 def test_strategy_defaults_match_stated_values():
-    s = StepStrategy()
-    assert s.theta == 0.5 and s.eta == 1e-4 and s.I_max == 40
+    s = SolverOptions()
+    assert s.theta == 0.5 and s.eta == 1e-4 and s.imax == 40
+    # RunConfig reads its solver defaults off SolverOptions
+    assert experiments.build_options(experiments.RunConfig()) == s
 
 
 def test_strategy_validation():
     with pytest.raises(ValueError):
-        StepStrategy(kind="newton")
+        SolverOptions(strategy="newton")
     with pytest.raises(ValueError):
-        StepStrategy(theta=1.0)
+        SolverOptions(theta=1.0)
     with pytest.raises(ValueError):
-        StepStrategy(eta=0.0)
+        SolverOptions(eta=0.0)
     with pytest.raises(ValueError):
-        StepStrategy(I_max=0)
+        SolverOptions(imax=0)
     with pytest.raises(ValueError):
-        StepStrategy(L_hat0=0.0)
+        SolverOptions(lhat0=0.0)
     with pytest.raises(ValueError):
-        SolverOptions(max_iterations=0)
+        SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
-        SolverOptions(stop_tol=0.0)
+        SolverOptions(tol=0.0)
 
 
 @pytest.mark.parametrize("value", [1.5, 2.5, 4.0, True])
+# the ids name the two solver counts as the paper (I_max) and the termination label (max_iterations) do
 @pytest.mark.parametrize("build, name", [
-    (lambda n: StepStrategy(I_max=n), "I_max"),
-    (lambda n: SolverOptions(max_iterations=n), "max_iterations"),
+    (lambda n: SolverOptions(imax=n), "imax"),
+    (lambda n: SolverOptions(max_iter=n), "max_iter"),
     (lambda n: benchmark_spec(mesh_n=n), "mesh_n"),
 ], ids=["I_max", "max_iterations", "mesh_n"])
 def test_count_settings_reject_non_integers(build, name, value):
@@ -353,22 +356,21 @@ def test_select_step_fixed_applies_without_test():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    strat = StepStrategy(kind="fixed", L_fixed=2.0)
-    L, ev_next, trials = select_step(p, strat, ev, grad)
+    L, ev_next, trials = select_step(p, SolverOptions(strategy="fixed", lfixed=2.0), ev, grad)
     assert L == 2.0 and trials == 1
     # the one trial is evaluated, f and g, and handed back
     assert ev_next.f == p.eval_f(ev_next.u) and ev_next.g == p.eval_g(ev_next.u)
-    expect = prox_l0(grad.values[0], 0.0, ProxParams(2.0, 1.0, 1.0, 2.0)).canonical
+    expect = canonical(prox_l0(grad.values[0], 0.0, ProxParams(2.0, 1.0, 1.0, 2.0)))
     assert ev_next.u.values == pytest.approx([expect, expect])
 
 
 def test_select_step_bt_accepts_initial_when_descending():
-    # Lf = 0.2 < alpha = 1: even L = 0 descends, so BT accepts L_hat0 at once
+    # Lf = 0.2 < alpha = 1: even L = 0 descends, so BT accepts lhat0 at once
     p = ToyProblem(lipschitz=0.2)
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    L, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="bt", lhat0=0.01), ev, grad)
     assert L == 0.01 and trials == 1
 
 
@@ -378,7 +380,7 @@ def test_select_step_bt_doubles_until_accepted():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    L, _, trials = select_step(p, StepStrategy(kind="bt", L_hat0=1.0), ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="bt", lhat0=1.0), ev, grad)
     assert L > 1.0
     assert trials == int(round(math.log2(L / 1.0))) + 1
     # the accepted weight survives its own descent test by construction
@@ -387,14 +389,13 @@ def test_select_step_bt_doubles_until_accepted():
 
 
 def test_select_step_widening_keeps_last_accepted():
-    # Lf small: widening succeeds I_max times; with I_max=1 the trace is
-    # L_hat0 accepted (trial 1), theta*L_hat0 accepted (trial 2), stop
+    # Lf small: widening succeeds imax times; with imax=1 the trace is
+    # lhat0 accepted (trial 1), theta*lhat0 accepted (trial 2), stop
     p = ToyProblem(lipschitz=0.2)
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=1)
-    L, _, trials = select_step(p, strat, ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="btw", lhat0=0.01, imax=1), ev, grad)
     assert L == pytest.approx(0.005)
     assert trials == 2
 
@@ -404,8 +405,7 @@ def test_select_step_widening_runs_all_imax_when_everything_descends():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    strat = StepStrategy(kind="btw", L_hat0=0.01, I_max=5)
-    L, _, trials = select_step(p, strat, ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="btw", lhat0=0.01, imax=5), ev, grad)
     assert L == pytest.approx(0.01 * 0.5**5)
     assert trials == 6
 
@@ -415,7 +415,7 @@ def test_select_step_zero_first_accepts_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    L, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=0.01), ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="bt0", lhat0=0.01), ev, grad)
     assert L == 0.0 and trials == 1
 
 
@@ -425,7 +425,7 @@ def test_select_step_zero_first_skips_illegal_zero():
     u = p.zero_control()
     _, grad = p.value_and_grad(u)
     ev = Evaluation(u, p.eval_f(u), p.eval_g(u))
-    L, _, trials = select_step(p, StepStrategy(kind="bt0", L_hat0=1.0), ev, grad)
+    L, _, trials = select_step(p, SolverOptions(strategy="bt0", lhat0=1.0), ev, grad)
     assert L > 0.0
 
 
@@ -438,7 +438,7 @@ def test_select_step_raises_on_inconsistent_objective():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     with pytest.raises(StepSearchError):
-        select_step(p, StepStrategy(kind="bt", L_hat0=0.01), Evaluation(u, 1.0, 0.0), grad)
+        select_step(p, SolverOptions(strategy="bt", lhat0=0.01), Evaluation(u, 1.0, 0.0), grad)
 
 
 def test_select_step_flat_objective_accepts_zero_move_at_large_weight():
@@ -453,7 +453,7 @@ def test_select_step_flat_objective_accepts_zero_move_at_large_weight():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     ev = Evaluation(u, 7.0, p.eval_g(u))
-    L, ev_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), ev, grad, flat_tol=1e-12)
+    L, ev_next, trials = select_step(p, SolverOptions(strategy="bt", lhat0=0.01, tol=1e-12), ev, grad)
     assert np.all(ev_next.u.values == u.values)
     assert trials < solver.MAX_INCREASES
 
@@ -469,7 +469,7 @@ def test_select_step_stagnation_returns_zero_move():
     u = p.zero_control()
     grad = fem.ControlField(p.mesh, np.full(2, -3.0))
     ev = Evaluation(u, 7.0, p.eval_g(u))
-    L, ev_next, trials = select_step(p, StepStrategy(kind="bt", L_hat0=0.01), ev, grad, flat_tol=1e-12)
+    L, ev_next, trials = select_step(p, SolverOptions(strategy="bt", lhat0=0.01, tol=1e-12), ev, grad)
     # the flat exit hands back the record it was given, evaluating nothing more
     assert ev_next is ev
     assert ev_next.u is u
@@ -477,7 +477,7 @@ def test_select_step_stagnation_returns_zero_move():
     assert ev_next.g == p.eval_g(u)
     assert trials == solver.MAX_INCREASES + 1
     with pytest.raises(StepSearchError):
-        select_step(p, StepStrategy(kind="bt", L_hat0=0.01), ev, grad, flat_tol=1e-16)
+        select_step(p, SolverOptions(strategy="bt", lhat0=0.01, tol=1e-16), ev, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def test_select_step_stagnation_returns_zero_move():
 
 def test_run_zero_target_terminates_immediately():
     problem = ControlProblem(benchmark_spec(mesh_n=6, y_d=zero_target))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01))
     assert report.final_F == 0.0
     assert report.iterations == 1
     assert report.termination == solver.TOLERANCE
@@ -496,9 +496,13 @@ def test_run_zero_target_terminates_immediately():
 
 def test_run_benchmark_coarse_logs_and_invariants(solve_calls):
     problem = ControlProblem(benchmark_spec(mesh_n=10))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01))
+    # the paper's count: 2 per iteration plus one per trial; the final
+    # residual's gradient costs 2 more solves that it leaves out
+    assert report.pde_solves == 2 * report.iterations + sum(report.column("trials"))
+    assert len(solve_calls) == report.pde_solves + 2
     eta = 1e-4
-    Fs = [report.initial_F] + report.column("F")
+    Fs = objective_trace(problem, report)
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
     assert sum(s**2 for s in report.column("step_norm")) <= (Fs[0] - Fs[-1]) / eta + 1e-12
     # sigma-separation of every logged iterate is checked on the final one
@@ -513,22 +517,18 @@ def test_run_benchmark_coarse_logs_and_invariants(solve_calls):
         for r in report.records
     )
     assert sum(report.column("chi_dist")) <= (Fs[0] - Fs[-1]) / (eta * sigma_min**2) + 1e-12
-    # the paper's count: 2 per iteration plus one per trial; the final
-    # residual's gradient costs 2 more solves that it leaves out
-    assert report.pde_solves == 2 * report.iterations + sum(report.column("trials"))
-    assert len(solve_calls) == report.pde_solves + 2
     # converged run is nearly stationary at its terminal weight
     assert report.fp_residual <= 1e-6
 
 
 def test_run_sigma_separation_every_iteration():
     problem = ControlProblem(benchmark_spec(mesh_n=8))
-    options = SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01))
+    options = SolverOptions(strategy="bt0", lhat0=0.01)
     u = problem.zero_control()
     _, grad = problem.value_and_grad(u)
     ev = Evaluation(u, problem.eval_f(u), problem.eval_g(u))
     for _ in range(6):
-        L, ev, _ = select_step(problem, options.strategy, ev, grad)
+        L, ev, _ = select_step(problem, options, ev, grad)
         sigma = separation_threshold(ProxParams(L, problem.spec.alpha, problem.spec.beta, problem.spec.bound))
         nz = ev.u.values[ev.u.values != 0.0]
         if nz.size:
@@ -536,12 +536,19 @@ def test_run_sigma_separation_every_iteration():
         _, grad = problem.value_and_grad(ev.u)
 
 
-def test_run_fixed_strategy_counts_violations():
+def fixed_rule_increases(caplog):
+    """How many objective increases under the fixed weight run has logged."""
+    return sum(r.name == solver.log.name and r.getMessage().startswith("objective increased")
+               for r in caplog.records)
+
+
+def test_run_fixed_strategy_counts_violations(caplog):
     # fixed weight far below the toy Lipschitz constant: the iteration
     # overshoots and the objective increases, which is logged, not enforced
+    caplog.set_level(logging.WARNING, logger=solver.log.name)
     p = ToyProblem(lipschitz=8.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
-    report = run(p, SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0), max_iterations=12))
-    assert report.monotonicity_violations > 0
+    report = run(p, SolverOptions(strategy="fixed", lfixed=1.0, max_iter=12))
+    assert fixed_rule_increases(caplog) > 0
     assert all(r.trials == 1 for r in report.records)
     assert report.pde_solves == 3 * report.iterations
 
@@ -560,12 +567,11 @@ class NaNObjectiveProblem(ToyProblem):
         return math.nan
 
 
-@pytest.mark.parametrize("strategy", [StepStrategy(kind="fixed", L_fixed=1.0),
-                                      StepStrategy(kind="bt0", L_hat0=0.01)])
+@pytest.mark.parametrize("strategy", [dict(strategy="fixed", lfixed=1.0), dict(strategy="bt0", lhat0=0.01)])
 def test_run_stops_on_non_finite_objective(strategy):
     problem = NaNObjectiveProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0)
     with pytest.raises(NonFiniteError, match="trial weight"):
-        run(problem, SolverOptions(strategy=strategy, max_iterations=50))
+        run(problem, SolverOptions(**strategy, max_iter=50))
     # the first NaN trial ends the run, whatever the step rule: no 50
     # iterations of F=nan for the fixed weight, no walk up the whole weight
     # ladder for BT-0
@@ -587,11 +593,11 @@ def test_run_evaluates_g_once_per_trial_and_at_the_start_point():
     # the loop takes the accepted trial's f and g, and a flat exit the current
     # point's: it evaluates g itself only at the start; f runs once per trial,
     # the gradient once per iteration and once more for the final residual
-    bt0 = StepStrategy(kind="bt0", L_hat0=0.01)
+    bt0 = SolverOptions(strategy="bt0", lhat0=0.01)
     for p, options in [
-        (ToyProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0), SolverOptions(strategy=bt0)),
+        (ToyProblem(lipschitz=2.0, target=(0.5, -0.5), beta=0.01, bound=2.0), bt0),
         # the flat exit of test_run_flat_exit_takes_the_residual_at_the_last_moving_weight
-        (ControlProblem(benchmark_spec(mesh_n=16)), SolverOptions(strategy=bt0, stop_tol=1e-16)),
+        (ControlProblem(benchmark_spec(mesh_n=16)), replace(bt0, tol=1e-16)),
     ]:
         calls = count_calls(p, "eval_f", "eval_g", "value_and_grad")
         report = run(p, options)
@@ -606,7 +612,7 @@ def test_run_flat_exit_takes_the_residual_at_the_last_moving_weight():
     # residual taken, at the weight that produced the final control, not at
     # the ladder's top weight
     problem = ControlProblem(benchmark_spec(mesh_n=16))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), stop_tol=1e-16))
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01, tol=1e-16))
     last, moved = report.records[-1], report.records[-2]
     assert last.step_norm == 0.0 and last.trials > solver.MAX_INCREASES
     assert moved.step_norm > 0.0
@@ -615,7 +621,7 @@ def test_run_flat_exit_takes_the_residual_at_the_last_moving_weight():
     assert report.fp_residual <= 1e-6
 
 
-BT0 = StepStrategy(kind="bt0", L_hat0=0.01)
+BT0 = dict(strategy="bt0", lhat0=0.01)
 
 
 @pytest.mark.parametrize("spec_kw, strategy", [
@@ -623,11 +629,11 @@ BT0 = StepStrategy(kind="bt0", L_hat0=0.01)
     ({"penalty": "l1", "bound": math.inf}, BT0),
     ({"penalty": "switching", "bound": math.inf, "alpha": 1e-5, "y_d": switching_target, "mesh_n": 8}, BT0),
     ({"pde": fem.NEUMANN_HELMHOLTZ}, BT0),
-    ({}, StepStrategy(kind="fixed", L_fixed=1.0)),
+    ({}, dict(strategy="fixed", lfixed=1.0)),
 ], ids=["l0", "l1", "switching", "l0-neumann", "fixed"])
 def test_reported_solves_are_the_solves_performed(spec_kw, strategy, solve_calls):
     problem = ControlProblem(benchmark_spec(**spec_kw))
-    report = run(problem, SolverOptions(strategy=strategy, max_iterations=20), compute_fp_residual=False)
+    report = run(problem, SolverOptions(**strategy, max_iter=20), compute_fp_residual=False)
     assert len(solve_calls) == report.pde_solves == report.records[-1].pde_solves
     trials = np.cumsum(report.column("trials"))
     assert report.column("pde_solves") == [2 * k + t for k, t in enumerate(trials, start=1)]
@@ -646,20 +652,21 @@ def test_run_stops_on_non_finite_gradient():
             return f, fem.ControlField(self.mesh, np.full(2, math.nan))
 
     with pytest.raises(NonFiniteError, match="gradient"):
-        run(NaNGradientProblem(), SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0)))
+        run(NaNGradientProblem(), SolverOptions(strategy="fixed", lfixed=1.0))
 
 
-def test_run_fixed_strategy_above_lipschitz_is_monotone():
+def test_run_fixed_strategy_above_lipschitz_is_monotone(caplog):
+    caplog.set_level(logging.WARNING, logger=solver.log.name)
     p = ToyProblem(lipschitz=0.5, target=(1.2, -0.8), beta=0.05, bound=2.0)
-    report = run(p, SolverOptions(strategy=StepStrategy(kind="fixed", L_fixed=1.0), max_iterations=200))
-    assert report.monotonicity_violations == 0
-    Fs = [report.initial_F] + report.column("F")
+    report = run(p, SolverOptions(strategy="fixed", lfixed=1.0, max_iter=200))
+    assert fixed_rule_increases(caplog) == 0
+    Fs = objective_trace(p, report)
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
 
 
 def test_run_max_iterations_termination():
     problem = ControlProblem(benchmark_spec(mesh_n=6))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), max_iterations=2),
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01, max_iter=2),
                  compute_fp_residual=False)
     assert report.iterations == 2
     assert report.termination == solver.MAX_ITERATIONS
@@ -670,7 +677,7 @@ def test_run_large_initial_weight_collapses_to_zero():
     # large weights keep every cell below threshold, so the first accepted
     # step is u = 0 and the iteration stops there
     problem = ControlProblem(benchmark_spec(mesh_n=10))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt", L_hat0=10.0)))
+    report = run(problem, SolverOptions(strategy="bt", lhat0=10.0))
     assert np.all(report.final_control.values == 0.0)
     assert report.records[-1].support == 0.0
 
@@ -679,8 +686,8 @@ def test_run_switching_problem_smoke():
     spec = ProblemSpec(alpha=1e-5, beta=0.01, bound=math.inf, penalty="switching",
                        pde=fem.DIRICHLET_POISSON, y_d=switching_target, mesh_n=8)
     problem = ControlProblem(spec)
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01), max_iterations=500))
-    Fs = [report.initial_F] + report.column("F")
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01, max_iter=500))
+    Fs = objective_trace(problem, report)
     assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
     assert report.pde_solves == 2 * report.iterations + sum(report.column("trials"))
     assert 0.0 <= report.records[-1].support <= 1.0
@@ -708,7 +715,7 @@ def test_fp_residual_detects_convexified_solution():
 
 def test_fp_residual_monotone_in_weight_at_converged_control():
     problem = ControlProblem(benchmark_spec(mesh_n=8))
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind="bt0", L_hat0=0.01)))
+    report = run(problem, SolverOptions(strategy="bt0", lhat0=0.01))
     u = report.final_control
     grad = problem.value_and_grad(u)[1]
     base_L = max(report.fp_residual_L, 0.01)
@@ -814,23 +821,23 @@ def check_random_run_at_n2(rng, bound, solve_calls):
     pde = (fem.DIRICHLET_POISSON, fem.NEUMANN_HELMHOLTZ)[rng.integers(2)]
     alpha, beta = 10.0 ** rng.uniform(-4.0, 0.0, 2)
     kind = (solver.BT, solver.BT_W, solver.BT_0)[rng.integers(3)]
-    L_hat0 = 10.0 ** rng.uniform(-4.0, 1.0)
+    lhat0 = 10.0 ** rng.uniform(-4.0, 1.0)
     problem = ControlProblem(benchmark_spec(mesh_n=2, bound=bound, pde=pde, alpha=alpha, beta=beta))
     minima = brute_force_minima(problem)
     F_min = np.min(minima + beta * problem.mesh.triangle_area * np.arange(minima.size))
     F = dense_objective(problem)[2]
     solves_before = len(solve_calls)
-    report = run(problem, SolverOptions(strategy=StepStrategy(kind=kind, L_hat0=L_hat0), max_iterations=30),
+    report = run(problem, SolverOptions(strategy=kind, lhat0=lhat0, max_iter=30),
                  compute_fp_residual=False)
     assert len(solve_calls) - solves_before == report.pde_solves
     assert np.abs(report.final_control.values).max() <= bound
     assert abs(F(report.final_control.values) - report.final_F) <= 1e-12
     assert report.final_F >= F_min - 1e-12
-    Fs = [report.initial_F] + report.column("F")
+    Fs = objective_trace(problem, report)
     assert all(b <= a for a, b in zip(Fs, Fs[1:]))
     cap_hit = None
     if report.termination == solver.MAX_ITERATIONS:
-        cap_hit = f"{pde} {kind} alpha={alpha:.2g} beta={beta:.2g} L_hat0={L_hat0:.2g} b={bound:.2g}"
+        cap_hit = f"{pde} {kind} alpha={alpha:.2g} beta={beta:.2g} lhat0={lhat0:.2g} b={bound:.2g}"
     return (report.final_F - F_min) / F_min, cap_hit
 
 
