@@ -15,6 +15,7 @@ from oracles import (
 )
 
 from l0control import prox
+from l0control.problem import ProblemSpec
 from l0control.prox import (
     ProxParams,
     ScalarSolutionSet,
@@ -189,6 +190,71 @@ def test_prox_params_validation():
         ProxParams(L=0.0, alpha=1.0, beta=0.0)
     with pytest.raises(ValueError):
         ProxParams(L=0.0, alpha=1.0, beta=1.0, bound=-2.0)
+
+
+# the range checkers' edge table: each value through every caller of each checker
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -1.5, -0.0, 0.0, 5e-324, np.float64(2.5), np.float64(-0.0), 2, 0]
+# the values (as repr(float(value))) each checker rejects, and its message
+REJECTED = {
+    "finite": {"nan", "inf", "-inf"},
+    "nonnegative": {"nan", "inf", "-inf", "-1.5"},
+    "positive": {"nan", "inf", "-inf", "-1.5", "-0.0", "0.0"},
+    "bound": {"nan", "-inf", "-1.5", "-0.0", "0.0"},
+}
+MESSAGES = {
+    "finite": "{} must be finite, got {}",
+    "nonnegative": "{} must be a finite nonnegative real, got {}",
+    "positive": "{} must be a finite positive real, got {}",
+    "bound": "{} must be positive (or +inf), got {}",
+}
+G, U = SwitchingPoint(1.0, -0.5), SwitchingPoint(0.2, 0.3)
+# (checker, name in the message, call with the edge value, its stored or returned builtin floats)
+EDGE_CALLERS = {
+    "ProxParams.L": ("nonnegative", "L", lambda x: ProxParams(x, 1.0, 1.0, 2.0), lambda r: [r.L]),
+    "ProxParams.alpha": ("nonnegative", "alpha", lambda x: ProxParams(1.0, x, 1.0, 2.0), lambda r: [r.alpha]),
+    "ProxParams.beta": ("positive", "beta", lambda x: ProxParams(1.0, 1.0, x, 2.0), lambda r: [r.beta]),
+    "ProxParams.bound": ("bound", "bound", lambda x: ProxParams(1.0, 1.0, 1.0, x), lambda r: [r.bound]),
+    "SwitchingPoint.u1": ("finite", "u1", lambda x: SwitchingPoint(x, 1.0), lambda r: [r.u1]),
+    "SwitchingPoint.u2": ("finite", "u2", lambda x: SwitchingPoint(1.0, x), lambda r: [r.u2]),
+    "hard_threshold.q": ("finite", "q", lambda x: hard_threshold(x, 1.0), lambda r: list(r.values)),
+    "hard_threshold.t": ("positive", "threshold t", lambda x: hard_threshold(1.0, x), lambda r: list(r.values)),
+    "box_hard_threshold.q": ("finite", "q", lambda x: box_hard_threshold(x, 0.5, 1.0), lambda r: list(r.values)),
+    "box_hard_threshold.s": ("nonnegative", "s", lambda x: box_hard_threshold(1.2, x, 1.0), lambda r: list(r.values)),
+    "box_hard_threshold.b": ("bound", "b", lambda x: box_hard_threshold(1.2, 0.5, x), lambda r: list(r.values)),
+    "prox_l0.g_k": ("finite", "g_k", lambda x: prox_l0(x, 0.5, ProxParams(1.0, 1.0, 0.5)), lambda r: list(r.values)),
+    "prox_l0.u_k": ("finite", "u_k", lambda x: prox_l0(-1.0, x, ProxParams(1.0, 1.0, 0.5)), lambda r: list(r.values)),
+    "prox_l1.g_k": ("finite", "g_k", lambda x: prox_l1(x, 0.5, 1.0, 1.0, 0.5, 2.0), lambda r: [r]),
+    "prox_l1.u_k": ("finite", "u_k", lambda x: prox_l1(-1.0, x, 1.0, 1.0, 0.5, 2.0), lambda r: [r]),
+    "prox_l1.L": ("nonnegative", "L", lambda x: prox_l1(-1.0, 0.5, x, 1.0, 0.5, 2.0), lambda r: [r]),
+    "prox_l1.alpha": ("nonnegative", "alpha", lambda x: prox_l1(-1.0, 0.5, 1.0, x, 0.5, 2.0), lambda r: [r]),
+    "prox_l1.gamma": ("nonnegative", "gamma", lambda x: prox_l1(-1.0, 0.5, 1.0, 1.0, x, 2.0), lambda r: [r]),
+    "prox_l1.b": ("bound", "b", lambda x: prox_l1(-1.0, 0.5, 1.0, 1.0, 0.5, x), lambda r: [r]),
+    "prox_switch.L": ("nonnegative", "L", lambda x: prox_switch(G, U, x, 1.0, 0.5), lambda r: [r.u1, r.u2]),
+    "prox_switch.alpha": ("nonnegative", "alpha", lambda x: prox_switch(G, U, 1.0, x, 0.5), lambda r: [r.u1, r.u2]),
+    "prox_switch.beta": ("positive", "beta", lambda x: prox_switch(G, U, 1.0, 1.0, x), lambda r: [r.u1, r.u2]),
+    "ProblemSpec.alpha": ("nonnegative", "alpha", lambda x: ProblemSpec(alpha=x, beta=0.01), lambda r: []),
+    "ProblemSpec.beta": ("positive", "beta", lambda x: ProblemSpec(alpha=0.01, beta=x), lambda r: []),
+    "ProblemSpec.bound": ("bound", "bound", lambda x: ProblemSpec(alpha=0.01, beta=0.01, bound=x), lambda r: []),
+}
+
+
+@pytest.mark.parametrize("caller", EDGE_CALLERS)
+def test_range_checkers_edge_table(caller):
+    # NaN and +-inf are rejected wherever the range is finite, -0.0 passes as
+    # 0.0 does, 5e-324 is positive; numpy scalars and ints are read as floats
+    kind, name, call, floats = EDGE_CALLERS[caller]
+    for value in EDGE_VALUES:
+        x = float(value)
+        if repr(x) in REJECTED[kind]:
+            with pytest.raises(ValueError) as err:
+                call(value)
+            assert str(err.value) == MESSAGES[kind].format(name, x), (caller, value)
+            continue
+        out = floats(call(value))
+        assert all(type(v) is float for v in out), (caller, value, out)
+        if caller.startswith(("ProxParams", "SwitchingPoint")):
+            # the stored field has the bits of float(value), signed zero included
+            assert out[0] == x and math.copysign(1.0, out[0]) == math.copysign(1.0, x), (caller, value)
 
 
 def test_separation_threshold_values():

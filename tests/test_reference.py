@@ -11,6 +11,7 @@ only, and a convex row only on a window of it, and must give the same bits as
 the dense two-sided search.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -538,3 +539,65 @@ def test_switching_ties():
     # |m1| = |m2| with opposite signs, and beta = 1/4 ties the full vertex in as well
     assert oracles.prox_switch_reference(-1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.25) == (
         -0.25, ((0.0, -0.5), (0.5, -0.5), (0.5, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# the reference's bits, pinned
+
+
+def pinned_blocks(rng):
+    """64-row blocks of both batch searches: criterion 1's draws and degenerate rows.
+
+    Each block is the positional arguments of one call, tagged with its search.
+    The l0, box and l1 blocks hold bounded and unbounded rows (radius from
+    `search_radius`); the last penalized block holds rows with a2 <= 0,
+    zero-sum rows and a wide unbounded row among ordinary ones.
+    """
+    g, u, L, alpha, beta, b = draw_l0_instances(rng, 128)
+    a2, a1 = 0.5 * (L + alpha), g - L * u
+    for rows in (slice(0, 64), slice(64, 128)):
+        yield "penalized", (a2[rows], a1[rows], 0.0, beta[rows], reference.search_radius(a2, a1, beta, b)[rows])
+    q, s = rng.uniform(-3, 3, 64), rng.uniform(0, 2, 64)
+    bb = rng.choice([0.6, 1.0, 1.4, math.inf], 64)
+    q[np.isinf(bb)] = rng.uniform(-2.5, 2.5, int(np.isinf(bb).sum()))
+    yield "penalized", (0.5, -q, 0.0, s, reference.search_radius(0.5, -q, s, bb))
+    g, u, L, alpha, gamma, b = draw_l0_instances(rng, 64)
+    a2, a1 = 0.5 * (L + alpha), g - L * u
+    yield "penalized", (a2, a1, gamma, 0.0, reference.search_radius(a2, a1, 0.0, b))
+
+    a2, a1, w_abs, w_supp, radius = penalized_rows(rng, 64)
+    a2[:6] = (0.0, -0.0, -1.0, -1e-3, 0.0, -0.0)  # no vertex: the whole half-grid
+    a1[4:6] = 0.0
+    zero_sum_rows(rng, a2, a1, w_abs, radius, slice(6, 12))
+    a2[12], a1[12], w_abs[12], w_supp[12] = 5e-4, 1.0, 0.0, 0.4
+    radius[12] = reference.search_radius(a2[12], a1[12], w_supp[12], np.inf)  # 10^7 half-grid points
+    yield "penalized", (a2, a1, w_abs, w_supp, radius)
+
+    for _ in range(2):
+        yield "switch", tuple(switch_rows(rng, 64))
+
+
+# SHA-256 of each call's (min_values, candidates, candidate_values) bytes, as
+# recorded before the per-call overhead of both searches was cut
+PINNED_DIGESTS = [
+    "4a2f801506669b60298616a95505fe77cd69923b67668e5960c9f6ff3cb5b1fe",
+    "95a2ce72819f8456049377665787c9bb736754bad7587cb1ffa36f251b4d9fd8",
+    "82265a8e163e02c5adb570e05300c2614c1e1a8e780f0968b1b64c4ba977579b",
+    "838c5a50664a42155b77a5b12d4b8c796812015c1df1ef66c7870019930f288b",
+    "3db6464db22bb5de4e1b7a1329a259632a61cc18929823dbfc5a0ad664444918",
+    "81686a8490e7a25bc4b757afaec6bc9a42807cca29a22e1dc4f8f04e5009190d",
+    "aaaa9ca9746a9128aa0ecfb7bc3599bc1f92623a814fbc114dd63bb775487538",
+]
+
+
+def test_reference_bits_are_pinned():
+    # the reference runs only correctly rounded elementwise operations and
+    # min reductions, so these digests hold on any IEEE-754 host
+    got = []
+    for search, args in pinned_blocks(np.random.default_rng(44)):
+        batch = reference.penalized_quadratic_batch if search == "penalized" else reference.switch_batch
+        digest = hashlib.sha256()
+        for out in batch(*args):
+            digest.update(np.ascontiguousarray(out).tobytes())
+        got.append(digest.hexdigest())
+    assert got == PINNED_DIGESTS
